@@ -37,11 +37,9 @@ from .orbits import (
 )
 from .paving import (
     CellPaving,
-    CoverComponents,
     LabeledDiagram,
     PavingCell,
     TableauPermutation,
-    cover_components,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellPaving",
     "ComponentLabel",
-    "CoverComponents",
     "DataIntegrityError",
     "DynkinDiagram",
     "FiniteGroupDescriptor",
@@ -87,7 +84,6 @@ __all__ = [
     "center_fiber",
     "classify_subdiagram",
     "conjugate_heights",
-    "cover_components",
     "dump_tsv",
     "dynkin_diagram",
     "enumerate_cells",

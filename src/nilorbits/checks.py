@@ -9,12 +9,12 @@ same functions, so the two surfaces cannot drift apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
+    CheckResult,
     LieType,
-    Partition,
     SubsetJ,
+    all_subsets,
     classify_subdiagram,
     conjugate_heights,
     dynkin_diagram,
@@ -31,7 +31,6 @@ from .orbits import (
     orbit_partition,
 )
 from .paving import (
-    cover_components,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
@@ -43,24 +42,8 @@ from .paving import (
 from .tables import records, validate_tables
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _result(name: str, checked: int, failures: list[str]) -> CheckResult:
     return CheckResult(name=name, checked=checked, failures=tuple(failures))
-
-
-def _all_subsets(rank: int):
-    for mask in range(1 << rank):
-        yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
 
 
 def _classical_ranks(max_rank: int):
@@ -106,7 +89,7 @@ def check_subdiagram_classification() -> CheckResult:
         t = LieType.of(family)
         diagram = dynkin_diagram(t)
         nodes = set(range(1, t.rank + 1))
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             try:
                 classify_subdiagram(diagram, nodes - set(j.elements))
@@ -126,7 +109,7 @@ def check_formula_oracle(max_rank: int = 7) -> CheckResult:
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             formula = orbit_partition(t, j).partition
             oracle = jordan_partition(representative_matrix(t, j))
@@ -142,7 +125,7 @@ def check_oracle_rank_profile(max_rank: int = 5) -> CheckResult:
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             matrix = representative_matrix(t, j)
             ranks = rank_sequence(matrix)
@@ -161,7 +144,7 @@ def check_kernel_identity(max_rank: int = 10) -> CheckResult:
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             report = kernel_check(t, j)
             if not report.holds:
@@ -180,7 +163,7 @@ def check_type_a_exactness(max_rank: int = 10) -> CheckResult:
     checked = 0
     for rank in range(1, max_rank + 1):
         t = LieType("A", rank)
-        for j in _all_subsets(rank):
+        for j in all_subsets(rank):
             checked += 1
             zj = center_fiber(t, j).order
             p = orbit_partition(t, j).partition
@@ -195,7 +178,7 @@ def check_partition_totals(max_rank: int = 10) -> CheckResult:
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             p = orbit_partition(t, j).partition
             if p.total != t.matrix_dimension:
@@ -211,7 +194,7 @@ def check_center_divisibility(max_rank: int = 10) -> CheckResult:
         LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")
     ]
     for t in types:
-        for j in _all_subsets(t.rank):
+        for j in all_subsets(t.rank):
             checked += 1
             order = center_fiber(t, j).order
             if t.center_order % order:
@@ -324,15 +307,29 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
 
 
 def check_dimension_identity(max_total: int = 10) -> CheckResult:
-    """n(n+1) - 2 * top-cell dimension equals the orbit dimension, arithmetic only."""
+    """The top-cell dimension d_x three ways, one check per partition.
+
+    For each partition p of n+1: the closed form over column heights,
+    |phi_sigma| - |phi_sigma_x| at the linking permutation sigma, and
+    (n(n+1) - dim O_p) / 2, which must divide exactly, all agree.
+    """
     failures = []
     checked = 0
     for total in range(1, max_total + 1):
         n = total - 1
         for p in partitions_of(total):
             checked += 1
-            if n * (n + 1) - 2 * max_cell_dimension(p) != orbit_dimension_type_a(n, p):
-                failures.append("%s: identity fails" % p)
+            d_x = max_cell_dimension(p)
+            _, _, sigma = labeled_diagrams(p)
+            via_roots = len(phi_w(sigma)) - len(phi_w_x(sigma, p))
+            via_orbit, rem = divmod(n * (n + 1) - orbit_dimension_type_a(n, p), 2)
+            if d_x != via_roots:
+                failures.append("%s: closed form %d != root count %d" % (p, d_x, via_roots))
+            if rem or d_x != via_orbit:
+                failures.append(
+                    "%s: closed form %d != orbit codimension / 2 = %d (remainder %d)"
+                    % (p, d_x, via_orbit, rem)
+                )
     return _result("dimension-identity", checked, failures)
 
 
@@ -349,7 +346,7 @@ def check_decomposition(max_rank: int = 8) -> CheckResult:
         for record in report:
             if 0 not in record.characters:
                 failures.append("rank %d %s: trivial character missing" % (n, record.partition))
-            if len(record.characters) != cover_components(record.partition).count:
+            if len(record.characters) != record.partition.gcd():
                 failures.append("rank %d %s: character count mismatch" % (n, record.partition))
             if record.multiplicity_known:
                 failures.append("rank %d %s: multiplicities claimed known" % (n, record.partition))

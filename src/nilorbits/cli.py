@@ -161,7 +161,6 @@ def cmd_orbit(args) -> int:
 
 def cmd_paving(args) -> int:
     p = _parse_partition(args.partition)
-    tym, std, sigma = labeled_diagrams(p)
     cells, poincare = enumerate_cells(p, bound=args.bound)
     d_x = max_cell_dimension(p)
     top = sum(1 for c in cells if c.dimension == d_x)
@@ -177,6 +176,10 @@ def cmd_paving(args) -> int:
         payload["cells"] = [
             {"w": list(c.w.one_line), "dimension": c.dimension} for c in cells
         ]
+    if args.format == "json":
+        _emit(payload, args.format, ())
+        return EXIT_OK
+    tym, std, sigma = labeled_diagrams(p)
     lines = [
         "partition: %s" % p,
         "Y^Tym rows: %s" % tym.render_rows(),
@@ -250,6 +253,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_rank < 1:
+        raise InputError("--max-rank must be >= 1, got %d" % args.max_rank)
     results = run_all(max_rank=args.max_rank)
     failed = 0
     for result in results:

@@ -9,7 +9,6 @@ values; nothing here touches floating point.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
@@ -37,21 +36,18 @@ FAMILIES = CLASSICAL_FAMILIES + tuple(EXCEPTIONAL_RANKS)
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
-WORKERS_ENV = "NILORBITS_WORKERS"
 
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one sweep: how many checks it ran and what failed."""
 
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the worker count: explicit argument first, then the environment."""
-    if explicit is not None:
-        if explicit < 1:
-            raise InputError("worker count must be >= 1, got %d" % explicit)
-        return explicit
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError("%s must be an integer, got %r" % (WORKERS_ENV, raw)) from None
-    return max(1, value)
+    name: str
+    checked: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -197,6 +193,12 @@ class SubsetJ:
 
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self.elements)) + "}"
+
+
+def all_subsets(rank: int) -> Iterator[SubsetJ]:
+    """Every subset of 1..rank, in bitmask order."""
+    for mask in range(1 << rank):
+        yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
 
 
 def check_subset_range(t: LieType, j: SubsetJ) -> None:

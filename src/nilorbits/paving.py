@@ -18,7 +18,6 @@ nonempty cell at w has dimension |phi_w| - |phi_w_x|.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +26,8 @@ from .core import (
     Partition,
     ResourceBoundError,
     conjugate_heights,
-    worker_count,
 )
 from .jordan import IntMatrix
-from .orbits import orbit_dimension_type_a
 
 DEFAULT_CELL_BOUND = 9
 
@@ -207,24 +204,11 @@ def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
 def max_cell_dimension(p: Partition) -> int:
     """Dimension of the distinguished top cell: sum of C(height, 2) over columns.
 
-    Cross-checked on every call against |phi_sigma| - |phi_sigma_x| and
-    against half the codimension of the orbit; a mismatch would mean a
-    programming error, not bad input.
+    This closed form equals |phi_sigma| - |phi_sigma_x| and half the
+    codimension of the orbit; ``checks.check_dimension_identity`` compares
+    all three.
     """
-    if p.total == 0:
-        return 0
-    heights = conjugate_heights(p)
-    dim = sum(h * (h - 1) // 2 for h in heights)
-    _, _, sigma = labeled_diagrams(p)
-    via_roots = len(phi_w(sigma)) - len(phi_w_x(sigma, p))
-    n = p.total - 1
-    via_orbit, rem = divmod(n * (n + 1) - orbit_dimension_type_a(n, p), 2)
-    if rem or dim != via_roots or dim != via_orbit:
-        raise AssertionError(
-            "cell-dimension identities failed for %s: %d / %d / %d"
-            % (p, dim, via_roots, via_orbit)
-        )
-    return dim
+    return sum(h * (h - 1) // 2 for h in conjugate_heights(p))
 
 
 def _adjacency_maps(p: Partition) -> tuple[tuple[RootPair, ...], dict[int, int], dict[int, int]]:
@@ -260,41 +244,13 @@ def _cell_dimension_fast(
     return dim
 
 
-def _cells_block(parts: tuple[int, ...], first_values: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Survivor cells (dimension, w one-line) with u(1) restricted to a block."""
-    p = Partition(parts)
-    m = p.total
-    pairs, next_of, prev_of = _adjacency_maps(p)
-    pairs0 = tuple((a - 1, b - 1) for a, b in pairs)
-    found = []
-    for first in first_values:
-        others = [v for v in range(1, m + 1) if v != first]
-        for tail in itertools.permutations(others):
-            u = (first,) + tail
-            ok = True
-            for a, b in pairs0:
-                if u[a] > u[b]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            dim = _cell_dimension_fast(u, m, next_of, prev_of)
-            w = [0] * m
-            for pos, val in enumerate(u, start=1):
-                w[val - 1] = pos
-            found.append((dim, tuple(w)))
-    return found
-
-
-def enumerate_cells(
-    p: Partition, bound: int = DEFAULT_CELL_BOUND, workers: int | None = None
-) -> CellPaving:
+def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving:
     """All nonempty cells of the paving, with the coefficient list by dimension.
 
     A permutation w gives a nonempty cell exactly when w^-1 keeps every
     pair of the Tym labeling in increasing order.  Cells come back sorted
     by (dimension, one-line form of w), so output is byte-stable across
-    runs and worker counts.
+    runs.
     """
     m = p.total
     if m == 0:
@@ -303,15 +259,19 @@ def enumerate_cells(
         raise ResourceBoundError(
             "partition size %d exceeds the enumeration bound %d" % (m, bound)
         )
-    n_workers = worker_count(workers)
-    parts = p.parts
-    if n_workers > 1 and m > 1:
-        blocks = [(parts, (first,)) for first in range(1, m + 1)]
-        with multiprocessing.Pool(min(n_workers, m)) as pool:
-            chunks = pool.starmap(_cells_block, blocks)
-        raw = [cell for chunk in chunks for cell in chunk]
-    else:
-        raw = _cells_block(parts, tuple(range(1, m + 1)))
+    pairs, next_of, prev_of = _adjacency_maps(p)
+    pairs0 = tuple((a - 1, b - 1) for a, b in pairs)
+    raw = []
+    for u in itertools.permutations(range(1, m + 1)):
+        for a, b in pairs0:
+            if u[a] > u[b]:
+                break
+        else:
+            dim = _cell_dimension_fast(u, m, next_of, prev_of)
+            w = [0] * m
+            for pos, val in enumerate(u, start=1):
+                w[val - 1] = pos
+            raw.append((dim, tuple(w)))
     raw.sort()
     max_dim = raw[-1][0] if raw else 0
     counts = [0] * (max_dim + 1)
@@ -319,25 +279,6 @@ def enumerate_cells(
         counts[dim] += 1
     cells = tuple(PavingCell(TableauPermutation(w), dim) for dim, w in raw)
     return CellPaving(cells=cells, poincare=tuple(counts))
-
-
-@dataclass(frozen=True)
-class CoverComponents:
-    count: int
-    component_ids: tuple[int, ...]
-
-
-def cover_components(p: Partition) -> CoverComponents:
-    """Component count of the covering over the distinguished cell.
-
-    The cover splits into gcd(parts) disjoint copies; the cyclic deck
-    group of that order permutes the copies freely and transitively, so
-    the ids are just 0..count-1.
-    """
-    if p.total == 0:
-        raise InputError("cover components need a nonempty partition")
-    count = p.gcd()
-    return CoverComponents(count=count, component_ids=tuple(range(count)))
 
 
 def render_root(root: RootPair) -> str:

@@ -20,11 +20,13 @@ import re
 from dataclasses import dataclass
 
 from .core import (
+    CheckResult,
     ComponentLabel,
     DataIntegrityError,
     InputError,
     LieType,
     SubsetJ,
+    all_subsets,
     check_subset_range,
     classify_subdiagram,
     dynkin_diagram,
@@ -273,20 +275,9 @@ def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
 
 
 @dataclass(frozen=True)
-class TableCheck:
-    name: str
-    checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@dataclass(frozen=True)
 class TableValidationReport:
     family: str
-    checks: tuple[TableCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def ok(self) -> bool:
@@ -297,13 +288,6 @@ class TableValidationReport:
         return [f for c in self.checks for f in c.failures]
 
 
-def _all_subsets(rank: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1 << rank):
-        out.append(tuple(i + 1 for i in range(rank) if mask >> i & 1))
-    return out
-
-
 def validate_records(t: LieType, record_list) -> TableValidationReport:
     """Run the four table checks against an explicit record list."""
     family = _require_table_family(t)
@@ -312,7 +296,7 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
     nodes = set(range(1, rank + 1))
 
     partition_failures = []
-    counts: dict[tuple[int, ...], int] = {s: 0 for s in _all_subsets(rank)}
+    counts: dict[tuple[int, ...], int] = {j.elements: 0 for j in all_subsets(rank)}
     for record in record_list:
         for j_set in record.j_sets:
             if j_set.elements in counts:
@@ -365,10 +349,10 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
             )
 
     checks = (
-        TableCheck("power-set-partition", len(counts), tuple(partition_failures)),
-        TableCheck("z-column-agreement", z_checked, tuple(z_failures)),
-        TableCheck("subdiagram-labels", label_checked, tuple(label_failures)),
-        TableCheck("component-group-quotient", len(record_list), tuple(quotient_failures)),
+        CheckResult("power-set-partition", len(counts), tuple(partition_failures)),
+        CheckResult("z-column-agreement", z_checked, tuple(z_failures)),
+        CheckResult("subdiagram-labels", label_checked, tuple(label_failures)),
+        CheckResult("component-group-quotient", len(record_list), tuple(quotient_failures)),
     )
     return TableValidationReport(family=family, checks=checks)
 

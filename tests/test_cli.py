@@ -113,9 +113,11 @@ class TestPavingCommand:
         assert "M^Tym: E_{2,4} + E_{3,5}" in out
 
     def test_resource_bound_exit(self, capsys):
-        code, _, err = run(capsys, "paving", "--partition", "4,4,2")
-        assert code == EXIT_RESOURCE
-        assert "bound" in err
+        for partition in ("4,4,2", "99999999999999999999"):
+            for fmt in ("json", "text"):
+                code, _, err = run(capsys, "paving", "--partition", partition, "--format", fmt)
+                assert code == EXIT_RESOURCE
+                assert "bound" in err
 
     def test_bound_override(self, capsys):
         code, _, _ = run(capsys, "paving", "--partition", "2,2", "--bound", "4")
@@ -182,3 +184,10 @@ class TestVerifyCommand:
         _, out, _ = run(capsys, "verify", "--max-rank", "3")
         for name in ("formula-oracle", "kernel-identity", "table-validation", "paving-identities"):
             assert name in out
+
+    def test_rejects_max_rank_below_one(self, capsys):
+        for value in ("0", "-3"):
+            code, out, err = run(capsys, "verify", "--max-rank", value)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "--max-rank must be >= 1" in err

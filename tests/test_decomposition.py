@@ -2,7 +2,6 @@ import pytest
 
 from nilorbits.core import InputError, ResourceBoundError, partitions_of
 from nilorbits.decomposition import summand_report
-from nilorbits.paving import cover_components
 
 
 class TestSummandReport:
@@ -39,7 +38,7 @@ class TestSummandReport:
     def test_character_count_matches_cover(self):
         for n in range(1, 7):
             for record in summand_report(n):
-                assert len(record.characters) == cover_components(record.partition).count
+                assert len(record.characters) == record.partition.gcd()
 
     def test_dimension_sum_identity(self):
         for n in range(1, 8):

@@ -4,11 +4,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilorbits import checks
 from nilorbits.core import InputError, Partition, ResourceBoundError, partitions_of, syt_count
 from nilorbits.paving import (
     LabeledDiagram,
     TableauPermutation,
-    cover_components,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
@@ -151,6 +151,13 @@ class TestMaxCellDimension:
     def test_empty(self):
         assert max_cell_dimension(Partition(())) == 0
 
+    def test_identity_suite_can_fail(self, monkeypatch):
+        assert checks.check_dimension_identity(max_total=5).ok
+        monkeypatch.setattr(checks, "max_cell_dimension", lambda p: max_cell_dimension(p) + 1)
+        result = checks.check_dimension_identity(max_total=5)
+        assert result.checked == sum(1 for m in range(1, 6) for _ in partitions_of(m))
+        assert len(result.failures) == 2 * result.checked
+
 
 class TestEnumerateCells:
     def test_staircase_counts(self):
@@ -200,11 +207,6 @@ class TestEnumerateCells:
             if a.dimension == b.dimension:
                 assert a.w.one_line < b.w.one_line
 
-    def test_workers_agree(self):
-        serial = enumerate_cells(Partition((2, 2, 1)), workers=1)
-        parallel = enumerate_cells(Partition((2, 2, 1)), workers=2)
-        assert serial == parallel
-
     def test_sigma_cell_maximal(self):
         for total in range(1, 8):
             for p in partitions_of(total):
@@ -249,20 +251,6 @@ class TestEnumerateCells:
                         survivors.add(u.inverse().one_line)
                 cells, _ = enumerate_cells(p)
                 assert {c.w.one_line for c in cells} == survivors
-
-
-class TestCoverComponents:
-    def test_counts(self):
-        assert cover_components(Partition((2, 2))).count == 2
-        assert cover_components(Partition((3, 3, 1))).count == 1
-        assert cover_components(Partition((2, 2, 2))).count == 2
-
-    def test_ids(self):
-        assert cover_components(Partition((4, 2))).component_ids == (0, 1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            cover_components(Partition(()))
 
 
 class TestTableauPermutation:
