@@ -262,8 +262,8 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
     Non-overlap: no root of phi_x nests inside another.  Conjugation: the
     Tym pair matrix is the Std pair matrix relabelled through sigma.  For
     every enumerated cell w, relabelling the Tym matrix through w^-1 is
-    strictly upper triangular, and the fast cell dimension agrees with
-    the definitional |phi_w| - |phi_w_x|.
+    strictly upper triangular, and the dimension ``enumerate_cells`` counts
+    agrees with the definitional |phi_w| - |phi_w_x|.
     """
     failures = []
     checked = 0
@@ -300,7 +300,7 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
                 defn = len(phi_w(cell.w)) - len(phi_w_x(cell.w, p))
                 if defn != cell.dimension:
                     failures.append(
-                        "%s w=%s: fast dimension %d != definitional %d"
+                        "%s w=%s: enumerated dimension %d != definitional %d"
                         % (p, cell.w, cell.dimension, defn)
                     )
     return _result("paving-structure", checked, failures)

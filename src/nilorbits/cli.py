@@ -20,7 +20,7 @@ from .core import (
     ResourceBoundError,
     SubsetJ,
 )
-from .decomposition import summand_report
+from .decomposition import VERIFY_RANK_BOUND, summand_report
 from .orbits import center_fiber, fundamental_groups, kernel_check, orbit_dimension_type_a, orbit_partition
 from .paving import (
     DEFAULT_CELL_BOUND,
@@ -255,6 +255,10 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_rank < 1:
         raise InputError("--max-rank must be >= 1, got %d" % args.max_rank)
+    if args.max_rank > VERIFY_RANK_BOUND:
+        raise ResourceBoundError(
+            "--max-rank %d exceeds the verify bound %d" % (args.max_rank, VERIFY_RANK_BOUND)
+        )
     results = run_all(max_rank=args.max_rank)
     failed = 0
     for result in results:

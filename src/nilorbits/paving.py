@@ -4,8 +4,8 @@ Two bijective labelings of a Young diagram drive everything here.  The
 "Tym" labeling fills columns left to right, each column bottom to top;
 the "Std" labeling reads rows top to bottom.  The permutation carrying
 Std labels to Tym labels box by box singles out a distinguished cell of
-maximal dimension, and the full cell enumeration walks the symmetric
-group testing each permutation's cell for nonemptiness.
+maximal dimension, and the full cell enumeration builds exactly the
+nonempty cells as the shuffles of the Tym rows.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -17,7 +17,6 @@ nonempty cell at w has dimension |phi_w| - |phi_w_x|.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -211,46 +210,19 @@ def max_cell_dimension(p: Partition) -> int:
     return sum(h * (h - 1) // 2 for h in conjugate_heights(p))
 
 
-def _adjacency_maps(p: Partition) -> tuple[tuple[RootPair, ...], dict[int, int], dict[int, int]]:
-    tym, _, _ = labeled_diagrams(p)
-    pairs = tym.pairs()
-    next_of = {i: j for i, j in pairs}
-    prev_of = {j: i for i, j in pairs}
-    return pairs, next_of, prev_of
-
-
-def _cell_dimension_fast(
-    u: tuple[int, ...], m: int, next_of: dict[int, int], prev_of: dict[int, int]
-) -> int:
-    """|phi_w| - |phi_w_x| for w = u^-1, using the pair matching directly.
-
-    Each label has at most one pair neighbor on each side, so the
-    existence of a splitting through phi_x reduces to two O(1) probes.
-    """
-    dim = 0
-    for i in range(1, m):
-        ui = u[i - 1]
-        ni = next_of.get(i)
-        for j in range(i + 1, m + 1):
-            uj = u[j - 1]
-            if ui < uj:
-                continue
-            k = prev_of.get(j)
-            if k is not None and i < k and ui > u[k - 1]:
-                continue
-            if ni is not None and ni < j and u[ni - 1] > uj:
-                continue
-            dim += 1
-    return dim
-
-
 def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving:
     """All nonempty cells of the paving, with the coefficient list by dimension.
 
-    A permutation w gives a nonempty cell exactly when w^-1 keeps every
-    pair of the Tym labeling in increasing order.  Cells come back sorted
-    by (dimension, one-line form of w), so output is byte-stable across
-    runs.
+    A permutation w gives a nonempty cell exactly when u = w^-1 keeps every
+    pair of the Tym labeling in increasing order, so the cells are the
+    shuffles of the Tym rows: each word over the row indices sends value v
+    to the next unused label, left to right, of row word[v-1].  On a cell
+    a root (i, j) of phi_w lies in phi_w_x exactly when the left neighbor
+    of j or the right neighbor of i lies strictly between i and j; in the
+    Tym labeling the second forces the first.  So the dimension counts the
+    inversions of u on the pairs (i, j) where j's left neighbor, if any, is
+    at most i.  Cells come back sorted by (dimension, one-line form of w),
+    so output is byte-stable across runs.
     """
     m = p.total
     if m == 0:
@@ -259,22 +231,37 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
         raise ResourceBoundError(
             "partition size %d exceeds the enumeration bound %d" % (m, bound)
         )
-    pairs, next_of, prev_of = _adjacency_maps(p)
-    pairs0 = tuple((a - 1, b - 1) for a, b in pairs)
+    tym, _, _ = labeled_diagrams(p)
+    prev_of = {j: i for i, j in tym.pairs()}
+    counted = [
+        (i - 1, j - 1)
+        for i in range(1, m)
+        for j in range(i + 1, m + 1)
+        if prev_of.get(j, 0) <= i
+    ]
     raw = []
-    for u in itertools.permutations(range(1, m + 1)):
-        for a, b in pairs0:
-            if u[a] > u[b]:
-                break
-        else:
-            dim = _cell_dimension_fast(u, m, next_of, prev_of)
-            w = [0] * m
-            for pos, val in enumerate(u, start=1):
-                w[val - 1] = pos
-            raw.append((dim, tuple(w)))
+    u = [0] * m
+    word = [r for r, length in enumerate(p.parts) for _ in range(length)]
+    while True:
+        labels = [iter(row) for row in tym.rows]
+        w = tuple(next(labels[r]) for r in word)
+        for value, label in enumerate(w, start=1):
+            u[label - 1] = value
+        raw.append((sum(u[i] > u[j] for i, j in counted), w))
+        # Step to the next word in lexicographic order; a loop, not recursion,
+        # so long rows cannot exhaust the stack.
+        k = m - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            break
+        swap = m - 1
+        while word[swap] <= word[k]:
+            swap -= 1
+        word[k], word[swap] = word[swap], word[k]
+        word[k + 1 :] = reversed(word[k + 1 :])
     raw.sort()
-    max_dim = raw[-1][0] if raw else 0
-    counts = [0] * (max_dim + 1)
+    counts = [0] * (raw[-1][0] + 1)
     for dim, _ in raw:
         counts[dim] += 1
     cells = tuple(PavingCell(TableauPermutation(w), dim) for dim, w in raw)

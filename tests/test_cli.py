@@ -1,5 +1,5 @@
 import json
-
+from pathlib import Path
 
 from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
@@ -191,3 +191,23 @@ class TestVerifyCommand:
             assert code == EXIT_INPUT
             assert out == ""
             assert "--max-rank must be >= 1" in err
+
+    def test_rejects_max_rank_above_bound(self, capsys):
+        for value in ("15", "30"):
+            code, out, err = run(capsys, "verify", "--max-rank", value)
+            assert code == EXIT_RESOURCE
+            assert out == ""
+            assert "verify bound 14" in err
+
+
+def test_paving_workload_matches_recorded_stdout(monkeypatch):
+    # Replays the benchmark's paving requests at its default seed: every exit
+    # code and stdout byte, cell order included, must match bench/golden.json.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import client
+
+    golden = json.loads((bench / "golden.json").read_text())["paving"]
+    result = client.run_pass("paving", client.DEFAULT_SEED, None, golden)
+    assert result["attempted"] == len(golden)
+    assert result["failed"] == 0, result["problems"]

@@ -172,10 +172,11 @@ class TestEnumerateCells:
         assert poincare[5] == 21
 
     def test_single_row(self):
-        cells, poincare = enumerate_cells(Partition((5,)))
-        assert len(cells) == 1
-        assert cells[0].dimension == 0
-        assert poincare == (1,)
+        for parts, bound in (((5,), 9), ((1000,), 1000)):
+            cells, poincare = enumerate_cells(Partition(parts), bound=bound)
+            assert len(cells) == 1
+            assert cells[0].dimension == 0
+            assert poincare == (1,)
 
     def test_full_flag_poincare_is_mahonian(self):
         for m in (2, 3, 4, 5):
@@ -186,6 +187,10 @@ class TestEnumerateCells:
         # two lines meeting in a point: Betti numbers 1, 2
         _, poincare = enumerate_cells(Partition((2, 1)))
         assert list(poincare) == [1, 2]
+        # [12, 1]: a chain of 12 lines, each meeting the next in a point
+        cells, poincare = enumerate_cells(Partition((12, 1)), bound=13)
+        assert len(cells) == 13
+        assert poincare == (1, 12)
 
     def test_bound_error_names_bound(self):
         with pytest.raises(ResourceBoundError, match="bound 9"):
@@ -232,7 +237,7 @@ class TestEnumerateCells:
                 assert poincare[-1] == syt_count(p)
 
     def test_dimensions_match_definitional_form(self):
-        for total in range(1, 7):
+        for total in range(1, 8):
             for p in partitions_of(total):
                 cells, _ = enumerate_cells(p)
                 for cell in cells:
@@ -240,7 +245,7 @@ class TestEnumerateCells:
                     assert cell.dimension == expected
 
     def test_nonempty_cells_relabel_upper_triangular(self):
-        for total in range(1, 7):
+        for total in range(1, 8):
             for p in partitions_of(total):
                 tym, _, _ = labeled_diagrams(p)
                 pairs = tym.pairs()
