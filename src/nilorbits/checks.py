@@ -218,17 +218,43 @@ def check_full_subset_zero_orbit(max_rank: int = 10) -> CheckResult:
     return _result("full-subset-zero-orbit", checked, failures)
 
 
+def poincare_by_row_removal(
+    parts: tuple[int, ...], memo: dict[tuple[int, ...], tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Cell counts by dimension from P_lambda(q) = sum_i q^(i-1) P_sort(lambda - e_i)(q).
+
+    ``parts`` is a nonempty partition, longest part first; P is 1 for one
+    box.  Results are kept in ``memo``, keyed by parts.  The recursion is
+    as deep as the partition has boxes, one level per removed box.
+    """
+    if parts == (1,):
+        return (1,)
+    if parts in memo:
+        return memo[parts]
+    coeffs: list[int] = []
+    for i, part in enumerate(parts):
+        rest = sorted(parts[:i] + (part - 1,) + parts[i + 1 :], reverse=True)
+        sub = poincare_by_row_removal(tuple(v for v in rest if v), memo)
+        coeffs.extend([0] * (i + len(sub) - len(coeffs)))
+        for d, c in enumerate(sub):
+            coeffs[i + d] += c
+    memo[parts] = tuple(coeffs)
+    return memo[parts]
+
+
 def check_paving_identities(max_total: int = 8) -> CheckResult:
-    """Cell count, top-cell count, top dimension, and the distinguished cell.
+    """Cell count, top-cell count, top dimension, distinguished cell, Poincare vector.
 
     For each partition p of m: the paving has m!/prod(row lengths)! cells;
     the number of top-dimensional cells is the standard-filling count; the
-    top dimension matches both the column-height formula and half the
-    orbit codimension; and the cell at the linking permutation is present
-    with exactly that dimension.
+    top dimension matches both the closed form and half the orbit
+    codimension; the cell at the linking permutation is present with
+    exactly that dimension; and the cell counts by dimension equal the
+    row-removal recursion, which never enumerates a cell.
     """
     failures = []
     checked = 0
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
     for m in range(1, max_total + 1):
         for p in partitions_of(m):
             checked += 1
@@ -253,6 +279,12 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
                 failures.append("%s: distinguished cell missing or not maximal" % p)
             if sum(poincare) != len(cells):
                 failures.append("%s: poincare coefficients do not sum to the cell count" % p)
+            recursion = poincare_by_row_removal(p.parts, memo)
+            if poincare != recursion:
+                failures.append(
+                    "%s: poincare %s != row-removal recursion %s"
+                    % (p, list(poincare), list(recursion))
+                )
     return _result("paving-identities", checked, failures)
 
 
@@ -309,9 +341,9 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
 def check_dimension_identity(max_total: int = 10) -> CheckResult:
     """The top-cell dimension d_x three ways, one check per partition.
 
-    For each partition p of n+1: the closed form over column heights,
-    |phi_sigma| - |phi_sigma_x| at the linking permutation sigma, and
-    (n(n+1) - dim O_p) / 2, which must divide exactly, all agree.
+    For each partition p of n+1: the closed form sum of (i - 1) * lambda_i
+    over the rows, |phi_sigma| - |phi_sigma_x| at the linking permutation
+    sigma, and (n(n+1) - dim O_p) / 2, which must divide exactly, all agree.
     """
     failures = []
     checked = 0

@@ -24,13 +24,12 @@ from .decomposition import VERIFY_RANK_BOUND, summand_report
 from .orbits import center_fiber, fundamental_groups, kernel_check, orbit_dimension_type_a, orbit_partition
 from .paving import (
     DEFAULT_CELL_BOUND,
+    _split_roots,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
     pair_matrix,
     phi_w,
-    phi_w_x,
-    phi_x,
     render_root_set,
 )
 from .core import syt_count
@@ -180,6 +179,8 @@ def cmd_paving(args) -> int:
         _emit(payload, args.format, ())
         return EXIT_OK
     tym, std, sigma = labeled_diagrams(p)
+    in_x = frozenset(tym.pairs())
+    in_sigma = phi_w(sigma)
     lines = [
         "partition: %s" % p,
         "Y^Tym rows: %s" % tym.render_rows(),
@@ -187,9 +188,9 @@ def cmd_paving(args) -> int:
         "sigma: %s" % sigma.cycle_notation(),
         "M^Std: %s" % pair_matrix(std).term_string(),
         "M^Tym: %s" % pair_matrix(tym).term_string(),
-        "Phi_x: %s" % render_root_set(phi_x(p)),
-        "Phi_sigma: %s" % render_root_set(phi_w(sigma)),
-        "Phi_sigma_x: %s" % render_root_set(phi_w_x(sigma, p)),
+        "Phi_x: %s" % render_root_set(in_x),
+        "Phi_sigma: %s" % render_root_set(in_sigma),
+        "Phi_sigma_x: %s" % render_root_set(_split_roots(in_sigma, in_x)),
         "d_x: %d" % d_x,
         "cell count: %d" % len(cells),
         "poincare: %s" % list(poincare),

@@ -18,7 +18,6 @@ from .core import (
     SubsetJ,
     UnsupportedFamilyError,
     check_subset_range,
-    conjugate_heights,
     gcd_of_set,
 )
 
@@ -257,12 +256,16 @@ def orbit_partition(t: LieType, j: SubsetJ) -> OrbitPartitionResult:
 
 
 def orbit_dimension_type_a(n: int, p: Partition) -> int:
-    """dim O for a partition of n+1 in type A: (n+1)^2 minus the height squares."""
+    """dim O for a partition of n+1 in type A: (n+1)^2 minus the height squares.
+
+    The sum of the squared column heights is computed over the rows, as
+    the sum of (2i - 1) * lambda_i with i counted from 1, in O(#parts) work.
+    """
     if p.total != n + 1:
         raise InputError(
             "partition %s sums to %d, expected n+1 = %d" % (p, p.total, n + 1)
         )
-    return (n + 1) ** 2 - sum(h * h for h in conjugate_heights(p))
+    return (n + 1) ** 2 - sum((2 * i + 1) * part for i, part in enumerate(p.parts))
 
 
 def _check_orbit_partition(t: LieType, p: Partition) -> None:

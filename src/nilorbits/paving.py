@@ -5,7 +5,9 @@ Two bijective labelings of a Young diagram drive everything here.  The
 the "Std" labeling reads rows top to bottom.  The permutation carrying
 Std labels to Tym labels box by box singles out a distinguished cell of
 maximal dimension, and the full cell enumeration builds exactly the
-nonempty cells as the shuffles of the Tym rows.
+nonempty cells as the shuffles of the Tym rows, walked depth first: each
+placed label adds to the cell dimension the popcount of a bitmask of the
+labels placed before it, so cells sharing a prefix share its count.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -120,6 +122,17 @@ class TableauPermutation:
         return "[" + ", ".join(map(str, self.one_line)) + "]"
 
 
+def _known_permutation(one_line: tuple[int, ...]) -> TableauPermutation:
+    """A TableauPermutation of a tuple of ints already known to permute 1..m.
+
+    Skips the validation in ``__post_init__``; only for values the caller
+    constructed as permutations.
+    """
+    w = object.__new__(TableauPermutation)
+    object.__setattr__(w, "one_line", one_line)
+    return w
+
+
 @dataclass(frozen=True)
 class PavingCell:
     w: TableauPermutation
@@ -188,8 +201,11 @@ def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
     """Roots of phi_w splitting as a phi_w root plus a phi_x root (either order)."""
     if w.size != p.total:
         raise InputError("permutation size %d does not match |p| = %d" % (w.size, p.total))
-    in_w = phi_w(w)
-    in_x = phi_x(p)
+    return _split_roots(phi_w(w), phi_x(p))
+
+
+def _split_roots(in_w: frozenset[RootPair], in_x: frozenset[RootPair]) -> frozenset[RootPair]:
+    """phi_w_x from phi_w and phi_x, for callers that already hold both root sets."""
     out = set()
     for i, j in in_w:
         for k in range(i + 1, j):
@@ -201,13 +217,15 @@ def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
 
 
 def max_cell_dimension(p: Partition) -> int:
-    """Dimension of the distinguished top cell: sum of C(height, 2) over columns.
+    """Dimension of the distinguished top cell: sum of (i - 1) * lambda_i over rows.
 
-    This closed form equals |phi_sigma| - |phi_sigma_x| and half the
-    codimension of the orbit; ``checks.check_dimension_identity`` compares
-    all three.
+    Row i (from 1, longest first) holds lambda_i boxes, each with i - 1
+    boxes above it, so this equals the sum of C(height, 2) over columns in
+    O(#parts) work.  It also equals |phi_sigma| - |phi_sigma_x| and half
+    the codimension of the orbit; ``checks.check_dimension_identity``
+    compares all three.
     """
-    return sum(h * (h - 1) // 2 for h in conjugate_heights(p))
+    return sum(i * part for i, part in enumerate(p.parts))
 
 
 def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving:
@@ -215,14 +233,20 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
 
     A permutation w gives a nonempty cell exactly when u = w^-1 keeps every
     pair of the Tym labeling in increasing order, so the cells are the
-    shuffles of the Tym rows: each word over the row indices sends value v
-    to the next unused label, left to right, of row word[v-1].  On a cell
-    a root (i, j) of phi_w lies in phi_w_x exactly when the left neighbor
-    of j or the right neighbor of i lies strictly between i and j; in the
-    Tym labeling the second forces the first.  So the dimension counts the
-    inversions of u on the pairs (i, j) where j's left neighbor, if any, is
-    at most i.  Cells come back sorted by (dimension, one-line form of w),
-    so output is byte-stable across runs.
+    shuffles of the Tym rows: value v takes the next unused label, left to
+    right, of some row.  On a cell a root (i, j) of phi_w lies in phi_w_x
+    exactly when the left neighbor of j or the right neighbor of i lies
+    strictly between i and j; in the Tym labeling the second forces the
+    first.  So the dimension counts the inversions of u on the pairs (i, j)
+    where j's left neighbor, if any, is at most i.
+
+    The shuffles are walked depth first, rows tried in index order at each
+    depth, with an explicit stack so that long rows cannot exhaust the
+    recursion limit.  Placing label i after the labels in the bitmask
+    ``placed`` adds the popcount of ``placed & later[i]`` to the dimension,
+    where ``later[i]`` holds the labels j > i whose left neighbor is at most
+    i; cells that share a prefix share its count.  Cells come back sorted by
+    (dimension, one-line form of w), so output is byte-stable across runs.
     """
     m = p.total
     if m == 0:
@@ -232,40 +256,53 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
             "partition size %d exceeds the enumeration bound %d" % (m, bound)
         )
     tym, _, _ = labeled_diagrams(p)
+    rows = tym.rows
     prev_of = {j: i for i, j in tym.pairs()}
-    counted = [
-        (i - 1, j - 1)
-        for i in range(1, m)
-        for j in range(i + 1, m + 1)
-        if prev_of.get(j, 0) <= i
+    later = [0] * (m + 1)
+    for i in range(1, m + 1):
+        later[i] = sum(1 << j for j in range(i + 1, m + 1) if prev_of.get(j, 0) <= i)
+    lengths = [len(row) for row in rows]
+    taken = [0] * len(rows)
+    # Per depth v: the row value v+1 came from (-1 before the first try),
+    # and the mask and dimension of the labels placed before it.
+    row_at = [-1] * m
+    placed = [0] * m
+    dims = [0] * m
+    w = [0] * m
+    # One list of one-line forms per dimension, up to the number of counted pairs.
+    by_dim: list[list[tuple[int, ...]]] = [
+        [] for _ in range(sum(mask.bit_count() for mask in later) + 1)
     ]
-    raw = []
-    u = [0] * m
-    word = [r for r, length in enumerate(p.parts) for _ in range(length)]
-    while True:
-        labels = [iter(row) for row in tym.rows]
-        w = tuple(next(labels[r]) for r in word)
-        for value, label in enumerate(w, start=1):
-            u[label - 1] = value
-        raw.append((sum(u[i] > u[j] for i, j in counted), w))
-        # Step to the next word in lexicographic order; a loop, not recursion,
-        # so long rows cannot exhaust the stack.
-        k = m - 2
-        while k >= 0 and word[k] >= word[k + 1]:
-            k -= 1
-        if k < 0:
-            break
-        swap = m - 1
-        while word[swap] <= word[k]:
-            swap -= 1
-        word[k], word[swap] = word[swap], word[k]
-        word[k + 1 :] = reversed(word[k + 1 :])
-    raw.sort()
-    counts = [0] * (raw[-1][0] + 1)
-    for dim, _ in raw:
-        counts[dim] += 1
-    cells = tuple(PavingCell(TableauPermutation(w), dim) for dim, w in raw)
-    return CellPaving(cells=cells, poincare=tuple(counts))
+    v = 0
+    while v >= 0:
+        r = row_at[v]
+        if r >= 0:
+            taken[r] -= 1
+        r += 1
+        while r < len(rows) and taken[r] == lengths[r]:
+            r += 1
+        if r == len(rows):
+            row_at[v] = -1
+            v -= 1
+            continue
+        row_at[v] = r
+        label = rows[r][taken[r]]
+        taken[r] += 1
+        w[v] = label
+        dim = dims[v] + (placed[v] & later[label]).bit_count()
+        if v == m - 1:
+            by_dim[dim].append(tuple(w))
+        else:
+            placed[v + 1] = placed[v] | (1 << label)
+            dims[v + 1] = dim
+            v += 1
+    while not by_dim[-1]:
+        by_dim.pop()
+    cells = []
+    for dim, one_lines in enumerate(by_dim):
+        one_lines.sort()
+        cells.extend(PavingCell(_known_permutation(one_line), dim) for one_line in one_lines)
+    return CellPaving(cells=tuple(cells), poincare=tuple(map(len, by_dim)))
 
 
 def render_root(root: RootPair) -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
@@ -79,6 +80,18 @@ class TestOrbitCommand:
     def test_rejects_bad_rank(self, capsys):
         code, _, err = run(capsys, "orbit", "--type", "D", "--rank", "2", "--j", "1")
         assert code == EXIT_INPUT
+
+    def test_huge_single_row_is_immediate(self, capsys):
+        # O(#parts) closed forms: no list of 10^8 column heights is built.
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "orbit", "--type", "A", "--rank", "99999999", "--partition", "100000000"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["orbit_dimension"] == 9999999900000000
+        assert payload["d_x"] == 0
 
     def test_exceptional_requires_j(self, capsys):
         code, _, err = run(capsys, "orbit", "--type", "E6")
@@ -200,14 +213,24 @@ class TestVerifyCommand:
             assert "verify bound 14" in err
 
 
-def test_paving_workload_matches_recorded_stdout(monkeypatch):
-    # Replays the benchmark's paving requests at its default seed: every exit
-    # code and stdout byte, cell order included, must match bench/golden.json.
+def replay_workload(monkeypatch, workload):
+    """Run the benchmark's requests of ``workload`` at its default seed against bench/golden.json."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     import client
 
-    golden = json.loads((bench / "golden.json").read_text())["paving"]
-    result = client.run_pass("paving", client.DEFAULT_SEED, None, golden)
+    golden = json.loads((bench / "golden.json").read_text())[workload]
+    result = client.run_pass(workload, client.DEFAULT_SEED, None, golden)
     assert result["attempted"] == len(golden)
     assert result["failed"] == 0, result["problems"]
+
+
+def test_paving_workload_matches_recorded_stdout(monkeypatch):
+    # Every exit code and stdout byte, cell order included, must match.
+    replay_workload(monkeypatch, "paving")
+
+
+def test_query_mix_workload_matches_recorded_stdout(monkeypatch):
+    # Guards the bytes of orbit and decompose output, the users of the
+    # closed-form orbit and cell dimensions, and the refused requests.
+    replay_workload(monkeypatch, "query-mix")

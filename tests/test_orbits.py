@@ -1,6 +1,14 @@
 import pytest
 
-from nilorbits.core import InputError, LieType, Partition, SubsetJ, UnsupportedFamilyError
+from nilorbits.core import (
+    InputError,
+    LieType,
+    Partition,
+    SubsetJ,
+    UnsupportedFamilyError,
+    conjugate_heights,
+    partitions_of,
+)
 from nilorbits.orbits import (
     FiniteGroupDescriptor,
     center_fiber,
@@ -155,6 +163,12 @@ class TestOrbitDimension:
     def test_rejects_total_mismatch(self):
         with pytest.raises(InputError):
             orbit_dimension_type_a(6, Partition((3, 3)))
+
+    def test_closed_form_matches_height_squares(self):
+        for total in range(1, 13):
+            for p in partitions_of(total):
+                squares = sum(h * h for h in conjugate_heights(p))
+                assert orbit_dimension_type_a(total - 1, p) == total * total - squares
 
 
 class TestFundamentalGroups:

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorbits import checks
-from nilorbits.core import InputError, Partition, ResourceBoundError, partitions_of, syt_count
+from nilorbits.core import (
+    InputError,
+    Partition,
+    ResourceBoundError,
+    conjugate_heights,
+    partitions_of,
+    syt_count,
+)
 from nilorbits.paving import (
+    CellPaving,
     LabeledDiagram,
+    PavingCell,
     TableauPermutation,
     enumerate_cells,
     labeled_diagrams,
@@ -151,6 +160,12 @@ class TestMaxCellDimension:
     def test_empty(self):
         assert max_cell_dimension(Partition(())) == 0
 
+    def test_closed_form_matches_column_heights(self):
+        for total in range(1, 13):
+            for p in partitions_of(total):
+                heights = conjugate_heights(p)
+                assert max_cell_dimension(p) == sum(h * (h - 1) // 2 for h in heights)
+
     def test_identity_suite_can_fail(self, monkeypatch):
         assert checks.check_dimension_identity(max_total=5).ok
         monkeypatch.setattr(checks, "max_cell_dimension", lambda p: max_cell_dimension(p) + 1)
@@ -243,6 +258,47 @@ class TestEnumerateCells:
                 for cell in cells:
                     expected = len(phi_w(cell.w)) - len(phi_w_x(cell.w, p))
                     assert cell.dimension == expected
+
+    def test_cells_hold_valid_permutations(self):
+        # Cells skip the constructor's validation; they must equal validated values.
+        for total in range(1, 8):
+            for p in partitions_of(total):
+                for cell in enumerate_cells(p).cells:
+                    w = cell.w
+                    assert isinstance(w, TableauPermutation)
+                    validated = TableauPermutation(w.one_line)
+                    assert w == validated
+                    assert hash(w) == hash(validated)
+                    assert type(w.one_line) is tuple
+                    assert all(type(v) is int for v in w.one_line)
+
+    def test_poincare_matches_row_removal(self):
+        memo = {}
+        for total in range(1, 10):
+            for p in partitions_of(total):
+                expected = checks.poincare_by_row_removal(p.parts, memo)
+                assert enumerate_cells(p).poincare == expected
+
+    def test_row_removal_oracle_can_fail(self, monkeypatch):
+        def shift_first_cell(p, bound=9):
+            cells, _ = enumerate_cells(p, bound)
+            cells = (PavingCell(cells[0].w, cells[0].dimension + 1),) + cells[1:]
+            counts = [0] * (max(c.dimension for c in cells) + 1)
+            for cell in cells:
+                counts[cell.dimension] += 1
+            return CellPaving(cells, tuple(counts))
+
+        assert checks.check_paving_identities(max_total=5).ok
+        monkeypatch.setattr(checks, "enumerate_cells", shift_first_cell)
+        result = checks.check_paving_identities(max_total=5)
+        assert result.checked == sum(1 for m in range(1, 6) for _ in partitions_of(m))
+        oracle = [f for f in result.failures if "row-removal" in f]
+        assert len(oracle) == result.checked
+        # [2, 2, 1] has top dimension 4: the count, top-cell and maximum checks
+        # all still pass, so only the recursion sees the shifted cell.
+        assert [f for f in result.failures if f.startswith("[2, 2, 1]:")] == [
+            "[2, 2, 1]: poincare [0, 5, 9, 11, 5] != row-removal recursion [1, 4, 9, 11, 5]"
+        ]
 
     def test_nonempty_cells_relabel_upper_triangular(self):
         for total in range(1, 8):
