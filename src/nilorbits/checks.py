@@ -31,13 +31,12 @@ from .orbits import (
     orbit_partition,
 )
 from .paving import (
+    _split_roots,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
     pair_matrix,
     phi_w,
-    phi_w_x,
-    phi_x,
 )
 from .tables import records, validate_tables
 
@@ -274,7 +273,7 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
             if n * (n + 1) - 2 * d_x != orbit_dimension_type_a(n, p):
                 failures.append("%s: dimension identity fails" % p)
             _, _, sigma = labeled_diagrams(p)
-            sigma_cells = [c for c in cells if c.w == sigma]
+            sigma_cells = [c for c in cells if c.w.one_line == sigma.one_line]
             if len(sigma_cells) != 1 or sigma_cells[0].dimension != d_x:
                 failures.append("%s: distinguished cell missing or not maximal" % p)
             if sum(poincare) != len(cells):
@@ -302,12 +301,12 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
     for total in range(1, max_total_roots + 1):
         for p in partitions_of(total):
             checked += 1
-            roots = phi_x(p)
+            tym, std, sigma = labeled_diagrams(p)
+            roots = frozenset(tym.pairs())
             for (i, j) in roots:
                 for (k, l) in roots:
                     if (i, j) != (k, l) and i <= k < l <= j:
                         failures.append("%s: roots (%d,%d) and (%d,%d) overlap" % (p, i, j, k, l))
-            tym, std, sigma = labeled_diagrams(p)
             m_tym = pair_matrix(tym)
             m_std = pair_matrix(std)
             size = p.total
@@ -323,13 +322,15 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
             checked += 1
             tym, _, _ = labeled_diagrams(p)
             pairs = tym.pairs()
+            in_x = frozenset(pairs)
             cells, _ = enumerate_cells(p)
             for cell in cells:
                 u = cell.w.inverse()
                 relabeled = {(u(a), u(b)) for a, b in pairs}
                 if any(a >= b for a, b in relabeled):
                     failures.append("%s w=%s: relabelled matrix not strictly upper" % (p, cell.w))
-                defn = len(phi_w(cell.w)) - len(phi_w_x(cell.w, p))
+                in_w = phi_w(cell.w)
+                defn = len(in_w) - len(_split_roots(in_w, in_x))
                 if defn != cell.dimension:
                     failures.append(
                         "%s w=%s: enumerated dimension %d != definitional %d"
@@ -352,8 +353,9 @@ def check_dimension_identity(max_total: int = 10) -> CheckResult:
         for p in partitions_of(total):
             checked += 1
             d_x = max_cell_dimension(p)
-            _, _, sigma = labeled_diagrams(p)
-            via_roots = len(phi_w(sigma)) - len(phi_w_x(sigma, p))
+            tym, _, sigma = labeled_diagrams(p)
+            in_sigma = phi_w(sigma)
+            via_roots = len(in_sigma) - len(_split_roots(in_sigma, frozenset(tym.pairs())))
             via_orbit, rem = divmod(n * (n + 1) - orbit_dimension_type_a(n, p), 2)
             if d_x != via_roots:
                 failures.append("%s: closed form %d != root count %d" % (p, d_x, via_roots))

@@ -171,12 +171,23 @@ def cmd_paving(args) -> int:
         "top_cell_count": top,
         "syt_count": syt_count(p),
     }
-    if args.cells:
-        payload["cells"] = [
-            {"w": list(c.w.one_line), "dimension": c.dimension} for c in cells
-        ]
     if args.format == "json":
-        _emit(payload, args.format, ())
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        if args.cells:
+            # json.dumps takes its C encoder only when indent is None, so a
+            # dict per cell through indent=2 would run in pure Python and cost
+            # most of a large paving.  The cells are rendered from one
+            # template in the same layout instead, and spliced in where
+            # sort_keys puts "cells": right after "cell_count", the first key.
+            cell = (
+                '    {\n      "dimension": %d,\n      "w": [\n'
+                + ",\n".join(["        %d"] * p.total)
+                + "\n      ]\n    }"
+            )
+            head, tail = text.split(",\n", 1)
+            body = ",\n".join([cell % ((c.dimension,) + c.w.one_line) for c in cells])
+            text = '%s,\n  "cells": [\n%s\n  ],\n%s' % (head, body, tail)
+        print(text)
         return EXIT_OK
     tym, std, sigma = labeled_diagrams(p)
     in_x = frozenset(tym.pairs())

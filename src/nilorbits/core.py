@@ -39,7 +39,10 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one sweep: how many checks it ran and what failed."""
+    """Outcome of one sweep: how many checks it ran and what failed.
+
+    A sweep that ran no check is not ok: it would otherwise pass vacuously.
+    """
 
     name: str
     checked: int
@@ -47,7 +50,7 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.checked > 0 and not self.failures
 
 
 @dataclass(frozen=True)

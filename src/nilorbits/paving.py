@@ -5,9 +5,12 @@ Two bijective labelings of a Young diagram drive everything here.  The
 the "Std" labeling reads rows top to bottom.  The permutation carrying
 Std labels to Tym labels box by box singles out a distinguished cell of
 maximal dimension, and the full cell enumeration builds exactly the
-nonempty cells as the shuffles of the Tym rows, walked depth first: each
-placed label adds to the cell dimension the popcount of a bitmask of the
-labels placed before it, so cells sharing a prefix share its count.
+nonempty cells as the shuffles of the Tym rows.  Each placed label adds to
+the cell dimension the popcount of a bitmask of the labels placed before
+it, and that mask depends only on how many labels each row has given out.
+So the enumeration meets in the middle: half-length prefixes are joined to
+per-state tables of suffixes, each already bucketed by the dimension it
+adds, and the cells come out in order with no sort.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -240,13 +243,20 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
     first.  So the dimension counts the inversions of u on the pairs (i, j)
     where j's left neighbor, if any, is at most i.
 
-    The shuffles are walked depth first, rows tried in index order at each
-    depth, with an explicit stack so that long rows cannot exhaust the
-    recursion limit.  Placing label i after the labels in the bitmask
-    ``placed`` adds the popcount of ``placed & later[i]`` to the dimension,
-    where ``later[i]`` holds the labels j > i whose left neighbor is at most
-    i; cells that share a prefix share its count.  Cells come back sorted by
-    (dimension, one-line form of w), so output is byte-stable across runs.
+    Placing label i after the labels in the bitmask ``placed`` adds the
+    popcount of ``placed & later[i]`` to the dimension, where ``later[i]``
+    holds the labels j > i whose left neighbor is at most i.  ``placed`` is
+    fixed by the state of a prefix, the number of labels each row has given
+    out, so the suffixes that complete a prefix, and the dimension each of
+    them adds, depend on that state alone.  The walk therefore meets in the
+    middle: the prefixes of length m // 2 are built breadth first in
+    lexicographic order, and per state of that depth a table of suffixes,
+    bucketed by added dimension and lexicographic in each bucket, is built
+    level by level back from the full state, two levels alive at a time.
+    Each cell is a prefix followed by a suffix of its state; appending them
+    prefix by prefix leaves every dimension bucket sorted, so cells come
+    back ordered by (dimension, one-line form of w) with no sort.  Nothing
+    recurses, so long rows cannot exhaust the recursion limit.
     """
     m = p.total
     if m == 0:
@@ -261,46 +271,66 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
     later = [0] * (m + 1)
     for i in range(1, m + 1):
         later[i] = sum(1 << j for j in range(i + 1, m + 1) if prev_of.get(j, 0) <= i)
-    lengths = [len(row) for row in rows]
-    taken = [0] * len(rows)
-    # Per depth v: the row value v+1 came from (-1 before the first try),
-    # and the mask and dimension of the labels placed before it.
-    row_at = [-1] * m
-    placed = [0] * m
-    dims = [0] * m
-    w = [0] * m
+
+    def moves(state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(label, next state) for every row with a label left, in label order."""
+        return sorted(
+            (row[k], state[:r] + (k + 1,) + state[r + 1 :])
+            for r, (row, k) in enumerate(zip(rows, state))
+            if k < len(row)
+        )
+
+    # row_placed[r][k]: the mask of the first k labels of row r.
+    row_placed = []
+    for row in rows:
+        masks = [0]
+        for label in row:
+            masks.append(masks[-1] | 1 << label)
+        row_placed.append(masks)
+
+    half = m // 2
+    # Prefixes of length half, in lexicographic order: (labels, state, placed, dimension).
+    front = [((), (0,) * len(rows), 0, 0)]
+    for _ in range(half):
+        front = [
+            (
+                prefix + (label,),
+                after,
+                placed | 1 << label,
+                dim + (placed & later[label]).bit_count(),
+            )
+            for prefix, state, placed, dim in front
+            for label, after in moves(state)
+        ]
+    # Suffix tables of one depth: state -> lists of suffixes by added dimension.
+    tables: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {tuple(map(len, rows)): [[()]]}
+    for _ in range(m - half):
+        level: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
+        for after in tables:
+            for r, k in enumerate(after):
+                if k:
+                    level[after[:r] + (k - 1,) + after[r + 1 :]] = []
+        for state, buckets in level.items():
+            placed = sum(masks[k] for masks, k in zip(row_placed, state))
+            for label, after in moves(state):
+                added = (placed & later[label]).bit_count()
+                sub = tables[after]
+                buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
+                head = (label,)
+                for d, suffixes in enumerate(sub, added):
+                    buckets[d].extend(map(head.__add__, suffixes))
+        tables = level
     # One list of one-line forms per dimension, up to the number of counted pairs.
     by_dim: list[list[tuple[int, ...]]] = [
         [] for _ in range(sum(mask.bit_count() for mask in later) + 1)
     ]
-    v = 0
-    while v >= 0:
-        r = row_at[v]
-        if r >= 0:
-            taken[r] -= 1
-        r += 1
-        while r < len(rows) and taken[r] == lengths[r]:
-            r += 1
-        if r == len(rows):
-            row_at[v] = -1
-            v -= 1
-            continue
-        row_at[v] = r
-        label = rows[r][taken[r]]
-        taken[r] += 1
-        w[v] = label
-        dim = dims[v] + (placed[v] & later[label]).bit_count()
-        if v == m - 1:
-            by_dim[dim].append(tuple(w))
-        else:
-            placed[v + 1] = placed[v] | (1 << label)
-            dims[v + 1] = dim
-            v += 1
+    for prefix, state, _, dim in front:
+        for d, suffixes in enumerate(tables[state], dim):
+            by_dim[d].extend(map(prefix.__add__, suffixes))
     while not by_dim[-1]:
         by_dim.pop()
     cells = []
     for dim, one_lines in enumerate(by_dim):
-        one_lines.sort()
         cells.extend(PavingCell(_known_permutation(one_line), dim) for one_line in one_lines)
     return CellPaving(cells=tuple(cells), poincare=tuple(map(len, by_dim)))
 

@@ -2,7 +2,10 @@ import json
 import time
 from pathlib import Path
 
-from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+from nilorbits import checks
+from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from nilorbits.core import CheckResult, Partition, partitions_of, syt_count
+from nilorbits.paving import enumerate_cells, max_cell_dimension
 
 
 def run(capsys, *argv):
@@ -136,6 +139,28 @@ class TestPavingCommand:
         code, _, _ = run(capsys, "paving", "--partition", "2,2", "--bound", "4")
         assert code == EXIT_OK
 
+    def test_cells_json_matches_json_dumps(self, capsys):
+        # The cell list is rendered from a template; it must match the
+        # bytes json.dumps gives for the same payload with a dict per cell.
+        shapes = [(p, 9) for m in range(1, 8) for p in partitions_of(m)]
+        for p, bound in shapes + [(Partition((12, 1)), 13)]:
+            cells, poincare = enumerate_cells(p, bound=bound)
+            d_x = max_cell_dimension(p)
+            payload = {
+                "partition": list(p.parts),
+                "d_x": d_x,
+                "cell_count": len(cells),
+                "poincare": list(poincare),
+                "top_cell_count": sum(1 for c in cells if c.dimension == d_x),
+                "syt_count": syt_count(p),
+                "cells": [{"w": list(c.w.one_line), "dimension": c.dimension} for c in cells],
+            }
+            csv = ",".join(map(str, p.parts))
+            argv = ["paving", "--partition", csv, "--bound", str(bound), "--cells"]
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK
+            assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
     def test_byte_stable(self, capsys):
         _, first, _ = run(capsys, "paving", "--partition", "3,2", "--cells")
         _, second, _ = run(capsys, "paving", "--partition", "3,2", "--cells")
@@ -204,6 +229,16 @@ class TestVerifyCommand:
             assert code == EXIT_INPUT
             assert out == ""
             assert "--max-rank must be >= 1" in err
+
+    def test_suite_with_no_checks_fails(self, capsys, monkeypatch):
+        assert not CheckResult("empty", 0, ()).ok
+        assert CheckResult("one", 1, ()).ok
+        empty = CheckResult("decomposition-report", 0, ())
+        monkeypatch.setattr(checks, "check_decomposition", lambda max_rank: empty)
+        code, out, _ = run(capsys, "verify", "--max-rank", "2")
+        assert code == EXIT_VERIFY
+        assert "FAIL decomposition-report: 0 checks, 0 failures" in out
+        assert "1 suites failed" in out
 
     def test_rejects_max_rank_above_bound(self, capsys):
         for value in ("15", "30"):

@@ -1,0 +1,114 @@
+"""The exit-code contract over generated argument vectors.
+
+Every command, fed valid, malformed and over-bound values, must end with
+0 (ok), 1 (verify or data), 2 (input; argparse's own refusals included)
+or 3 (bound), raise nothing else, and answer quickly: bounds are checked
+before any work.  Values are kept cheap where they are accepted, so the
+time limit catches work that runs before a bound check, not honest work.
+"""
+
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from nilorbits.cli import main
+from nilorbits.core import partitions_of
+
+FORMATS = st.sampled_from(["json", "text", "yaml"])
+INTS = st.sampled_from(["-1", "0", "x", "1.5", ""])
+
+SMALL_PARTITIONS = st.sampled_from(
+    [",".join(map(str, p.parts)) for total in range(1, 8) for p in partitions_of(total)]
+)
+# Totals of 10 and more, all past every --bound drawn below.
+LARGE_PARTITIONS = st.sampled_from(
+    ["10", "4,4,2", "5,5", "3,3,3,1", "1,1,1,1,1,1,1,1,1,1", "20,20", "99999999999999999999"]
+)
+BAD_PARTITIONS = st.sampled_from(["", "1,3", "a", "0", "-1", "2,,1", "1.5", ",", "3;2"])
+PARTITIONS = st.one_of(SMALL_PARTITIONS, LARGE_PARTITIONS, BAD_PARTITIONS)
+
+
+def given_flag(flag, values):
+    """``[flag, value]`` always: a missing required flag has its own vectors below."""
+    return values.map(lambda v: [flag, v])
+
+
+def option(flag, values):
+    """``[flag, value]`` or nothing."""
+    return st.one_of(st.just([]), given_flag(flag, values))
+
+
+def switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def command(name, *parts):
+    return st.tuples(*parts).map(lambda chunks: [name] + [a for chunk in chunks for a in chunk])
+
+
+J_SETS = st.sampled_from(["", "-", "1", "2,4", "1,3,5", "3,1", "1,1", "0", "a", "100000000"])
+ORBIT_PARTITIONS = st.one_of(PARTITIONS, st.just("100000000"))
+ORBIT = command(
+    "orbit",
+    given_flag("--type", st.sampled_from(["A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "X"])),
+    option("--rank", st.one_of(st.integers(-1, 8).map(str), st.just("99999999"), INTS)),
+    st.one_of(  # exactly one selector is valid, but try both and neither too
+        J_SETS.map(lambda j: ["--j", j]),
+        ORBIT_PARTITIONS.map(lambda p: ["--partition", p]),
+        st.tuples(J_SETS, ORBIT_PARTITIONS).map(lambda jp: ["--j", jp[0], "--partition", jp[1]]),
+        st.just([]),
+    ),
+    option("--format", FORMATS),
+)
+PAVING = command(
+    "paving",
+    given_flag("--partition", PARTITIONS),
+    option("--bound", st.one_of(st.sampled_from(["-1", "0", "1", "3", "7", "9"]), INTS)),
+    switch("--cells"),
+    option("--format", FORMATS),
+)
+DECOMPOSE = command(
+    "decompose",
+    given_flag(
+        "--rank",
+        st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["21", "40", "99999999"]), INTS),
+    ),
+    option("--format", FORMATS),
+)
+TABLES = command(
+    "tables",
+    given_flag("--type", st.sampled_from(["E6", "E7", "E8", "A", "Z"])),
+    switch("--validate"),
+    option("--format", FORMATS),
+)
+# Always with --max-rank: the default, 10, is honest work of a second or two.
+VERIFY = command(
+    "verify",
+    given_flag(
+        "--max-rank", st.one_of(st.sampled_from(["-2", "-1", "0", "1", "2", "3", "15", "30"]), INTS)
+    ),
+)
+ARGV = st.one_of(
+    ORBIT,
+    PAVING,
+    DECOMPOSE,
+    TABLES,
+    VERIFY,
+    st.sampled_from([[], ["nope"], ["paving", "--nope"], ["verify", "x"]]),
+    st.sampled_from(["orbit", "paving", "decompose", "tables"]).map(lambda name: [name]),
+)
+
+
+@given(ARGV)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_argument_vector_keeps_the_exit_code_contract(argv):
+    start = time.perf_counter()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refuses malformed argument vectors
+        code = exc.code
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in (0, 1, 2, 3), argv

@@ -187,7 +187,8 @@ class TestEnumerateCells:
         assert poincare[5] == 21
 
     def test_single_row(self):
-        for parts, bound in (((5,), 9), ((1000,), 1000)):
+        # (2500,) walks half its depth, 1250 levels, past the recursion limit.
+        for parts, bound in (((5,), 9), ((1000,), 1000), ((2500,), 2500)):
             cells, poincare = enumerate_cells(Partition(parts), bound=bound)
             assert len(cells) == 1
             assert cells[0].dimension == 0
@@ -301,6 +302,8 @@ class TestEnumerateCells:
         ]
 
     def test_nonempty_cells_relabel_upper_triangular(self):
+        # The m! filter with the definitional dimension, sorted, fixes the
+        # cells, their dimensions and their order all at once.
         for total in range(1, 8):
             for p in partitions_of(total):
                 tym, _, _ = labeled_diagrams(p)
@@ -309,9 +312,13 @@ class TestEnumerateCells:
                 for perm in permutations(range(1, total + 1)):
                     u = TableauPermutation(perm)
                     if all(u(a) < u(b) for a, b in pairs):
-                        survivors.add(u.inverse().one_line)
+                        survivors.add(u.inverse())
                 cells, _ = enumerate_cells(p)
-                assert {c.w.one_line for c in cells} == survivors
+                assert {c.w.one_line for c in cells} == {w.one_line for w in survivors}
+                expected = sorted(
+                    (len(phi_w(w)) - len(phi_w_x(w, p)), w.one_line) for w in survivors
+                )
+                assert [(c.dimension, c.w.one_line) for c in cells] == expected
 
 
 class TestTableauPermutation:
