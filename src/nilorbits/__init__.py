@@ -38,7 +38,6 @@ from .orbits import (
 from .paving import (
     CellPaving,
     LabeledDiagram,
-    PavingCell,
     TableauPermutation,
     enumerate_cells,
     labeled_diagrams,
@@ -74,7 +73,6 @@ __all__ = [
     "OrbitPartitionResult",
     "OrbitRecord",
     "Partition",
-    "PavingCell",
     "ResourceBoundError",
     "SubsetJ",
     "SummandRecord",

@@ -31,6 +31,7 @@ from .orbits import (
     orbit_partition,
 )
 from .paving import (
+    _inversions,
     _split_roots,
     enumerate_cells,
     labeled_diagrams,
@@ -104,7 +105,12 @@ def check_subdiagram_classification() -> CheckResult:
 
 
 def check_formula_oracle(max_rank: int = 7) -> CheckResult:
-    """Jordan type of the explicit representative equals the closed-form partition."""
+    """Jordan type of the explicit representative equals the closed-form partition.
+
+    In type A the closed-form orbit dimension must also equal (n+1)^2 minus
+    the centralizer dimension, the sum of the squared column heights of the
+    Jordan type (Collingwood-McGovern, section 6.1).
+    """
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
@@ -116,6 +122,14 @@ def check_formula_oracle(max_rank: int = 7) -> CheckResult:
                 failures.append(
                     "%s J=%s: formula %s vs oracle %s" % (t, j, formula, oracle)
                 )
+            if t.family == "A":
+                dim = orbit_dimension_type_a(t.rank, formula)
+                via_oracle = (t.rank + 1) ** 2 - sum(h * h for h in conjugate_heights(oracle))
+                if dim != via_oracle:
+                    failures.append(
+                        "%s J=%s: orbit dimension %d vs %d from the oracle's column heights"
+                        % (t, j, dim, via_oracle)
+                    )
     return _result("formula-oracle", checked, failures)
 
 
@@ -247,9 +261,10 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
     For each partition p of m: the paving has m!/prod(row lengths)! cells;
     the number of top-dimensional cells is the standard-filling count; the
     top dimension matches both the closed form and half the orbit
-    codimension; the cell at the linking permutation is present with
-    exactly that dimension; and the cell counts by dimension equal the
-    row-removal recursion, which never enumerates a cell.
+    codimension; the cell at the linking permutation is in the top bucket;
+    the counted Poincare vector sums to the number of listed cells; and it
+    equals the row-removal recursion, which never enumerates a cell and
+    must itself have the right sum, degree and top coefficient.
     """
     failures = []
     checked = 0
@@ -264,17 +279,18 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
             if len(cells) != expected_count:
                 failures.append("%s: %d cells, expected %d" % (p, len(cells), expected_count))
             d_x = max_cell_dimension(p)
-            top = sum(1 for c in cells if c.dimension == d_x)
-            if top != syt_count(p):
-                failures.append("%s: %d top cells, expected %d" % (p, top, syt_count(p)))
-            if max(c.dimension for c in cells) != d_x:
+            syt = syt_count(p)
+            top = poincare[d_x] if d_x < len(poincare) else 0
+            if top != syt:
+                failures.append("%s: %d top cells, expected %d" % (p, top, syt))
+            if len(poincare) - 1 != d_x:
                 failures.append("%s: max enumerated dimension != %d" % (p, d_x))
             n = m - 1
             if n * (n + 1) - 2 * d_x != orbit_dimension_type_a(n, p):
                 failures.append("%s: dimension identity fails" % p)
             _, _, sigma = labeled_diagrams(p)
-            sigma_cells = [c for c in cells if c.w.one_line == sigma.one_line]
-            if len(sigma_cells) != 1 or sigma_cells[0].dimension != d_x:
+            start = sum(poincare[:d_x])
+            if cells[start : start + top].count(sigma.one_line) != 1:
                 failures.append("%s: distinguished cell missing or not maximal" % p)
             if sum(poincare) != len(cells):
                 failures.append("%s: poincare coefficients do not sum to the cell count" % p)
@@ -284,6 +300,16 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
                     "%s: poincare %s != row-removal recursion %s"
                     % (p, list(poincare), list(recursion))
                 )
+            if sum(recursion) != expected_count:
+                failures.append(
+                    "%s: recursion sums to %d, expected %d" % (p, sum(recursion), expected_count)
+                )
+            if len(recursion) - 1 != d_x:
+                failures.append(
+                    "%s: recursion has degree %d, expected %d" % (p, len(recursion) - 1, d_x)
+                )
+            if d_x >= len(recursion) or recursion[d_x] != syt:
+                failures.append("%s: recursion's coefficient of q^%d is not %d" % (p, d_x, syt))
     return _result("paving-identities", checked, failures)
 
 
@@ -323,19 +349,19 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
             tym, _, _ = labeled_diagrams(p)
             pairs = tym.pairs()
             in_x = frozenset(pairs)
-            cells, _ = enumerate_cells(p)
-            for cell in cells:
-                u = cell.w.inverse()
-                relabeled = {(u(a), u(b)) for a, b in pairs}
-                if any(a >= b for a, b in relabeled):
-                    failures.append("%s w=%s: relabelled matrix not strictly upper" % (p, cell.w))
-                in_w = phi_w(cell.w)
-                defn = len(in_w) - len(_split_roots(in_w, in_x))
-                if defn != cell.dimension:
-                    failures.append(
-                        "%s w=%s: enumerated dimension %d != definitional %d"
-                        % (p, cell.w, cell.dimension, defn)
-                    )
+            for dim, ws in enumerate_cells(p).buckets():
+                for w in ws:
+                    u, in_w = _inversions(w)
+                    if any(u[a] >= u[b] for a, b in pairs):
+                        failures.append(
+                            "%s w=%s: relabelled matrix not strictly upper" % (p, list(w))
+                        )
+                    defn = len(in_w) - len(_split_roots(in_w, in_x))
+                    if defn != dim:
+                        failures.append(
+                            "%s w=%s: enumerated dimension %d != definitional %d"
+                            % (p, list(w), dim, defn)
+                        )
     return _result("paving-structure", checked, failures)
 
 

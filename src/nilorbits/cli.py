@@ -1,13 +1,15 @@
 """Command-line surface: stable JSON or readable text for every operation.
 
 Exit codes: 0 success, 1 failed verification or corrupted data, 2 input
-errors, 3 exceeded resource bounds.
+errors, 3 exceeded resource bounds.  A reader closing stdout early is not
+an error: the command exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import run_all
@@ -160,13 +162,14 @@ def cmd_orbit(args) -> int:
 
 def cmd_paving(args) -> int:
     p = _parse_partition(args.partition)
-    cells, poincare = enumerate_cells(p, bound=args.bound)
+    paving = enumerate_cells(p, bound=args.bound, cells=args.cells)
+    poincare = paving.poincare
     d_x = max_cell_dimension(p)
-    top = sum(1 for c in cells if c.dimension == d_x)
+    top = poincare[d_x]
     payload = {
         "partition": list(p.parts),
         "d_x": d_x,
-        "cell_count": len(cells),
+        "cell_count": sum(poincare),
         "poincare": list(poincare),
         "top_cell_count": top,
         "syt_count": syt_count(p),
@@ -185,7 +188,7 @@ def cmd_paving(args) -> int:
                 + "\n      ]\n    }"
             )
             head, tail = text.split(",\n", 1)
-            body = ",\n".join([cell % ((c.dimension,) + c.w.one_line) for c in cells])
+            body = ",\n".join([cell % ((d,) + w) for d, ws in paving.buckets() for w in ws])
             text = '%s,\n  "cells": [\n%s\n  ],\n%s' % (head, body, tail)
         print(text)
         return EXIT_OK
@@ -203,14 +206,16 @@ def cmd_paving(args) -> int:
         "Phi_sigma: %s" % render_root_set(in_sigma),
         "Phi_sigma_x: %s" % render_root_set(_split_roots(in_sigma, in_x)),
         "d_x: %d" % d_x,
-        "cell count: %d" % len(cells),
+        "cell count: %d" % payload["cell_count"],
         "poincare: %s" % list(poincare),
         "top cells: %d" % top,
         "syt count: %d" % syt_count(p),
     ]
     if args.cells:
         lines.extend(
-            "cell: w=%s dim=%d" % (c.w, c.dimension) for c in cells
+            "cell: w=[%s] dim=%d" % (", ".join(map(str, w)), d)
+            for d, ws in paving.buckets()
+            for w in ws
         )
     _emit(payload, args.format, lines)
     return EXIT_OK
@@ -344,7 +349,17 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout after taking what it wanted; the work
+        # itself succeeded.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again (the "Note on SIGPIPE" in the
+        # signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,12 @@ Two bijective labelings of a Young diagram drive everything here.  The
 "Tym" labeling fills columns left to right, each column bottom to top;
 the "Std" labeling reads rows top to bottom.  The permutation carrying
 Std labels to Tym labels box by box singles out a distinguished cell of
-maximal dimension, and the full cell enumeration builds exactly the
-nonempty cells as the shuffles of the Tym rows.  Each placed label adds to
-the cell dimension the popcount of a bitmask of the labels placed before
-it, and that mask depends only on how many labels each row has given out.
-So the enumeration meets in the middle: half-length prefixes are joined to
-per-state tables of suffixes, each already bucketed by the dimension it
-adds, and the cells come out in order with no sort.
+maximal dimension.  The nonempty cells are the shuffles of the Tym rows;
+each placed label adds to the cell dimension the popcount of a bitmask
+that depends only on how many labels each row has given out.  So one walk
+over those row states counts the cells by dimension without building
+any, and to list them it meets in the middle: half-length prefixes join
+per-state suffix tables already bucketed by the dimension they add.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -23,6 +22,8 @@ nonempty cell at w has dimension |phi_w| - |phi_w_x|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import or_
 from typing import NamedTuple
 
 from .core import (
@@ -125,26 +126,18 @@ class TableauPermutation:
         return "[" + ", ".join(map(str, self.one_line)) + "]"
 
 
-def _known_permutation(one_line: tuple[int, ...]) -> TableauPermutation:
-    """A TableauPermutation of a tuple of ints already known to permute 1..m.
-
-    Skips the validation in ``__post_init__``; only for values the caller
-    constructed as permutations.
-    """
-    w = object.__new__(TableauPermutation)
-    object.__setattr__(w, "one_line", one_line)
-    return w
-
-
-@dataclass(frozen=True)
-class PavingCell:
-    w: TableauPermutation
-    dimension: int
-
-
 class CellPaving(NamedTuple):
-    cells: tuple[PavingCell, ...]
+    """Cells as one-line tuples of w, ordered by (dimension, w); poincare[d] counts dimension d."""
+
+    cells: tuple[tuple[int, ...], ...]
     poincare: tuple[int, ...]
+
+    def buckets(self):
+        """(d, the cells of dimension d) for each coefficient of the Poincare vector."""
+        start = 0
+        for d, count in enumerate(self.poincare):
+            yield d, self.cells[start : start + count]
+            start += count
 
 
 def labeled_diagrams(
@@ -193,10 +186,17 @@ def phi_x(p: Partition) -> frozenset[RootPair]:
 
 def phi_w(w: TableauPermutation) -> frozenset[RootPair]:
     """Positive roots inverted by w: pairs (i, j), i < j, with w^-1(i) > w^-1(j)."""
-    inv = w.inverse()
-    m = w.size
-    return frozenset(
-        (i, j) for i in range(1, m) for j in range(i + 1, m + 1) if inv(i) > inv(j)
+    return _inversions(w.one_line)[1]
+
+
+def _inversions(one_line: tuple[int, ...]) -> tuple[list[int], frozenset[RootPair]]:
+    """w^-1 as a list indexed by value (entry 0 unused) and phi_w, for a tuple permuting 1..m."""
+    m = len(one_line)
+    inv = [0] * (m + 1)
+    for pos, val in enumerate(one_line, 1):
+        inv[val] = pos
+    return inv, frozenset(
+        (i, j) for i in range(1, m) for j in range(i + 1, m + 1) if inv[i] > inv[j]
     )
 
 
@@ -231,8 +231,21 @@ def max_cell_dimension(p: Partition) -> int:
     return sum(i * part for i, part in enumerate(p.parts))
 
 
-def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving:
-    """All nonempty cells of the paving, with the coefficient list by dimension.
+def _later_masks(tym: LabeledDiagram) -> list[int]:
+    """later[i]: the labels j > i whose left neighbor, if any, is at most i, as a bitmask."""
+    # The labels whose left neighbor is absent or placed gain i's right neighbor at i.
+    right_of = dict(tym.pairs())
+    ready = sum(1 << row[0] for row in tym.rows)
+    later = [0] * (tym.shape.total + 1)
+    for i in range(1, len(later)):
+        if i in right_of:
+            ready |= 1 << right_of[i]
+        later[i] = ready >> (i + 1) << (i + 1)
+    return later
+
+
+def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool = True) -> CellPaving:
+    """The Poincare vector of the paving and, if ``cells``, its nonempty cells.
 
     A permutation w gives a nonempty cell exactly when u = w^-1 keeps every
     pair of the Tym labeling in increasing order, so the cells are the
@@ -244,19 +257,20 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
     where j's left neighbor, if any, is at most i.
 
     Placing label i after the labels in the bitmask ``placed`` adds the
-    popcount of ``placed & later[i]`` to the dimension, where ``later[i]``
-    holds the labels j > i whose left neighbor is at most i.  ``placed`` is
+    popcount of ``placed & later[i]`` to the dimension.  ``placed`` is
     fixed by the state of a prefix, the number of labels each row has given
     out, so the suffixes that complete a prefix, and the dimension each of
-    them adds, depend on that state alone.  The walk therefore meets in the
-    middle: the prefixes of length m // 2 are built breadth first in
-    lexicographic order, and per state of that depth a table of suffixes,
-    bucketed by added dimension and lexicographic in each bucket, is built
-    level by level back from the full state, two levels alive at a time.
-    Each cell is a prefix followed by a suffix of its state; appending them
-    prefix by prefix leaves every dimension bucket sorted, so cells come
-    back ordered by (dimension, one-line form of w) with no sort.  Nothing
-    recurses, so long rows cannot exhaust the recursion limit.
+    them adds, depend on that state alone.  One walk over the prod(row + 1)
+    states, back from the full state with two depths alive, counts per
+    state the completing suffixes by added dimension; the count at the
+    empty state is the Poincare vector, and without ``cells`` the call ends
+    there.  To list cells, the walk also keeps the suffixes themselves,
+    bucketed the same way and lexicographic in each bucket, down to depth
+    m // 2, where the prefixes built breadth first in lexicographic order
+    join them.  Appending prefix + suffix prefix by prefix leaves every
+    bucket sorted, so the cells come back as one-line tuples ordered by
+    (dimension, w) with no sort; ``poincare`` marks where each dimension
+    starts.  Nothing recurses, so long rows cannot exhaust the recursion limit.
     """
     m = p.total
     if m == 0:
@@ -267,10 +281,7 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
         )
     tym, _, _ = labeled_diagrams(p)
     rows = tym.rows
-    prev_of = {j: i for i, j in tym.pairs()}
-    later = [0] * (m + 1)
-    for i in range(1, m + 1):
-        later[i] = sum(1 << j for j in range(i + 1, m + 1) if prev_of.get(j, 0) <= i)
+    later = _later_masks(tym)
 
     def moves(state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """(label, next state) for every row with a label left, in label order."""
@@ -281,14 +292,42 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
         )
 
     # row_placed[r][k]: the mask of the first k labels of row r.
-    row_placed = []
-    for row in rows:
-        masks = [0]
-        for label in row:
-            masks.append(masks[-1] | 1 << label)
-        row_placed.append(masks)
+    row_placed = [list(accumulate((1 << label for label in row), or_, initial=0)) for row in rows]
 
     half = m // 2
+    # One depth: state -> suffix counts and, when listing, suffix lists, by added dimension.
+    full = tuple(map(len, rows))
+    counts: dict[tuple[int, ...], list[int]] = {full: [1]}
+    tables: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {full: [[()]]}
+    for depth in range(m - 1, -1, -1):
+        listing = cells and depth >= half
+        level: dict[tuple[int, ...], list[int]] = {}
+        for after in counts:
+            for r, k in enumerate(after):
+                if k:
+                    level[after[:r] + (k - 1,) + after[r + 1 :]] = []
+        level_tables = {}
+        for state, found in level.items():
+            placed = sum(masks[k] for masks, k in zip(row_placed, state))
+            buckets = level_tables[state] = []
+            for label, after in moves(state):
+                added = (placed & later[label]).bit_count()
+                sub = counts[after]
+                found.extend([0] * (added + len(sub) - len(found)))
+                for d, count in enumerate(sub, added):
+                    found[d] += count
+                if listing:
+                    sub = tables[after]
+                    buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
+                    head = (label,)
+                    for d, suffixes in enumerate(sub, added):
+                        buckets[d].extend(map(head.__add__, suffixes))
+        counts = level
+        if listing:
+            tables = level_tables
+    poincare = tuple(counts[(0,) * len(rows)])
+    if not cells:
+        return CellPaving(cells=(), poincare=poincare)
     # Prefixes of length half, in lexicographic order: (labels, state, placed, dimension).
     front = [((), (0,) * len(rows), 0, 0)]
     for _ in range(half):
@@ -302,37 +341,12 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND) -> CellPaving
             for prefix, state, placed, dim in front
             for label, after in moves(state)
         ]
-    # Suffix tables of one depth: state -> lists of suffixes by added dimension.
-    tables: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {tuple(map(len, rows)): [[()]]}
-    for _ in range(m - half):
-        level: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
-        for after in tables:
-            for r, k in enumerate(after):
-                if k:
-                    level[after[:r] + (k - 1,) + after[r + 1 :]] = []
-        for state, buckets in level.items():
-            placed = sum(masks[k] for masks, k in zip(row_placed, state))
-            for label, after in moves(state):
-                added = (placed & later[label]).bit_count()
-                sub = tables[after]
-                buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
-                head = (label,)
-                for d, suffixes in enumerate(sub, added):
-                    buckets[d].extend(map(head.__add__, suffixes))
-        tables = level
     # One list of one-line forms per dimension, up to the number of counted pairs.
-    by_dim: list[list[tuple[int, ...]]] = [
-        [] for _ in range(sum(mask.bit_count() for mask in later) + 1)
-    ]
+    by_dim = [[] for _ in range(sum(mask.bit_count() for mask in later) + 1)]
     for prefix, state, _, dim in front:
         for d, suffixes in enumerate(tables[state], dim):
             by_dim[d].extend(map(prefix.__add__, suffixes))
-    while not by_dim[-1]:
-        by_dim.pop()
-    cells = []
-    for dim, one_lines in enumerate(by_dim):
-        cells.extend(PavingCell(_known_permutation(one_line), dim) for one_line in one_lines)
-    return CellPaving(cells=tuple(cells), poincare=tuple(map(len, by_dim)))
+    return CellPaving(cells=tuple(chain.from_iterable(by_dim)), poincare=poincare)
 
 
 def render_root(root: RootPair) -> str:

@@ -121,13 +121,14 @@ def test_criterion_5_paving_identities():
         # spot-check the identity family directly on one shape per size
         for m in range(1, 9):
             p = next(iter(partitions_of(m)))
-            cells, _ = enumerate_cells(p)
+            paving = enumerate_cells(p)
             expected = math.factorial(m)
             for row in p.parts:
                 expected //= math.factorial(row)
-            assert len(cells) == expected
+            assert len(paving.cells) == expected
             d_x = max_cell_dimension(p)
-            assert sum(1 for c in cells if c.dimension == d_x) == syt_count(p)
+            dims = [d for d, ws in paving.buckets() for _ in ws]
+            assert sum(1 for d in dims if d == d_x) == syt_count(p)
             n = m - 1
             assert n * (n + 1) - 2 * d_x == orbit_dimension_type_a(n, p)
 

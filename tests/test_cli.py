@@ -144,16 +144,17 @@ class TestPavingCommand:
         # bytes json.dumps gives for the same payload with a dict per cell.
         shapes = [(p, 9) for m in range(1, 8) for p in partitions_of(m)]
         for p, bound in shapes + [(Partition((12, 1)), 13)]:
-            cells, poincare = enumerate_cells(p, bound=bound)
+            paving = enumerate_cells(p, bound=bound)
+            cells = [(d, w) for d, ws in paving.buckets() for w in ws]
             d_x = max_cell_dimension(p)
             payload = {
                 "partition": list(p.parts),
                 "d_x": d_x,
                 "cell_count": len(cells),
-                "poincare": list(poincare),
-                "top_cell_count": sum(1 for c in cells if c.dimension == d_x),
+                "poincare": list(paving.poincare),
+                "top_cell_count": sum(1 for d, _ in cells if d == d_x),
                 "syt_count": syt_count(p),
-                "cells": [{"w": list(c.w.one_line), "dimension": c.dimension} for c in cells],
+                "cells": [{"w": list(w), "dimension": d} for d, w in cells],
             }
             csv = ",".join(map(str, p.parts))
             argv = ["paving", "--partition", csv, "--bound", str(bound), "--cells"]

@@ -5,9 +5,13 @@ Every command, fed valid, malformed and over-bound values, must end with
 or 3 (bound), raise nothing else, and answer quickly: bounds are checked
 before any work.  Values are kept cheap where they are accepted, so the
 time limit catches work that runs before a bound check, not honest work.
+A reader that closes stdout early ends a successful command with 0 too.
 """
 
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -112,3 +116,18 @@ def test_every_argument_vector_keeps_the_exit_code_contract(argv):
         code = exc.code
     assert time.perf_counter() - start < 2.0, argv
     assert code in (0, 1, 2, 3), argv
+
+
+def test_closed_stdout_pipe_exits_zero_without_traceback():
+    # About 0.6 MB of JSON, far past a pipe's buffer, so the writer meets
+    # the closed pipe while it is still printing.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "nilorbits.cli", "paving", "--partition", "3,3,2,1", "--cells"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr

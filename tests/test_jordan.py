@@ -10,7 +10,8 @@ from nilorbits.jordan import (
     rank_sequence,
     representative_matrix,
 )
-from nilorbits.orbits import orbit_partition
+from nilorbits import checks
+from nilorbits.orbits import orbit_dimension_type_a, orbit_partition
 
 
 def fraction_rank(rows):
@@ -154,6 +155,18 @@ class TestFormulaOracleEquivalence:
             formula = orbit_partition(t, j).partition
             oracle = jordan_partition(representative_matrix(t, j))
             assert formula == oracle, (t, j)
+
+    def test_orbit_dimension_oracle_can_fail(self, monkeypatch):
+        assert checks.check_formula_oracle(max_rank=3).ok
+        monkeypatch.setattr(
+            checks, "orbit_dimension_type_a", lambda n, p: orbit_dimension_type_a(n, p) + 1
+        )
+        result = checks.check_formula_oracle(max_rank=3)
+        type_a = sum(1 << rank for rank in range(1, 4))
+        assert len(result.failures) == type_a
+        assert all("column heights" in f for f in result.failures)
+        expected = "A1 J={}: orbit dimension 3 vs 2 from the oracle's column heights"
+        assert expected in result.failures
 
     def test_rank_profile_convex(self):
         for family, rank in (("B", 4), ("C", 4), ("D", 4)):

@@ -16,8 +16,8 @@ from nilorbits.core import (
 from nilorbits.paving import (
     CellPaving,
     LabeledDiagram,
-    PavingCell,
     TableauPermutation,
+    _later_masks,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
@@ -26,6 +26,11 @@ from nilorbits.paving import (
     phi_w_x,
     phi_x,
 )
+
+
+def dimensioned(paving):
+    """[(dimension, w)] for every cell, read off the poincare boundaries."""
+    return [(d, w) for d, ws in paving.buckets() for w in ws]
 
 
 def mahonian(m):
@@ -189,10 +194,10 @@ class TestEnumerateCells:
     def test_single_row(self):
         # (2500,) walks half its depth, 1250 levels, past the recursion limit.
         for parts, bound in (((5,), 9), ((1000,), 1000), ((2500,), 2500)):
-            cells, poincare = enumerate_cells(Partition(parts), bound=bound)
-            assert len(cells) == 1
-            assert cells[0].dimension == 0
-            assert poincare == (1,)
+            paving = enumerate_cells(Partition(parts), bound=bound)
+            assert len(paving.cells) == 1
+            assert dimensioned(paving)[0][0] == 0
+            assert paving.poincare == (1,)
 
     def test_full_flag_poincare_is_mahonian(self):
         for m in (2, 3, 4, 5):
@@ -222,20 +227,21 @@ class TestEnumerateCells:
         first = enumerate_cells(Partition((3, 2)))
         second = enumerate_cells(Partition((3, 2)))
         assert first == second
-        dims = [c.dimension for c in first.cells]
+        cells = dimensioned(first)
+        dims = [d for d, _ in cells]
         assert dims == sorted(dims)
-        for a, b in zip(first.cells, first.cells[1:]):
-            if a.dimension == b.dimension:
-                assert a.w.one_line < b.w.one_line
+        for (da, wa), (db, wb) in zip(cells, cells[1:]):
+            if da == db:
+                assert wa < wb
 
     def test_sigma_cell_maximal(self):
         for total in range(1, 8):
             for p in partitions_of(total):
-                cells, _ = enumerate_cells(p)
+                cells = dimensioned(enumerate_cells(p))
                 _, _, sigma = labeled_diagrams(p)
-                matches = [c for c in cells if c.w == sigma]
+                matches = [(d, w) for d, w in cells if w == sigma.one_line]
                 assert len(matches) == 1
-                assert matches[0].dimension == max_cell_dimension(p)
+                assert matches[0][0] == max_cell_dimension(p)
 
     def test_cell_count_multinomial(self):
         for total in range(1, 8):
@@ -255,23 +261,21 @@ class TestEnumerateCells:
     def test_dimensions_match_definitional_form(self):
         for total in range(1, 8):
             for p in partitions_of(total):
-                cells, _ = enumerate_cells(p)
-                for cell in cells:
-                    expected = len(phi_w(cell.w)) - len(phi_w_x(cell.w, p))
-                    assert cell.dimension == expected
+                for d, w in dimensioned(enumerate_cells(p)):
+                    w = TableauPermutation(w)
+                    expected = len(phi_w(w)) - len(phi_w_x(w, p))
+                    assert d == expected
 
     def test_cells_hold_valid_permutations(self):
-        # Cells skip the constructor's validation; they must equal validated values.
+        # Cells are bare one-line tuples; they must equal validated values.
         for total in range(1, 8):
             for p in partitions_of(total):
-                for cell in enumerate_cells(p).cells:
-                    w = cell.w
-                    assert isinstance(w, TableauPermutation)
-                    validated = TableauPermutation(w.one_line)
-                    assert w == validated
-                    assert hash(w) == hash(validated)
-                    assert type(w.one_line) is tuple
-                    assert all(type(v) is int for v in w.one_line)
+                for w in enumerate_cells(p).cells:
+                    validated = TableauPermutation(w)
+                    assert w == validated.one_line
+                    assert hash(w) == hash(validated.one_line)
+                    assert type(w) is tuple
+                    assert all(type(v) is int for v in w)
 
     def test_poincare_matches_row_removal(self):
         memo = {}
@@ -282,11 +286,11 @@ class TestEnumerateCells:
 
     def test_row_removal_oracle_can_fail(self, monkeypatch):
         def shift_first_cell(p, bound=9):
-            cells, _ = enumerate_cells(p, bound)
-            cells = (PavingCell(cells[0].w, cells[0].dimension + 1),) + cells[1:]
-            counts = [0] * (max(c.dimension for c in cells) + 1)
-            for cell in cells:
-                counts[cell.dimension] += 1
+            # One cell of mass moves from dimension 0 to dimension 1.
+            cells, poincare = enumerate_cells(p, bound)
+            counts = list(poincare) + [0] * (2 - len(poincare))
+            counts[0] -= 1
+            counts[1] += 1
             return CellPaving(cells, tuple(counts))
 
         assert checks.check_paving_identities(max_total=5).ok
@@ -301,6 +305,34 @@ class TestEnumerateCells:
             "[2, 2, 1]: poincare [0, 5, 9, 11, 5] != row-removal recursion [1, 4, 9, 11, 5]"
         ]
 
+    def test_row_removal_identities_can_fail(self, monkeypatch):
+        monkeypatch.setattr(checks, "poincare_by_row_removal", lambda parts, memo: (1,))
+        failures = checks.check_paving_identities(max_total=3).failures
+        assert "[2, 1]: recursion sums to 1, expected 3" in failures
+        assert "[2, 1]: recursion has degree 0, expected 1" in failures
+        assert "[2, 1]: recursion's coefficient of q^1 is not 2" in failures
+
+    def test_count_matches_row_removal(self):
+        # Counting builds no cell, so it reaches sizes the listing cannot.
+        memo = {}
+        shapes = [(p, 12) for m in range(1, 13) for p in partitions_of(m)]
+        assert len(shapes) == 271
+        for p, bound in shapes + [(Partition((6, 5, 4, 3, 2, 1)), 21)]:
+            expected = checks.poincare_by_row_removal(p.parts, memo)
+            assert enumerate_cells(p, bound, cells=False) == CellPaving((), expected)
+
+    def test_later_masks_match_pair_loop(self):
+        # later[i]: the labels j > i whose left neighbor, if any, is at most i.
+        for total in range(1, 10):
+            for p in partitions_of(total):
+                tym, _, _ = labeled_diagrams(p)
+                prev_of = {j: i for i, j in tym.pairs()}
+                expected = [0] + [
+                    sum(1 << j for j in range(i + 1, total + 1) if prev_of.get(j, 0) <= i)
+                    for i in range(1, total + 1)
+                ]
+                assert _later_masks(tym) == expected
+
     def test_nonempty_cells_relabel_upper_triangular(self):
         # The m! filter with the definitional dimension, sorted, fixes the
         # cells, their dimensions and their order all at once.
@@ -313,12 +345,12 @@ class TestEnumerateCells:
                     u = TableauPermutation(perm)
                     if all(u(a) < u(b) for a, b in pairs):
                         survivors.add(u.inverse())
-                cells, _ = enumerate_cells(p)
-                assert {c.w.one_line for c in cells} == {w.one_line for w in survivors}
+                paving = enumerate_cells(p)
+                assert set(paving.cells) == {w.one_line for w in survivors}
                 expected = sorted(
                     (len(phi_w(w)) - len(phi_w_x(w, p)), w.one_line) for w in survivors
                 )
-                assert [(c.dimension, c.w.one_line) for c in cells] == expected
+                assert dimensioned(paving) == expected
 
 
 class TestTableauPermutation:
