@@ -19,6 +19,7 @@ from .core import (
     conjugate_heights,
     dynkin_diagram,
     partitions_of,
+    subset_of_mask,
     syt_count,
 )
 from .decomposition import summand_report
@@ -26,7 +27,6 @@ from .jordan import jordan_partition, rank_sequence, representative_matrix
 from .orbits import (
     center_fiber,
     fundamental_groups,
-    kernel_check,
     orbit_dimension_type_a,
     orbit_partition,
 )
@@ -152,68 +152,113 @@ def check_oracle_rank_profile(max_rank: int = 5) -> CheckResult:
     return _result("oracle-rank-profile", checked, failures)
 
 
-def check_kernel_identity(max_rank: int = 10) -> CheckResult:
+# Per classical type, four columns indexed by the bitmask of J (the order
+# of ``all_subsets``): the total of P(J), |Z(J)|, |pi1(O)| and |A(O)|.
+JTable = dict[LieType, tuple[list[int], list[int], list[int], list[int]]]
+
+
+def j_table(types) -> JTable:
+    """The shared J sweep: orbit partition, covering fiber and group orders once per (type, J).
+
+    The four J suites read these columns instead of each recomputing them.
+    They hold small ints only; J itself is rebuilt from its index for a
+    failure message, so the table keeps no SubsetJ alive.
+    ``fundamental_groups`` rejects a partition of the wrong total, as
+    ``kernel_check`` does.
+    """
+    table: JTable = {}
+    for t in types:
+        totals, zj_orders, pi1_orders, a_orders = table[t] = ([], [], [], [])
+        for j in all_subsets(t.rank):
+            p = orbit_partition(t, j).partition
+            pi1, a_group = fundamental_groups(t, p)
+            totals.append(p.total)
+            zj_orders.append(center_fiber(t, j).order)
+            pi1_orders.append(pi1.order)
+            a_orders.append(a_group.order)
+    return table
+
+
+def check_kernel_identity(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
     """|Z(J)| * |A(O)| = |pi1(O)| across families A-D and all subsets."""
+    types = list(_classical_ranks(max_rank))
+    if table is None:
+        table = j_table(types)
     failures = []
     checked = 0
-    for t in _classical_ranks(max_rank):
-        for j in all_subsets(t.rank):
+    for t in types:
+        _, zj_orders, pi1_orders, a_orders = table[t]
+        for mask, (zj, pi1, a_order) in enumerate(zip(zj_orders, pi1_orders, a_orders)):
             checked += 1
-            report = kernel_check(t, j)
-            if not report.holds:
+            if zj * a_order != pi1:
                 failures.append(
-                    "%s J=%s: %d * %d != %d"
-                    % (t, j, report.zj_order, report.a_order, report.pi1_order)
+                    "%s J=%s: %d * %d != %d" % (t, subset_of_mask(mask), zj, a_order, pi1)
                 )
-            if t.family == "A" and report.a_order != 1:
-                failures.append("%s J=%s: type A component group not trivial" % (t, j))
+            if t.family == "A" and a_order != 1:
+                failures.append(
+                    "%s J=%s: type A component group not trivial" % (t, subset_of_mask(mask))
+                )
     return _result("kernel-identity", checked, failures)
 
 
-def check_type_a_exactness(max_rank: int = 10) -> CheckResult:
+def check_type_a_exactness(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
     """In type A the covering fiber is the whole fundamental group."""
+    types = [LieType("A", rank) for rank in range(1, max_rank + 1)]
+    if table is None:
+        table = j_table(types)
     failures = []
     checked = 0
-    for rank in range(1, max_rank + 1):
-        t = LieType("A", rank)
-        for j in all_subsets(rank):
+    for t in types:
+        _, zj_orders, pi1_orders, _ = table[t]
+        for mask, (zj, pi1) in enumerate(zip(zj_orders, pi1_orders)):
             checked += 1
-            zj = center_fiber(t, j).order
-            p = orbit_partition(t, j).partition
-            pi1, _ = fundamental_groups(t, p)
-            if zj != pi1.order:
-                failures.append("A%d J=%s: |Z| = %d but |pi1| = %d" % (rank, j, zj, pi1.order))
+            if zj != pi1:
+                failures.append(
+                    "A%d J=%s: |Z| = %d but |pi1| = %d" % (t.rank, subset_of_mask(mask), zj, pi1)
+                )
     return _result("type-a-exactness", checked, failures)
 
 
-def check_partition_totals(max_rank: int = 10) -> CheckResult:
+def check_partition_totals(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
     """Orbit partitions always sum to the matrix dimension of the family."""
+    types = list(_classical_ranks(max_rank))
+    if table is None:
+        table = j_table(types)
     failures = []
     checked = 0
-    for t in _classical_ranks(max_rank):
-        for j in all_subsets(t.rank):
+    for t in types:
+        for mask, total in enumerate(table[t][0]):
             checked += 1
-            p = orbit_partition(t, j).partition
-            if p.total != t.matrix_dimension:
-                failures.append("%s J=%s: total %d != %d" % (t, j, p.total, t.matrix_dimension))
+            if total != t.matrix_dimension:
+                failures.append(
+                    "%s J=%s: total %d != %d"
+                    % (t, subset_of_mask(mask), total, t.matrix_dimension)
+                )
     return _result("partition-totals", checked, failures)
 
 
-def check_center_divisibility(max_rank: int = 10) -> CheckResult:
-    """|Z(J)| divides the order of the simply connected center, all families."""
+def check_center_divisibility(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
+    """|Z(J)| divides the order of the simply connected center, all families.
+
+    The classical orders come from the shared J sweep; the exceptional
+    types, which it does not cover, call ``center_fiber`` here.
+    """
+    types = list(_classical_ranks(max_rank))
+    if table is None:
+        table = j_table(types)
+    columns = [(t, table[t][1]) for t in types]
+    for family in ("E6", "E7", "E8", "F4", "G2"):
+        t = LieType.of(family)
+        columns.append((t, [center_fiber(t, j).order for j in all_subsets(t.rank)]))
     failures = []
     checked = 0
-    types = list(_classical_ranks(max_rank)) + [
-        LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")
-    ]
-    for t in types:
-        for j in all_subsets(t.rank):
+    for t, zj_orders in columns:
+        for mask, order in enumerate(zj_orders):
             checked += 1
-            order = center_fiber(t, j).order
             if t.center_order % order:
                 failures.append(
                     "%s J=%s: |Z(J)| = %d does not divide center order %d"
-                    % (t, j, order, t.center_order)
+                    % (t, subset_of_mask(mask), order, t.center_order)
                 )
     return _result("center-divisibility", checked, failures)
 
@@ -443,22 +488,35 @@ def check_tables() -> CheckResult:
 
 
 def run_all(max_rank: int = 10) -> list[CheckResult]:
-    """Every suite, with ranks clamped to keep the heavy sweeps bounded."""
+    """Every suite, in a fixed order, with ranks clamped to keep the heavy sweeps bounded.
+
+    The four J suites (kernel-identity, type-a-exactness, partition-totals
+    and center-divisibility) read one shared ``j_table`` built for this run,
+    so each classical (type, J) gets its orbit partition, covering fiber and
+    fundamental groups computed once.  The table is dropped before the
+    paving suites, where a run reaches its peak memory.
+    """
     oracle_rank = min(7, max_rank)
     profile_rank = min(5, max_rank)
     paving_total = min(8, max_rank + 1)
     structure_cells = min(6, max_rank + 1)
     decompose_rank = min(8, max_rank)
-    return [
+    results = [
         check_conjugate_involution(max_total=max_rank),
         check_syt_symmetry(max_total=max_rank),
         check_subdiagram_classification(),
         check_formula_oracle(max_rank=oracle_rank),
         check_oracle_rank_profile(max_rank=profile_rank),
-        check_kernel_identity(max_rank=max_rank),
-        check_type_a_exactness(max_rank=max_rank),
-        check_partition_totals(max_rank=max_rank),
-        check_center_divisibility(max_rank=max_rank),
+    ]
+    table = j_table(_classical_ranks(max_rank))
+    results += [
+        check_kernel_identity(max_rank, table),
+        check_type_a_exactness(max_rank, table),
+        check_partition_totals(max_rank, table),
+        check_center_divisibility(max_rank, table),
+    ]
+    del table
+    return results + [
         check_full_subset_zero_orbit(max_rank=max_rank),
         check_paving_identities(max_total=paving_total),
         check_paving_structure(

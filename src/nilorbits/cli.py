@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .checks import run_all
 from .core import (
@@ -176,21 +177,30 @@ def cmd_paving(args) -> int:
     }
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
-        if args.cells:
-            # json.dumps takes its C encoder only when indent is None, so a
-            # dict per cell through indent=2 would run in pure Python and cost
-            # most of a large paving.  The cells are rendered from one
-            # template in the same layout instead, and spliced in where
-            # sort_keys puts "cells": right after "cell_count", the first key.
-            cell = (
-                '    {\n      "dimension": %d,\n      "w": [\n'
-                + ",\n".join(["        %d"] * p.total)
-                + "\n      ]\n    }"
-            )
-            head, tail = text.split(",\n", 1)
-            body = ",\n".join([cell % ((d,) + w) for d, ws in paving.buckets() for w in ws])
-            text = '%s,\n  "cells": [\n%s\n  ],\n%s' % (head, body, tail)
-        print(text)
+        if not args.cells:
+            print(text)
+            return EXIT_OK
+        # json.dumps takes its C encoder only when indent is None, so a dict
+        # per cell through indent=2 would run in pure Python and cost most of
+        # a large paving.  The cells are rendered from one template in the
+        # same layout instead, and written where sort_keys puts "cells":
+        # right after "cell_count", the first key.  Each bucket is written as
+        # soon as it is rendered, so at most one bucket's strings are alive.
+        cell = (
+            '    {\n      "dimension": %d,\n      "w": [\n'
+            + ",\n".join(["        %d"] * p.total)
+            + "\n      ]\n    }"
+        )
+        head, tail = text.split(",\n", 1)
+        write = sys.stdout.write
+        write('%s,\n  "cells": [\n' % head)
+        sep = ""
+        for d, ws in paving.buckets():
+            if ws:
+                write(sep)
+                write(",\n".join([cell % ((d,) + w) for w in ws]))
+                sep = ",\n"
+        write("\n  ],\n%s\n" % tail)
         return EXIT_OK
     tym, std, sigma = labeled_diagrams(p)
     in_x = frozenset(tym.pairs())
@@ -212,10 +222,14 @@ def cmd_paving(args) -> int:
         "syt count: %d" % syt_count(p),
     ]
     if args.cells:
-        lines.extend(
-            "cell: w=[%s] dim=%d" % (", ".join(map(str, w)), d)
-            for d, ws in paving.buckets()
-            for w in ws
+        # Printed one at a time, never held as a list.
+        lines = chain(
+            lines,
+            (
+                "cell: w=[%s] dim=%d" % (", ".join(map(str, w)), d)
+                for d, ws in paving.buckets()
+                for w in ws
+            ),
         )
     _emit(payload, args.format, lines)
     return EXIT_OK

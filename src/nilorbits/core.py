@@ -198,10 +198,15 @@ class SubsetJ:
         return "{" + ", ".join(map(str, self.elements)) + "}"
 
 
+def subset_of_mask(mask: int) -> SubsetJ:
+    """The subset holding i + 1 for each set bit i of ``mask``."""
+    return SubsetJ(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+
+
 def all_subsets(rank: int) -> Iterator[SubsetJ]:
-    """Every subset of 1..rank, in bitmask order."""
+    """Every subset of 1..rank, in bitmask order: the k-th is ``subset_of_mask(k)``."""
     for mask in range(1 << rank):
-        yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
+        yield subset_of_mask(mask)
 
 
 def check_subset_range(t: LieType, j: SubsetJ) -> None:

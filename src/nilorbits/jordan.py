@@ -2,10 +2,25 @@
 
 Builds the simple-root-vector representative of a subset J as an explicit
 integer matrix and reads its Jordan type off exact ranks of powers.  All
-rank computations use fraction-free elimination over the integers.
+rank computations use fraction-free (Bareiss) elimination over the
+integers, every division checked for a zero remainder.
+
+The oracle's matrices and their powers are sparse with entries 0 and +-1,
+so the elimination skips work that cannot change a rank, and every skip
+is exact.  Rows and columns of zeros are dropped first, since no step
+makes them nonzero.  A row below the pivot whose pivot-column entry is 0
+is skipped when the pivot equals the previous pivot: the update maps each
+entry x to pivot * x / previous = x, so the row would not change.  When
+the previous pivot is +-1 the row is updated in one pass with no
+remainder check, since division by +-1 is always exact.  Every other
+update still divides with ``divmod`` and raises on a remainder.  Products
+touch only the nonzero entries and build their result without
+re-validating entries that are already ints.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .core import (
     DataIntegrityError,
@@ -33,6 +48,14 @@ class IntMatrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap square rows of ints as they are, without the checks of ``IntMatrix(rows)``."""
+        m = object.__new__(cls)
+        m.dim = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
     def zero(cls, dim: int) -> "IntMatrix":
         return cls([[0] * dim for _ in range(dim)])
 
@@ -43,8 +66,8 @@ class IntMatrix:
         for (i, j), v in entries.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise InputError("entry position (%d, %d) outside dimension %d" % (i, j, dim))
-            grid[i - 1][j - 1] = v
-        return cls(grid)
+            grid[i - 1][j - 1] = int(v)
+        return cls._trusted(tuple(map(tuple, grid)))
 
     def entry(self, i: int, j: int) -> int:
         """1-indexed entry access."""
@@ -54,20 +77,18 @@ class IntMatrix:
         if self.dim != other.dim:
             raise InputError("dimension mismatch in matrix product")
         n = self.dim
-        a, b = self.rows, other.rows
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            arow = a[i]
-            orow = out[i]
-            for k in range(n):
+        cols = range(n)
+        # The nonzero (column, value) entries of each row of the right factor.
+        b = [[(j, row[j]) for j in compress(cols, row)] for row in other.rows]
+        out = []
+        for arow in self.rows:
+            orow = [0] * n
+            for k in compress(cols, arow):
                 v = arow[k]
-                if v == 0:
-                    continue
-                brow = b[k]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] += v * brow[j]
-        return IntMatrix(out)
+                for j, w in b[k]:
+                    orow[j] += v * w
+            out.append(tuple(orow))
+        return IntMatrix._trusted(tuple(out))
 
     __matmul__ = matmul
 
@@ -116,35 +137,61 @@ class IntMatrix:
         """Exact rank by fraction-free (Bareiss) elimination.
 
         Divisions are checked: a nonzero remainder would mean lost
-        exactness and raises instead of silently truncating.
+        exactness and raises instead of silently truncating.  Work that
+        cannot change the rank is skipped, exactly:
+
+        - Rows and columns of zeros are dropped first.  They stay zero
+          under every step and never hold a pivot, so the rank of what is
+          left is the rank of the matrix.
+        - A row with 0 in the pivot column is skipped when the pivot
+          ``lead`` equals the previous pivot ``prev``: each entry x would
+          become lead * x / prev = x.
+        - When ``prev`` is +-1 the row tail is lead * x - factor * y times
+          ``prev``, in one pass with no remainder check: division by +-1
+          is exact for any integers.
+        - The elimination stops once every row holds a pivot.
         """
-        m = [list(row) for row in self.rows]
-        n = self.dim
+        rows = [row for row in self.rows if any(row)]
+        if not rows:
+            return 0
+        keep = sorted(set().union(*(compress(range(self.dim), row) for row in rows)))
+        m = [[row[c] for c in keep] for row in rows]
+        n_rows, n = len(m), len(keep)
         rank = 0
         prev = 1
         for col in range(n):
-            pivot = None
-            for r in range(rank, n):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
+            hits = [r for r in range(rank, n_rows) if m[r][col]]
+            if not hits:
                 continue
+            pivot = hits[0]
             if pivot != rank:
                 m[rank], m[pivot] = m[pivot], m[rank]
             lead = m[rank][col]
-            for r in range(rank + 1, n):
-                factor = m[r][col]
+            tail_p = m[rank][col + 1 :]
+            # The rows below the pivot row that the step changes; the swap
+            # moved only a row with 0 in this column.
+            for r in hits[1:] if lead == prev else range(rank + 1, n_rows):
                 row_r = m[r]
-                row_p = m[rank]
-                for c in range(col + 1, n):
-                    q, rem = divmod(lead * row_r[c] - factor * row_p[c], prev)
-                    if rem:
-                        raise DataIntegrityError("fraction-free elimination lost exactness")
-                    row_r[c] = q
+                factor = row_r[col]
+                if prev == 1:
+                    row_r[col + 1 :] = [
+                        lead * x - factor * y for x, y in zip(row_r[col + 1 :], tail_p)
+                    ]
+                elif prev == -1:
+                    row_r[col + 1 :] = [
+                        factor * y - lead * x for x, y in zip(row_r[col + 1 :], tail_p)
+                    ]
+                else:
+                    for c in range(col + 1, n):
+                        q, rem = divmod(lead * row_r[c] - factor * tail_p[c - col - 1], prev)
+                        if rem:
+                            raise DataIntegrityError("fraction-free elimination lost exactness")
+                        row_r[c] = q
                 row_r[col] = 0
             prev = lead
             rank += 1
+            if rank == n_rows:
+                break
         return rank
 
     def __eq__(self, other) -> bool:

@@ -21,6 +21,7 @@ nonempty cell at w has dimension |phi_w| - |phi_w_x|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import or_
@@ -35,6 +36,12 @@ from .core import (
 from .jordan import IntMatrix
 
 DEFAULT_CELL_BOUND = 9
+# Caps that the ``bound`` argument cannot lift.  A listing holds at most as
+# many cells as the default bound allows, 9! for [1^9]; a walk visits at
+# most this many row states, prod(row + 1), which admits the staircase
+# [6,5,4,3,2,1] (5040 states) and stops [1^14] (16384).
+MAX_LISTED_CELLS = math.factorial(DEFAULT_CELL_BOUND)
+MAX_WALKED_STATES = 10_000
 
 SCHEME_TYM = "Tym"
 SCHEME_STD = "Std"
@@ -244,6 +251,26 @@ def _later_masks(tym: LabeledDiagram) -> list[int]:
     return later
 
 
+def _check_work(parts: tuple[int, ...], cells: bool) -> None:
+    """Raise unless the walk stays within MAX_WALKED_STATES and a listing within MAX_LISTED_CELLS.
+
+    The state count stops at the first part that passes its cap, so a huge
+    partition costs nothing; within it the rows are few and short, and the
+    exact cell count m!/prod(row!), a product of binomials, is cheap.
+    """
+    states = 1
+    for part in parts:
+        states *= part + 1
+        if states > MAX_WALKED_STATES:
+            raise ResourceBoundError(
+                "partition walks more than %d row states, the fixed state bound" % MAX_WALKED_STATES
+            )
+    if cells and math.prod(map(math.comb, accumulate(parts), parts)) > MAX_LISTED_CELLS:
+        raise ResourceBoundError(
+            "partition has more than %d cells, the fixed bound for a listing" % MAX_LISTED_CELLS
+        )
+
+
 def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool = True) -> CellPaving:
     """The Poincare vector of the paving and, if ``cells``, its nonempty cells.
 
@@ -271,6 +298,10 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     bucket sorted, so the cells come back as one-line tuples ordered by
     (dimension, w) with no sort; ``poincare`` marks where each dimension
     starts.  Nothing recurses, so long rows cannot exhaust the recursion limit.
+
+    Before any work, m must be at most ``bound``, the states at most
+    MAX_WALKED_STATES and, with ``cells``, the cells at most
+    MAX_LISTED_CELLS; raising ``bound`` lifts neither cap.
     """
     m = p.total
     if m == 0:
@@ -279,6 +310,7 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         raise ResourceBoundError(
             "partition size %d exceeds the enumeration bound %d" % (m, bound)
         )
+    _check_work(p.parts, cells)
     tym, _, _ = labeled_diagrams(p)
     rows = tym.rows
     later = _later_masks(tym)

@@ -139,6 +139,36 @@ class TestPavingCommand:
         code, _, _ = run(capsys, "paving", "--partition", "2,2", "--bound", "4")
         assert code == EXIT_OK
 
+    def test_raised_bound_keeps_fixed_work_caps(self, capsys):
+        # Twenty ones list 20! cells and walk 2^20 row states; --bound 20
+        # must not start either, whatever the format.
+        ones = ",".join(["1"] * 20)
+        for extra in ((), ("--cells",)):
+            for fmt in ("json", "text"):
+                start = time.perf_counter()
+                code, out, err = run(
+                    capsys, "paving", "--partition", ones, "--bound", "20", *extra, "--format", fmt
+                )
+                assert time.perf_counter() - start < 1.0
+                assert code == EXIT_RESOURCE
+                assert out == ""
+                assert "bound" in err
+
+    def test_work_caps_split_listing_from_counting(self, capsys):
+        # [1^10]: 1024 row states, so the summary runs; 10! cells, over
+        # the listing cap of 9!, so --cells is refused.
+        ones = ",".join(["1"] * 10)
+        code, out, _ = run(capsys, "paving", "--partition", ones, "--bound", "10")
+        assert code == EXIT_OK
+        assert json.loads(out)["cell_count"] == 3628800
+        code, out, err = run(capsys, "paving", "--partition", ones, "--bound", "10", "--cells")
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "362880 cells" in err
+        code, out, _ = run(capsys, "paving", "--partition", "6,5,4,3,2,1", "--bound", "21")
+        assert code == EXIT_OK
+        assert json.loads(out)["syt_count"] == syt_count(Partition((6, 5, 4, 3, 2, 1)))
+
     def test_cells_json_matches_json_dumps(self, capsys):
         # The cell list is rendered from a template; it must match the
         # bytes json.dumps gives for the same payload with a dict per cell.

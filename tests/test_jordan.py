@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from nilorbits.jordan import (
     rank_sequence,
     representative_matrix,
 )
-from nilorbits import checks
+from nilorbits import checks, jordan
 from nilorbits.orbits import orbit_dimension_type_a, orbit_partition
 
 
@@ -79,6 +80,39 @@ class TestIntMatrix:
     def test_rank_matches_fraction_oracle(self, rows):
         assert IntMatrix(rows).rank() == fraction_rank(rows)
 
+    def test_checked_division_matches_fraction_oracle(self, monkeypatch):
+        # Dense matrices with entries up to 9 make later pivots larger than
+        # 1 in absolute value, so the eliminations divide with remainder
+        # checks; counting the divmod calls proves that branch ran.
+        divisions = []
+
+        def counted_divmod(a, b):
+            divisions.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(jordan, "divmod", counted_divmod, raising=False)
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:  # a repeated row combination lowers the rank
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[n // 2])]
+            assert IntMatrix(rows).rank() == fraction_rank(rows), rows
+        assert any(abs(b) > 1 for b in divisions)
+
+    def test_matmul_matches_dense_product(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            a, b = (
+                [[rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(n)] for _ in range(n)]
+                for _ in range(2)
+            )
+            dense = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            product = IntMatrix(a) @ IntMatrix(b)
+            assert product == IntMatrix(dense)
+            assert all(type(v) is int for row in product.rows for v in row)
+
 
 class TestRepresentativeMatrix:
     def test_type_a_full_chain(self):
@@ -141,7 +175,27 @@ def all_subsets(rank):
         yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
 
 
+def dense_power_ranks(rows):
+    """[dim, rank(M), rank(M^2), ...] down to 0, from plain list products and fraction_rank."""
+    n = len(rows)
+    ranks = [n]
+    power = rows
+    while ranks[-1]:
+        ranks.append(fraction_rank(power))
+        power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return ranks
+
+
 class TestFormulaOracleEquivalence:
+    def test_rank_sequence_matches_dense_fraction_ranks(self):
+        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+            for rank in range(lo, 8):
+                t = LieType(family, rank)
+                for j in all_subsets(rank):
+                    m = representative_matrix(t, j)
+                    rows = [list(row) for row in m.rows]
+                    assert rank_sequence(m) == dense_power_ranks(rows), (t, j)
+
     @pytest.mark.parametrize(
         "family,rank",
         [("A", r) for r in range(1, 6)]

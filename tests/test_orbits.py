@@ -1,5 +1,6 @@
 import pytest
 
+from nilorbits import checks
 from nilorbits.core import (
     InputError,
     LieType,
@@ -8,6 +9,7 @@ from nilorbits.core import (
     UnsupportedFamilyError,
     conjugate_heights,
     partitions_of,
+    subset_of_mask,
 )
 from nilorbits.orbits import (
     FiniteGroupDescriptor,
@@ -253,3 +255,97 @@ class TestKernelCheck:
     def test_rejects_exceptional(self):
         with pytest.raises(UnsupportedFamilyError):
             kernel_check(LieType.of("E7"), SubsetJ((1,)))
+
+
+J_SUITES = (
+    checks.check_kernel_identity,
+    checks.check_type_a_exactness,
+    checks.check_partition_totals,
+    checks.check_center_divisibility,
+)
+
+
+def classical_types(max_rank):
+    return [
+        LieType(family, rank)
+        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+        for rank in range(lo, max_rank + 1)
+    ]
+
+
+class TestSharedJTable:
+    def test_columns_match_kernel_check(self):
+        table = checks.j_table(classical_types(6))
+        for t, columns in table.items():
+            assert [len(column) for column in columns] == [1 << t.rank] * 4
+            for j, (total, zj, pi1, a_order) in zip(all_subsets(t.rank), zip(*columns)):
+                report = kernel_check(t, j)
+                assert (zj, pi1, a_order) == (report.zj_order, report.pi1_order, report.a_order)
+                assert total == orbit_partition(t, j).partition.total
+
+    def test_subset_of_mask_follows_all_subsets(self):
+        for rank in range(0, 8):
+            assert [subset_of_mask(k) for k in range(1 << rank)] == list(all_subsets(rank))
+
+    def test_suites_agree_with_and_without_table(self):
+        for max_rank in range(1, 9):
+            table = checks.j_table(classical_types(max_rank))
+            for suite in J_SUITES:
+                assert suite(max_rank, table) == suite(max_rank), (suite.__name__, max_rank)
+
+    def test_doubled_center_order_fails(self):
+        t, mask = LieType("A", 3), 0b10  # J = {2}
+        table = checks.j_table(classical_types(4))
+        _, zj_orders, pi1_orders, a_orders = table[t]
+        assert (zj_orders[mask], pi1_orders[mask], a_orders[mask]) == (2, 2, 1)
+        zj_orders[mask] *= 2
+        kernel = checks.check_kernel_identity(4, table)
+        assert kernel.failures == ("A3 J={2}: 4 * 1 != 2",)
+        exactness = checks.check_type_a_exactness(4, table)
+        assert exactness.failures == ("A3 J={2}: |Z| = 4 but |pi1| = 2",)
+        assert kernel.checked == checks.check_kernel_identity(4).checked
+        assert exactness.checked == checks.check_type_a_exactness(4).checked
+
+    def test_wrong_total_or_order_fails(self):
+        table = checks.j_table(classical_types(3))
+        table[LieType("C", 3)][0][0b1] = 7  # J = {1}
+        result = checks.check_partition_totals(3, table)
+        assert result.failures == ("C3 J={1}: total 7 != 6",)
+        table[LieType("B", 2)][1][0b11] = 3  # J = {1, 2}
+        result = checks.check_center_divisibility(3, table)
+        assert result.failures == ("B2 J={1, 2}: |Z(J)| = 3 does not divide center order 2",)
+
+    def test_run_all_builds_one_sweep(self, monkeypatch):
+        # While the table is built and the four J suites run, each classical
+        # (type, J) gets its partition and its fiber computed once.
+        calls, tables, active = [], [], []
+
+        def counted(tag, fn):
+            def wrapper(t, j):
+                if active:
+                    calls.append((tag, t, j))
+                return fn(t, j)
+
+            return wrapper
+
+        def traced(fn, builds):
+            def wrapper(*args):
+                active.append(fn)
+                try:
+                    result = fn(*args)
+                finally:
+                    active.pop()
+                tables.append(result if builds else args[-1])
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(checks, "orbit_partition", counted("P", checks.orbit_partition))
+        monkeypatch.setattr(checks, "center_fiber", counted("Z", checks.center_fiber))
+        for name in ["j_table"] + [suite.__name__ for suite in J_SUITES]:
+            monkeypatch.setattr(checks, name, traced(getattr(checks, name), name == "j_table"))
+        assert all(r.ok for r in checks.run_all(max_rank=5))
+        assert len(tables) == 5 and all(table is tables[0] for table in tables)
+        classical = [c for c in calls if c[1].is_classical]
+        assert len(classical) == 2 * sum(1 << t.rank for t in classical_types(5))
+        assert len(classical) == len(set(classical))

@@ -223,6 +223,19 @@ class TestEnumerateCells:
         with pytest.raises(ResourceBoundError):
             enumerate_cells(Partition((2, 2)), bound=3)
 
+    def test_fixed_caps_hold_for_any_bound(self):
+        huge = 10**20
+        for parts, cells, reason in (
+            ((huge,), False, "row states"),
+            ((huge, huge), True, "row states"),
+            ((3,) * 5 + (1,) * 3, True, "cells"),
+            ((1,) * 14, False, "row states"),
+        ):
+            with pytest.raises(ResourceBoundError, match=reason):
+                enumerate_cells(Partition(parts), bound=3 * huge, cells=cells)
+        # [1^13], 8192 states, is the widest column under the state cap.
+        assert enumerate_cells(Partition((1,) * 13), bound=13, cells=False).poincare[-1] == 1
+
     def test_deterministic_order(self):
         first = enumerate_cells(Partition((3, 2)))
         second = enumerate_cells(Partition((3, 2)))
