@@ -13,6 +13,7 @@ import math
 from .core import (
     CheckResult,
     LieType,
+    Partition,
     SubsetJ,
     all_subsets,
     classify_subdiagram,
@@ -23,7 +24,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import summand_report
-from .jordan import jordan_partition, rank_sequence, representative_matrix
+from .jordan import partition_from_ranks, rank_sequence, representative_matrix
 from .orbits import (
     center_fiber,
     fundamental_groups,
@@ -104,20 +105,49 @@ def check_subdiagram_classification() -> CheckResult:
     return _result("subdiagram-classification", checked, failures)
 
 
-def check_formula_oracle(max_rank: int = 7) -> CheckResult:
+# Per classical type, two columns indexed by the bitmask of J (the order of
+# ``all_subsets``): the rank sequence of the powers of the representative
+# matrix, and whether that matrix is strictly upper triangular.
+RankTable = dict[LieType, tuple[list[list[int]], list[bool]]]
+
+
+def rank_table(types) -> RankTable:
+    """The shared oracle sweep: each representative matrix and its rank sequence once per (type, J).
+
+    formula-oracle and oracle-rank-profile read these columns instead of
+    each building the matrices and ranking their powers again.
+    """
+    table: RankTable = {}
+    for t in types:
+        sequences, upper = table[t] = ([], [])
+        for j in all_subsets(t.rank):
+            matrix = representative_matrix(t, j)
+            sequences.append(rank_sequence(matrix))
+            upper.append(matrix.is_strictly_upper())
+    return table
+
+
+def check_formula_oracle(max_rank: int = 7, table: RankTable | None = None) -> CheckResult:
     """Jordan type of the explicit representative equals the closed-form partition.
 
     In type A the closed-form orbit dimension must also equal (n+1)^2 minus
     the centralizer dimension, the sum of the squared column heights of the
-    Jordan type (Collingwood-McGovern, section 6.1).
+    Jordan type (Collingwood-McGovern, section 6.1).  Rank sequences come
+    from ``table`` for the types it covers and are computed here for the
+    rest.
     """
     failures = []
     checked = 0
     for t in _classical_ranks(max_rank):
-        for j in all_subsets(t.rank):
+        sequences = table[t][0] if table and t in table else None
+        for mask, j in enumerate(all_subsets(t.rank)):
             checked += 1
             formula = orbit_partition(t, j).partition
-            oracle = jordan_partition(representative_matrix(t, j))
+            if sequences is None:
+                ranks = rank_sequence(representative_matrix(t, j))
+            else:
+                ranks = sequences[mask]
+            oracle = partition_from_ranks(ranks)
             if formula != oracle:
                 failures.append(
                     "%s J=%s: formula %s vs oracle %s" % (t, j, formula, oracle)
@@ -133,21 +163,24 @@ def check_formula_oracle(max_rank: int = 7) -> CheckResult:
     return _result("formula-oracle", checked, failures)
 
 
-def check_oracle_rank_profile(max_rank: int = 5) -> CheckResult:
+def check_oracle_rank_profile(max_rank: int = 5, table: RankTable | None = None) -> CheckResult:
     """Rank sequences decrease strictly to zero and are convex; type A stays upper triangular."""
+    types = list(_classical_ranks(max_rank))
+    if table is None:
+        table = rank_table(types)
     failures = []
     checked = 0
-    for t in _classical_ranks(max_rank):
-        for j in all_subsets(t.rank):
+    for t in types:
+        sequences, upper = table[t]
+        for mask, (ranks, is_upper) in enumerate(zip(sequences, upper)):
             checked += 1
-            matrix = representative_matrix(t, j)
-            ranks = rank_sequence(matrix)
+            j = subset_of_mask(mask)
             drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
             if any(d < 1 for d in drops):
                 failures.append("%s J=%s: rank sequence %s not strictly decreasing" % (t, j, ranks))
             if any(drops[i] < drops[i + 1] for i in range(len(drops) - 1)):
                 failures.append("%s J=%s: rank drops %s not convex" % (t, j, drops))
-            if t.family == "A" and not matrix.is_strictly_upper():
+            if t.family == "A" and not is_upper:
                 failures.append("%s J=%s: representative not strictly upper" % (t, j))
     return _result("oracle-rank-profile", checked, failures)
 
@@ -163,19 +196,24 @@ def j_table(types) -> JTable:
     The four J suites read these columns instead of each recomputing them.
     They hold small ints only; J itself is rebuilt from its index for a
     failure message, so the table keeps no SubsetJ alive.
-    ``fundamental_groups`` rejects a partition of the wrong total, as
-    ``kernel_check`` does.
+    ``fundamental_groups`` runs once per distinct partition of a type and
+    rejects a partition of the wrong total, as ``kernel_check`` does.
     """
     table: JTable = {}
     for t in types:
         totals, zj_orders, pi1_orders, a_orders = table[t] = ([], [], [], [])
+        # The group orders depend on the partition alone, and many J share one.
+        group_orders: dict[Partition, tuple[int, int]] = {}
         for j in all_subsets(t.rank):
             p = orbit_partition(t, j).partition
-            pi1, a_group = fundamental_groups(t, p)
+            orders = group_orders.get(p)
+            if orders is None:
+                pi1, a_group = fundamental_groups(t, p)
+                orders = group_orders[p] = (pi1.order, a_group.order)
             totals.append(p.total)
             zj_orders.append(center_fiber(t, j).order)
-            pi1_orders.append(pi1.order)
-            a_orders.append(a_group.order)
+            pi1_orders.append(orders[0])
+            a_orders.append(orders[1])
     return table
 
 
@@ -306,10 +344,13 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
     For each partition p of m: the paving has m!/prod(row lengths)! cells;
     the number of top-dimensional cells is the standard-filling count; the
     top dimension matches both the closed form and half the orbit
-    codimension; the cell at the linking permutation is in the top bucket;
-    the counted Poincare vector sums to the number of listed cells; and it
-    equals the row-removal recursion, which never enumerates a cell and
-    must itself have the right sum, degree and top coefficient.
+    codimension; the cell at the linking permutation is listed once in the
+    top dimension; the counted Poincare vector sums to the number of listed
+    cells; and it equals the row-removal recursion, which never enumerates
+    a cell and must itself have the right sum, degree and top coefficient.
+    The listing is read as its (prefix, suffixes) blocks: the listed count
+    is the sum of the block sizes, and the linking permutation is looked up
+    only in the blocks of dimension d_x whose prefix it starts with.
     """
     failures = []
     checked = 0
@@ -318,11 +359,12 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
         for p in partitions_of(m):
             checked += 1
             cells, poincare = enumerate_cells(p)
+            listed = len(cells)
             expected_count = math.factorial(m)
             for row_len in p.parts:
                 expected_count //= math.factorial(row_len)
-            if len(cells) != expected_count:
-                failures.append("%s: %d cells, expected %d" % (p, len(cells), expected_count))
+            if listed != expected_count:
+                failures.append("%s: %d cells, expected %d" % (p, listed, expected_count))
             d_x = max_cell_dimension(p)
             syt = syt_count(p)
             top = poincare[d_x] if d_x < len(poincare) else 0
@@ -334,10 +376,16 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
             if n * (n + 1) - 2 * d_x != orbit_dimension_type_a(n, p):
                 failures.append("%s: dimension identity fails" % p)
             _, _, sigma = labeled_diagrams(p)
-            start = sum(poincare[:d_x])
-            if cells[start : start + top].count(sigma.one_line) != 1:
+            w = sigma.one_line
+            top_blocks = cells.by_dim[d_x] if d_x < len(cells.by_dim) else ()
+            found = sum(
+                suffixes.count(w[len(prefix) :])
+                for prefix, suffixes in top_blocks
+                if w[: len(prefix)] == prefix
+            )
+            if found != 1:
                 failures.append("%s: distinguished cell missing or not maximal" % p)
-            if sum(poincare) != len(cells):
+            if sum(poincare) != listed:
                 failures.append("%s: poincare coefficients do not sum to the cell count" % p)
             recursion = poincare_by_row_removal(p.parts, memo)
             if poincare != recursion:
@@ -490,24 +538,31 @@ def check_tables() -> CheckResult:
 def run_all(max_rank: int = 10) -> list[CheckResult]:
     """Every suite, in a fixed order, with ranks clamped to keep the heavy sweeps bounded.
 
+    The two oracle suites read one shared ``rank_table`` over the ranks both
+    cover, so each of those representative matrices is built and its powers
+    ranked once; formula-oracle computes its higher ranks itself.
+
     The four J suites (kernel-identity, type-a-exactness, partition-totals
     and center-divisibility) read one shared ``j_table`` built for this run,
-    so each classical (type, J) gets its orbit partition, covering fiber and
-    fundamental groups computed once.  The table is dropped before the
-    paving suites, where a run reaches its peak memory.
+    so each classical (type, J) gets its orbit partition and covering fiber
+    computed once, and each distinct (type, partition) its fundamental
+    groups.  Both tables are dropped before the paving suites, where a run
+    reaches its peak memory.
     """
     oracle_rank = min(7, max_rank)
     profile_rank = min(5, max_rank)
     paving_total = min(8, max_rank + 1)
     structure_cells = min(6, max_rank + 1)
     decompose_rank = min(8, max_rank)
+    ranks = rank_table(_classical_ranks(profile_rank))
     results = [
         check_conjugate_involution(max_total=max_rank),
         check_syt_symmetry(max_total=max_rank),
         check_subdiagram_classification(),
-        check_formula_oracle(max_rank=oracle_rank),
-        check_oracle_rank_profile(max_rank=profile_rank),
+        check_formula_oracle(oracle_rank, ranks),
+        check_oracle_rank_profile(profile_rank, ranks),
     ]
+    del ranks
     table = j_table(_classical_ranks(max_rank))
     results += [
         check_kernel_identity(max_rank, table),

@@ -162,6 +162,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_paving(args) -> int:
+    if args.bound < 1:
+        raise InputError("--bound must be >= 1, got %d" % args.bound)
     p = _parse_partition(args.partition)
     paving = enumerate_cells(p, bound=args.bound, cells=args.cells)
     poincare = paving.poincare
@@ -182,24 +184,36 @@ def cmd_paving(args) -> int:
             return EXIT_OK
         # json.dumps takes its C encoder only when indent is None, so a dict
         # per cell through indent=2 would run in pure Python and cost most of
-        # a large paving.  The cells are rendered from one template in the
-        # same layout instead, and written where sort_keys puts "cells":
-        # right after "cell_count", the first key.  Each bucket is written as
-        # soon as it is rendered, so at most one bucket's strings are alive.
-        cell = (
-            '    {\n      "dimension": %d,\n      "w": [\n'
-            + ",\n".join(["        %d"] * p.total)
-            + "\n      ]\n    }"
-        )
+        # a large paving.  The cells are rendered in the same layout from the
+        # blocks instead, and written where sort_keys puts "cells": right
+        # after "cell_count", the first key.  A cell is a lead (the dimension
+        # header and the prefix entries) followed by an end (the suffix
+        # entries and the closing brackets).  Ends are rendered once per
+        # distinct suffix tuple, and each block is one join whose separator
+        # carries its lead, so no step runs per cell in Python.  Each
+        # dimension is written as soon as it is rendered.
+        entry = "        %d,\n"
+        # id of a suffix tuple -> its rendered ends; every tuple stays alive in ``paving``.
+        ends_of: dict[int, list[str]] = {}
         head, tail = text.split(",\n", 1)
         write = sys.stdout.write
         write('%s,\n  "cells": [\n' % head)
         sep = ""
-        for d, ws in paving.buckets():
-            if ws:
-                write(sep)
-                write(",\n".join([cell % ((d,) + w) for w in ws]))
-                sep = ",\n"
+        for d, blocks in enumerate(paving.cells.by_dim):
+            if not blocks:
+                continue
+            opening = '    {\n      "dimension": %d,\n      "w": [\n' % d
+            rendered = []
+            for prefix, suffixes in blocks:
+                ends = ends_of.get(id(suffixes))
+                if ends is None:
+                    template = (entry * len(suffixes[0]))[:-2] + "\n      ]\n    }"
+                    ends = ends_of[id(suffixes)] = [template % s for s in suffixes]
+                lead = opening + (entry * len(prefix)) % prefix
+                rendered.append(lead + (",\n" + lead).join(ends))
+            write(sep)
+            write(",\n".join(rendered))
+            sep = ",\n"
         write("\n  ],\n%s\n" % tail)
         return EXIT_OK
     tym, std, sigma = labeled_diagrams(p)

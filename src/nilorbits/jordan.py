@@ -266,7 +266,11 @@ def jordan_partition(m: IntMatrix) -> Partition:
     r_{k-1} - r_k; the block sizes assemble into a partition of the
     dimension.
     """
-    ranks = rank_sequence(m)
+    return partition_from_ranks(rank_sequence(m))
+
+
+def partition_from_ranks(ranks: list[int]) -> Partition:
+    """The Jordan type whose powers have the ranks ``ranks``, as ``rank_sequence`` returns them."""
     counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(counts), 0, -1):

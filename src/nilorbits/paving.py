@@ -9,7 +9,10 @@ each placed label adds to the cell dimension the popcount of a bitmask
 that depends only on how many labels each row has given out.  So one walk
 over those row states counts the cells by dimension without building
 any, and to list them it meets in the middle: half-length prefixes join
-per-state suffix tables already bucketed by the dimension they add.
+per-state suffix tables already bucketed by the dimension they add.  The
+listing keeps that factored form, one (prefix, suffixes) block per prefix
+and added dimension, so its consumers work per block and per distinct
+suffix tuple rather than per cell.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
@@ -47,6 +50,8 @@ SCHEME_TYM = "Tym"
 SCHEME_STD = "Std"
 
 RootPair = tuple[int, int]
+# A prefix of one-line forms and the suffixes that complete it, in order.
+Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -133,18 +138,52 @@ class TableauPermutation:
         return "[" + ", ".join(map(str, self.one_line)) + "]"
 
 
-class CellPaving(NamedTuple):
-    """Cells as one-line tuples of w, ordered by (dimension, w); poincare[d] counts dimension d."""
+class CellBlocks:
+    """The listed cells of a paving, factored into (prefix, suffixes) blocks.
 
-    cells: tuple[tuple[int, ...], ...]
+    ``by_dim[d]`` holds the blocks of dimension d in prefix order; the cells
+    of dimension d are prefix + s for each block and each s in its suffixes,
+    which is (dimension, w) order.  A suffix tuple is shared by every block
+    whose prefix took as many labels from each row, so a renderer can work
+    once per distinct suffix tuple.  ``len`` counts the cells from the
+    blocks and iteration yields them as one-line tuples.
+    """
+
+    __slots__ = ("by_dim",)
+
+    def __init__(self, by_dim: tuple[tuple[Block, ...], ...]):
+        self.by_dim = by_dim
+
+    def __len__(self) -> int:
+        return sum(len(suffixes) for blocks in self.by_dim for _, suffixes in blocks)
+
+    def __iter__(self):
+        for blocks in self.by_dim:
+            for prefix, suffixes in blocks:
+                yield from map(prefix.__add__, suffixes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellBlocks):
+            return NotImplemented
+        return self.by_dim == other.by_dim
+
+    def __hash__(self) -> int:
+        return hash(self.by_dim)
+
+    def __repr__(self) -> str:
+        return "CellBlocks(%r)" % (self.by_dim,)
+
+
+class CellPaving(NamedTuple):
+    """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d."""
+
+    cells: CellBlocks
     poincare: tuple[int, ...]
 
     def buckets(self):
-        """(d, the cells of dimension d) for each coefficient of the Poincare vector."""
-        start = 0
-        for d, count in enumerate(self.poincare):
-            yield d, self.cells[start : start + count]
-            start += count
+        """(d, the cells of dimension d as one-line tuples) for each dimension of the listing."""
+        for d, blocks in enumerate(self.cells.by_dim):
+            yield d, [prefix + s for prefix, suffixes in blocks for s in suffixes]
 
 
 def labeled_diagrams(
@@ -294,10 +333,13 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     there.  To list cells, the walk also keeps the suffixes themselves,
     bucketed the same way and lexicographic in each bucket, down to depth
     m // 2, where the prefixes built breadth first in lexicographic order
-    join them.  Appending prefix + suffix prefix by prefix leaves every
-    bucket sorted, so the cells come back as one-line tuples ordered by
-    (dimension, w) with no sort; ``poincare`` marks where each dimension
-    starts.  Nothing recurses, so long rows cannot exhaust the recursion limit.
+    join them.  The join builds no cell: each prefix and each nonempty
+    suffix bucket of its state make one (prefix, suffixes) block of
+    dimension prefix dimension + bucket index, and taking the blocks prefix
+    by prefix leaves each dimension in (dimension, w) order with no sort.
+    The cells come back as those CellBlocks, whose suffix tuples are shared
+    by every prefix reaching the same state.  Nothing recurses, so long rows
+    cannot exhaust the recursion limit.
 
     Before any work, m must be at most ``bound``, the states at most
     MAX_WALKED_STATES and, with ``cells``, the cells at most
@@ -359,7 +401,7 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
             tables = level_tables
     poincare = tuple(counts[(0,) * len(rows)])
     if not cells:
-        return CellPaving(cells=(), poincare=poincare)
+        return CellPaving(cells=CellBlocks(()), poincare=poincare)
     # Prefixes of length half, in lexicographic order: (labels, state, placed, dimension).
     front = [((), (0,) * len(rows), 0, 0)]
     for _ in range(half):
@@ -373,12 +415,14 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
             for prefix, state, placed, dim in front
             for label, after in moves(state)
         ]
-    # One list of one-line forms per dimension, up to the number of counted pairs.
-    by_dim = [[] for _ in range(sum(mask.bit_count() for mask in later) + 1)]
+    # Each (state, added dimension) suffix list becomes one tuple, shared by its blocks.
+    tables = {state: [tuple(suffixes) for suffixes in sub] for state, sub in tables.items()}
+    by_dim = [[] for _ in poincare]
     for prefix, state, _, dim in front:
         for d, suffixes in enumerate(tables[state], dim):
-            by_dim[d].extend(map(prefix.__add__, suffixes))
-    return CellPaving(cells=tuple(chain.from_iterable(by_dim)), poincare=poincare)
+            if suffixes:
+                by_dim[d].append((prefix, suffixes))
+    return CellPaving(cells=CellBlocks(tuple(map(tuple, by_dim))), poincare=poincare)
 
 
 def render_root(root: RootPair) -> str:

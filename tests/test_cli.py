@@ -139,6 +139,16 @@ class TestPavingCommand:
         code, _, _ = run(capsys, "paving", "--partition", "2,2", "--bound", "4")
         assert code == EXIT_OK
 
+    def test_rejects_bound_below_one(self, capsys):
+        for value in ("0", "-1"):
+            for fmt in ("json", "text"):
+                code, out, err = run(
+                    capsys, "paving", "--partition", "3,2", "--bound", value, "--format", fmt
+                )
+                assert code == EXIT_INPUT
+                assert out == ""
+                assert err == "error: --bound must be >= 1, got %s\n" % value
+
     def test_raised_bound_keeps_fixed_work_caps(self, capsys):
         # Twenty ones list 20! cells and walk 2^20 row states; --bound 20
         # must not start either, whatever the format.
@@ -170,9 +180,11 @@ class TestPavingCommand:
         assert json.loads(out)["syt_count"] == syt_count(Partition((6, 5, 4, 3, 2, 1)))
 
     def test_cells_json_matches_json_dumps(self, capsys):
-        # The cell list is rendered from a template; it must match the
-        # bytes json.dumps gives for the same payload with a dict per cell.
+        # The cell list is rendered block by block; it must match the bytes
+        # json.dumps gives for the same payload with a dict per cell.  The
+        # two partitions of 8 hold many blocks per dimension.
         shapes = [(p, 9) for m in range(1, 8) for p in partitions_of(m)]
+        shapes += [(Partition(parts), 9) for parts in ((3, 2, 1, 1, 1), (2, 2, 2, 1, 1))]
         for p, bound in shapes + [(Partition((12, 1)), 13)]:
             paving = enumerate_cells(p, bound=bound)
             cells = [(d, w) for d, ws in paving.buckets() for w in ws]

@@ -236,3 +236,62 @@ class TestFormulaOracleEquivalence:
             for j in all_subsets(rank):
                 m = representative_matrix(LieType("A", rank), j)
                 assert m.is_strictly_upper()
+
+
+def classical_types(max_rank):
+    return [
+        LieType(family, rank)
+        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+        for rank in range(lo, max_rank + 1)
+    ]
+
+
+class TestSharedRankTable:
+    def test_columns_match_representatives(self):
+        table = checks.rank_table(classical_types(4))
+        for t, (sequences, upper) in table.items():
+            assert len(sequences) == len(upper) == 1 << t.rank
+            for j, ranks, is_upper in zip(all_subsets(t.rank), sequences, upper):
+                matrix = representative_matrix(t, j)
+                assert ranks == rank_sequence(matrix)
+                assert is_upper == matrix.is_strictly_upper()
+                assert jordan.partition_from_ranks(ranks) == jordan_partition(matrix)
+
+    def test_suites_agree_with_and_without_table(self):
+        profile, formula = checks.check_oracle_rank_profile, checks.check_formula_oracle
+        for max_rank in range(1, 6):
+            table = checks.rank_table(classical_types(max_rank))
+            assert profile(max_rank, table) == profile(max_rank)
+            # formula-oracle ranks past the table's reach are computed in the suite.
+            for oracle_rank in (max_rank, max_rank + 2):
+                assert formula(oracle_rank, table) == formula(oracle_rank)
+
+    def test_tampered_columns_fail(self):
+        t, mask = LieType("B", 2), 0b01  # J = {1}
+        table = checks.rank_table(classical_types(3))
+        sequences, upper = table[t]
+        assert sequences[mask] == [5, 2, 1, 0]
+        sequences[mask] = [5, 2, 2, 0]
+        profile = checks.check_oracle_rank_profile(3, table)
+        assert profile.failures == (
+            "B2 J={1}: rank sequence [5, 2, 2, 0] not strictly decreasing",
+            "B2 J={1}: rank drops [3, 0, 2] not convex",
+        )
+        formula = checks.check_formula_oracle(3, table)
+        assert formula.failures == ("B2 J={1}: formula [3, 1, 1] vs oracle [3, 3, 1, 1, 1]",)
+        table[LieType("A", 2)][1][0b10] = False  # J = {2}
+        profile = checks.check_oracle_rank_profile(3, table)
+        assert "A2 J={2}: representative not strictly upper" in profile.failures
+        assert profile.checked == checks.check_oracle_rank_profile(3).checked
+
+    def test_run_all_builds_each_representative_once(self, monkeypatch):
+        calls = []
+
+        def counted(t, j):
+            calls.append((t, j))
+            return representative_matrix(t, j)
+
+        monkeypatch.setattr(checks, "representative_matrix", counted)
+        assert all(r.ok for r in checks.run_all(max_rank=6))
+        assert len(calls) == sum(1 << t.rank for t in classical_types(6))
+        assert len(calls) == len(set(calls))

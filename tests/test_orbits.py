@@ -283,6 +283,19 @@ class TestSharedJTable:
                 assert (zj, pi1, a_order) == (report.zj_order, report.pi1_order, report.a_order)
                 assert total == orbit_partition(t, j).partition.total
 
+    def test_groups_once_per_distinct_partition(self, monkeypatch):
+        calls = []
+
+        def counted(t, p):
+            calls.append((t, p))
+            return fundamental_groups(t, p)
+
+        monkeypatch.setattr(checks, "fundamental_groups", counted)
+        types = classical_types(7)
+        checks.j_table(types)
+        distinct = {(t, orbit_partition(t, j).partition) for t in types for j in all_subsets(t.rank)}
+        assert sorted(calls, key=str) == sorted(distinct, key=str)
+
     def test_subset_of_mask_follows_all_subsets(self):
         for rank in range(0, 8):
             assert [subset_of_mask(k) for k in range(1 << rank)] == list(all_subsets(rank))

@@ -14,6 +14,7 @@ from nilorbits.core import (
     syt_count,
 )
 from nilorbits.paving import (
+    CellBlocks,
     CellPaving,
     LabeledDiagram,
     TableauPermutation,
@@ -299,12 +300,13 @@ class TestEnumerateCells:
 
     def test_row_removal_oracle_can_fail(self, monkeypatch):
         def shift_first_cell(p, bound=9):
-            # One cell of mass moves from dimension 0 to dimension 1.
-            cells, poincare = enumerate_cells(p, bound)
-            counts = list(poincare) + [0] * (2 - len(poincare))
+            # One cell of mass moves from dimension 0 to dimension 1; the
+            # listed blocks stay as they are.
+            paving = enumerate_cells(p, bound)
+            counts = list(paving.poincare) + [0] * (2 - len(paving.poincare))
             counts[0] -= 1
             counts[1] += 1
-            return CellPaving(cells, tuple(counts))
+            return paving._replace(poincare=tuple(counts))
 
         assert checks.check_paving_identities(max_total=5).ok
         monkeypatch.setattr(checks, "enumerate_cells", shift_first_cell)
@@ -317,6 +319,22 @@ class TestEnumerateCells:
         assert [f for f in result.failures if f.startswith("[2, 2, 1]:")] == [
             "[2, 2, 1]: poincare [0, 5, 9, 11, 5] != row-removal recursion [1, 4, 9, 11, 5]"
         ]
+
+    def test_listing_cross_check_can_fail(self, monkeypatch):
+        def drop_one_suffix(p, bound=9):
+            # The first block of dimension 0 loses its first suffix.
+            cells, poincare = enumerate_cells(p, bound)
+            (prefix, suffixes), *rest = cells.by_dim[0]
+            by_dim = (((prefix, suffixes[1:]), *rest),) + cells.by_dim[1:]
+            return CellPaving(CellBlocks(by_dim), poincare)
+
+        monkeypatch.setattr(checks, "enumerate_cells", drop_one_suffix)
+        result = checks.check_paving_identities(max_total=5)
+        for m in range(1, 6):
+            for p in partitions_of(m):
+                expected = math.factorial(m) // math.prod(map(math.factorial, p.parts))
+                assert "%s: %d cells, expected %d" % (p, expected - 1, expected) in result.failures
+                assert "%s: poincare coefficients do not sum to the cell count" % p in result.failures
 
     def test_row_removal_identities_can_fail(self, monkeypatch):
         monkeypatch.setattr(checks, "poincare_by_row_removal", lambda parts, memo: (1,))
@@ -332,7 +350,29 @@ class TestEnumerateCells:
         assert len(shapes) == 271
         for p, bound in shapes + [(Partition((6, 5, 4, 3, 2, 1)), 21)]:
             expected = checks.poincare_by_row_removal(p.parts, memo)
-            assert enumerate_cells(p, bound, cells=False) == CellPaving((), expected)
+            assert enumerate_cells(p, bound, cells=False) == CellPaving(CellBlocks(()), expected)
+
+    def test_blocks_factor_the_listing(self):
+        # Per dimension, one nonempty block per half-length prefix at most,
+        # in prefix order; the suffix tuples are shared between blocks.
+        for total in range(1, 8):
+            for p in partitions_of(total):
+                paving = enumerate_cells(p)
+                assert len(paving.cells.by_dim) == len(paving.poincare)
+                for count, blocks in zip(paving.poincare, paving.cells.by_dim):
+                    prefixes = [prefix for prefix, _ in blocks]
+                    assert prefixes == sorted(set(prefixes))
+                    assert all(len(prefix) == total // 2 and suffixes for prefix, suffixes in blocks)
+                    assert sum(len(suffixes) for _, suffixes in blocks) == count
+        # The partitions of 8: 95,503 cells in 24,218 blocks over 1,409 suffix tuples.
+        cells = blocks = shared = 0
+        for p in partitions_of(8):
+            listing = enumerate_cells(p).cells
+            found = [suffixes for by_dim in listing.by_dim for _, suffixes in by_dim]
+            cells += len(listing)
+            blocks += len(found)
+            shared += len({id(suffixes) for suffixes in found})
+        assert (cells, blocks, shared) == (95503, 24218, 1409)
 
     def test_later_masks_match_pair_loop(self):
         # later[i]: the labels j > i whose left neighbor, if any, is at most i.
