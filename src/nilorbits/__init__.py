@@ -28,7 +28,6 @@ from .jordan import IntMatrix, jordan_partition, rank_sequence, representative_m
 from .orbits import (
     FiniteGroupDescriptor,
     KernelReport,
-    OrbitPartitionResult,
     center_fiber,
     fundamental_groups,
     kernel_check,
@@ -70,7 +69,6 @@ __all__ = [
     "KernelReport",
     "LabeledDiagram",
     "LieType",
-    "OrbitPartitionResult",
     "OrbitRecord",
     "Partition",
     "ResourceBoundError",

@@ -142,7 +142,7 @@ def check_formula_oracle(max_rank: int = 7, table: RankTable | None = None) -> C
         sequences = table[t][0] if table and t in table else None
         for mask, j in enumerate(all_subsets(t.rank)):
             checked += 1
-            formula = orbit_partition(t, j).partition
+            formula = orbit_partition(t, j)
             if sequences is None:
                 ranks = rank_sequence(representative_matrix(t, j))
             else:
@@ -205,7 +205,7 @@ def j_table(types) -> JTable:
         # The group orders depend on the partition alone, and many J share one.
         group_orders: dict[Partition, tuple[int, int]] = {}
         for j in all_subsets(t.rank):
-            p = orbit_partition(t, j).partition
+            p = orbit_partition(t, j)
             orders = group_orders.get(p)
             if orders is None:
                 pi1, a_group = fundamental_groups(t, p)
@@ -308,7 +308,7 @@ def check_full_subset_zero_orbit(max_rank: int = 10) -> CheckResult:
     for t in _classical_ranks(max_rank):
         checked += 1
         full = SubsetJ(tuple(range(1, t.rank + 1)))
-        p = orbit_partition(t, full).partition
+        p = orbit_partition(t, full)
         if p.parts != (1,) * t.matrix_dimension:
             failures.append("%s full J gives %s" % (t, p))
     return _result("full-subset-zero-orbit", checked, failures)
@@ -411,9 +411,10 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
 
     Non-overlap: no root of phi_x nests inside another.  Conjugation: the
     Tym pair matrix is the Std pair matrix relabelled through sigma.  For
-    every enumerated cell w, relabelling the Tym matrix through w^-1 is
-    strictly upper triangular, and the dimension ``enumerate_cells`` counts
-    agrees with the definitional |phi_w| - |phi_w_x|.
+    every enumerated cell w, read off the blocks of ``enumerate_cells`` as
+    prefix + suffix under the dimension they are listed at, relabelling the
+    Tym matrix through w^-1 is strictly upper triangular, and that
+    dimension agrees with the definitional |phi_w| - |phi_w_x|.
     """
     failures = []
     checked = 0
@@ -442,8 +443,8 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
             tym, _, _ = labeled_diagrams(p)
             pairs = tym.pairs()
             in_x = frozenset(pairs)
-            for dim, ws in enumerate_cells(p).buckets():
-                for w in ws:
+            for dim, blocks in enumerate(enumerate_cells(p).cells.by_dim):
+                for w in (prefix + s for prefix, suffixes in blocks for s in suffixes):
                     u, in_w = _inversions(w)
                     if any(u[a] >= u[b] for a, b in pairs):
                         failures.append(

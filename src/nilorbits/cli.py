@@ -11,22 +11,22 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
 
 from .checks import run_all
 from .core import (
-    EXCEPTIONAL_RANKS,
     DataIntegrityError,
     InputError,
     LieType,
     Partition,
     ResourceBoundError,
     SubsetJ,
+    syt_count,
 )
 from .decomposition import VERIFY_RANK_BOUND, summand_report
 from .orbits import center_fiber, fundamental_groups, kernel_check, orbit_dimension_type_a, orbit_partition
 from .paving import (
     DEFAULT_CELL_BOUND,
+    CellBlocks,
     _split_roots,
     enumerate_cells,
     labeled_diagrams,
@@ -35,7 +35,6 @@ from .paving import (
     phi_w,
     render_root_set,
 )
-from .core import syt_count
 from .tables import dump_tsv, records_as_dicts, table_lookup, validate_tables
 
 EXIT_OK = 0
@@ -68,7 +67,7 @@ def _parse_j(text: str) -> SubsetJ:
         values = [int(s) for s in text.split(",")]
     except ValueError:
         raise InputError("J entries must be integers: %r" % text) from None
-    if values != sorted(set(values)) or len(set(values)) != len(values):
+    if values != sorted(set(values)):
         raise InputError("J must be comma-separated strictly ascending, got %r" % text)
     return SubsetJ(tuple(values))
 
@@ -124,7 +123,7 @@ def cmd_orbit(args) -> int:
     z = None
     if args.j is not None:
         j = _parse_j(args.j)
-        p = orbit_partition(t, j).partition
+        p = orbit_partition(t, j)
         z = center_fiber(t, j)
         payload["j_set"] = list(j.elements)
         payload["z_j"] = _group_json(z)
@@ -161,6 +160,42 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
+def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str) -> None:
+    """Write each listed cell as lead + its entries of w + close, the cells joined by ``sep``.
+
+    ``entry`` is a %d template for one entry of w that ends in two
+    characters a cell's last entry drops.  ``lead`` and ``close`` are
+    templates that may name the cell's dimension as %(d)d; a literal % in
+    either must be doubled.  The cells come in (dimension, w) order with no
+    step per cell in Python: the entries of each distinct suffix tuple are
+    rendered once, and each block is one join whose separator is close +
+    sep + the block's lead, that is, the dimension's lead and the prefix's
+    entries.  Each dimension is written, as one string, as soon as it is
+    rendered.
+    """
+    write = sys.stdout.write
+    # id of a suffix tuple -> its rendered entries; every tuple stays alive in ``cells``.
+    entries_of: dict[int, list[str]] = {}
+    between = ""
+    for d, blocks in enumerate(cells.by_dim):
+        if not blocks:
+            continue
+        opening = lead % {"d": d}
+        ending = close % {"d": d}
+        closing = ending + sep
+        pieces = [between]
+        for prefix, suffixes in blocks:
+            entries = entries_of.get(id(suffixes))
+            if entries is None:
+                template = (entry * len(suffixes[0]))[:-2]
+                entries = entries_of[id(suffixes)] = [template % s for s in suffixes]
+            head = opening + (entry * len(prefix)) % prefix
+            pieces += (head, (closing + head).join(entries), closing)
+        pieces[-1] = ending
+        write("".join(pieces))
+        between = sep
+
+
 def cmd_paving(args) -> int:
     if args.bound < 1:
         raise InputError("--bound must be >= 1, got %d" % args.bound)
@@ -184,37 +219,19 @@ def cmd_paving(args) -> int:
             return EXIT_OK
         # json.dumps takes its C encoder only when indent is None, so a dict
         # per cell through indent=2 would run in pure Python and cost most of
-        # a large paving.  The cells are rendered in the same layout from the
-        # blocks instead, and written where sort_keys puts "cells": right
-        # after "cell_count", the first key.  A cell is a lead (the dimension
-        # header and the prefix entries) followed by an end (the suffix
-        # entries and the closing brackets).  Ends are rendered once per
-        # distinct suffix tuple, and each block is one join whose separator
-        # carries its lead, so no step runs per cell in Python.  Each
-        # dimension is written as soon as it is rendered.
-        entry = "        %d,\n"
-        # id of a suffix tuple -> its rendered ends; every tuple stays alive in ``paving``.
-        ends_of: dict[int, list[str]] = {}
+        # a large paving.  The cells are written in the same layout from the
+        # blocks instead, where sort_keys puts "cells": right after
+        # "cell_count", the first key.
         head, tail = text.split(",\n", 1)
-        write = sys.stdout.write
-        write('%s,\n  "cells": [\n' % head)
-        sep = ""
-        for d, blocks in enumerate(paving.cells.by_dim):
-            if not blocks:
-                continue
-            opening = '    {\n      "dimension": %d,\n      "w": [\n' % d
-            rendered = []
-            for prefix, suffixes in blocks:
-                ends = ends_of.get(id(suffixes))
-                if ends is None:
-                    template = (entry * len(suffixes[0]))[:-2] + "\n      ]\n    }"
-                    ends = ends_of[id(suffixes)] = [template % s for s in suffixes]
-                lead = opening + (entry * len(prefix)) % prefix
-                rendered.append(lead + (",\n" + lead).join(ends))
-            write(sep)
-            write(",\n".join(rendered))
-            sep = ",\n"
-        write("\n  ],\n%s\n" % tail)
+        sys.stdout.write('%s,\n  "cells": [\n' % head)
+        _write_cells(
+            paving.cells,
+            '    {\n      "dimension": %(d)d,\n      "w": [\n',
+            "        %d,\n",
+            "\n      ]\n    }",
+            ",\n",
+        )
+        sys.stdout.write("\n  ],\n%s\n" % tail)
         return EXIT_OK
     tym, std, sigma = labeled_diagrams(p)
     in_x = frozenset(tym.pairs())
@@ -235,17 +252,10 @@ def cmd_paving(args) -> int:
         "top cells: %d" % top,
         "syt count: %d" % syt_count(p),
     ]
-    if args.cells:
-        # Printed one at a time, never held as a list.
-        lines = chain(
-            lines,
-            (
-                "cell: w=[%s] dim=%d" % (", ".join(map(str, w)), d)
-                for d, ws in paving.buckets()
-                for w in ws
-            ),
-        )
     _emit(payload, args.format, lines)
+    if args.cells:
+        _write_cells(paving.cells, "cell: w=[", "%d, ", "] dim=%(d)d", "\n")
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

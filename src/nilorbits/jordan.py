@@ -92,14 +92,6 @@ class IntMatrix:
 
     __matmul__ = matmul
 
-    def power(self, k: int) -> "IntMatrix":
-        if k < 1:
-            raise InputError("power must be >= 1")
-        result = self
-        for _ in range(k - 1):
-            result = result.matmul(self)
-        return result
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 

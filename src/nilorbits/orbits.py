@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    CLASSICAL_FAMILIES,
     InputError,
     LieType,
     Partition,
@@ -123,19 +122,6 @@ class FiniteGroupDescriptor:
 
 
 @dataclass(frozen=True)
-class OrbitPartitionResult:
-    """Orbit partition plus the type-D ambiguity flags.
-
-    A very even partition in family D labels two distinct orbits; this
-    result never picks one, it only flags the ambiguity.
-    """
-
-    partition: Partition
-    very_even: bool
-    orbit_label_ambiguous: bool
-
-
-@dataclass(frozen=True)
 class KernelReport:
     zj_order: int
     pi1_order: int
@@ -212,14 +198,15 @@ def _doubled(values: list[int]) -> list[int]:
     return out
 
 
-def orbit_partition(t: LieType, j: SubsetJ) -> OrbitPartitionResult:
+def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
     """Partition of the adjoint orbit containing the torus orbit of J.
 
     Type A lays the gaps between consecutive elements of J (and the ends
     0 and n+1) out as parts.  Types B, C and D double each gap and add a
     family-specific closing part; D splits into three cases according to
     how J meets {n-1, n}.  Parts are normalized on construction; a zero
-    leading part (type C with n in J) is dropped.
+    leading part (type C with n in J) is dropped.  A very even partition in
+    family D labels two distinct orbits; the partition does not pick one.
     """
     if not t.is_classical:
         raise UnsupportedFamilyError(
@@ -246,13 +233,7 @@ def orbit_partition(t: LieType, j: SubsetJ) -> OrbitPartitionResult:
             # exactly one of n-1, n present: it is the largest element and
             # gets replaced by n itself in the gap sequence
             raw = _doubled(_gaps(elems[:-1] + (n,)))
-    partition = Partition(tuple(v for v in raw if v != 0))
-    very_even = partition.very_even
-    return OrbitPartitionResult(
-        partition=partition,
-        very_even=very_even,
-        orbit_label_ambiguous=(fam == "D" and very_even),
-    )
+    return Partition(tuple(v for v in raw if v != 0))
 
 
 def orbit_dimension_type_a(n: int, p: Partition) -> int:
@@ -359,7 +340,7 @@ def kernel_check(t: LieType, j: SubsetJ) -> KernelReport:
             "the orbit tables carry the analogous check for %s" % t.family
         )
     zj = center_fiber(t, j).order
-    p = orbit_partition(t, j).partition
+    p = orbit_partition(t, j)
     pi1, a_group = fundamental_groups(t, p)
     return KernelReport(
         zj_order=zj,

@@ -175,15 +175,14 @@ class CellBlocks:
 
 
 class CellPaving(NamedTuple):
-    """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d."""
+    """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d.
+
+    Product code reads the listing only block by block, through
+    ``cells.by_dim``; the cells of dimension d are those of ``by_dim[d]``.
+    """
 
     cells: CellBlocks
     poincare: tuple[int, ...]
-
-    def buckets(self):
-        """(d, the cells of dimension d as one-line tuples) for each dimension of the listing."""
-        for d, blocks in enumerate(self.cells.by_dim):
-            yield d, [prefix + s for prefix, suffixes in blocks for s in suffixes]
 
 
 def labeled_diagrams(

@@ -127,8 +127,8 @@ def test_criterion_5_paving_identities():
                 expected //= math.factorial(row)
             assert len(paving.cells) == expected
             d_x = max_cell_dimension(p)
-            dims = [d for d, ws in paving.buckets() for _ in ws]
-            assert sum(1 for d in dims if d == d_x) == syt_count(p)
+            top = sum(len(suffixes) for _, suffixes in paving.cells.by_dim[d_x])
+            assert top == syt_count(p)
             n = m - 1
             assert n * (n + 1) - 2 * d_x == orbit_dimension_type_a(n, p)
 

@@ -181,13 +181,16 @@ class TestPavingCommand:
 
     def test_cells_json_matches_json_dumps(self, capsys):
         # The cell list is rendered block by block; it must match the bytes
-        # json.dumps gives for the same payload with a dict per cell.  The
-        # two partitions of 8 hold many blocks per dimension.
+        # json.dumps gives for the same payload with a dict per cell, and in
+        # text the summary followed by one line per cell.  The two
+        # partitions of 8 hold many blocks per dimension.
         shapes = [(p, 9) for m in range(1, 8) for p in partitions_of(m)]
         shapes += [(Partition(parts), 9) for parts in ((3, 2, 1, 1, 1), (2, 2, 2, 1, 1))]
-        for p, bound in shapes + [(Partition((12, 1)), 13)]:
+        shapes += [(Partition((12, 1)), 13), (Partition((1000,)), 1000)]
+        for p, bound in shapes:
             paving = enumerate_cells(p, bound=bound)
-            cells = [(d, w) for d, ws in paving.buckets() for w in ws]
+            dims = [d for d, count in enumerate(paving.poincare) for _ in range(count)]
+            cells = list(zip(dims, paving.cells, strict=True))
             d_x = max_cell_dimension(p)
             payload = {
                 "partition": list(p.parts),
@@ -203,6 +206,12 @@ class TestPavingCommand:
             code, out, _ = run(capsys, *argv, "--format", "json")
             assert code == EXIT_OK
             assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            code, summary, _ = run(capsys, *argv[:-1], "--format", "text")
+            assert code == EXIT_OK
+            code, out, _ = run(capsys, *argv, "--format", "text")
+            assert code == EXIT_OK
+            lines = ["cell: w=[%s] dim=%d\n" % (", ".join(map(str, w)), d) for d, w in cells]
+            assert out == summary + "".join(lines)
 
     def test_byte_stable(self, capsys):
         _, first, _ = run(capsys, "paving", "--partition", "3,2", "--cells")
@@ -312,3 +321,8 @@ def test_query_mix_workload_matches_recorded_stdout(monkeypatch):
     # Guards the bytes of orbit and decompose output, the users of the
     # closed-form orbit and cell dimensions, and the refused requests.
     replay_workload(monkeypatch, "query-mix")
+
+
+def test_verify_workload_matches_recorded_stdout(monkeypatch):
+    # Pins every suite's checked count at ranks 6, 7 and 10.
+    replay_workload(monkeypatch, "verify")

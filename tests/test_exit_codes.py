@@ -119,15 +119,18 @@ def test_every_argument_vector_keeps_the_exit_code_contract(argv):
 
 
 def test_closed_stdout_pipe_exits_zero_without_traceback():
-    # About 0.6 MB of JSON, far past a pipe's buffer, so the writer meets
-    # the closed pipe while it is still printing.
+    # About 0.6 MB of JSON and 0.2 MB of text, far past a pipe's buffer, so
+    # the writer meets the closed pipe while it is still printing.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     argv = [sys.executable, "-m", "nilorbits.cli", "paving", "--partition", "3,3,2,1", "--cells"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
-    assert b"Traceback" not in stderr
+    for fmt, first_line in (("json", b"{\n"), ("text", b"partition: [3, 3, 2, 1]\n")):
+        proc = subprocess.Popen(
+            argv + ["--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert b"Traceback" not in stderr

@@ -206,7 +206,7 @@ class TestFormulaOracleEquivalence:
     def test_small_ranks(self, family, rank):
         t = LieType(family, rank)
         for j in all_subsets(rank):
-            formula = orbit_partition(t, j).partition
+            formula = orbit_partition(t, j)
             oracle = jordan_partition(representative_matrix(t, j))
             assert formula == oracle, (t, j)
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from nilorbits import checks
+from nilorbits.cli import EXIT_OK, main
 from nilorbits.core import (
     InputError,
     LieType,
@@ -24,6 +27,12 @@ from nilorbits.orbits import (
 def all_subsets(rank):
     for mask in range(1 << rank):
         yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
+
+
+def label_ambiguous(capsys, family, rank, j):
+    """The ``orbit`` command's orbit_label_ambiguous flag for (family, rank, J)."""
+    assert main(["orbit", "--type", family, "--rank", str(rank), "--j", j]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["orbit_label_ambiguous"]
 
 
 class TestFiniteGroupDescriptor:
@@ -111,45 +120,44 @@ class TestCenterFiber:
 
 
 class TestOrbitPartition:
-    def test_type_a(self):
-        result = orbit_partition(LieType("A", 4), SubsetJ((1, 3)))
-        assert result.partition == Partition((2, 2, 1))
-        assert not result.orbit_label_ambiguous
+    def test_type_a(self, capsys):
+        assert orbit_partition(LieType("A", 4), SubsetJ((1, 3))) == Partition((2, 2, 1))
+        assert label_ambiguous(capsys, "A", 4, "1,3") is False
 
     def test_type_b(self):
-        assert orbit_partition(LieType("B", 3), SubsetJ((2,))).partition == Partition((3, 2, 2))
+        assert orbit_partition(LieType("B", 3), SubsetJ((2,))) == Partition((3, 2, 2))
 
     def test_type_c(self):
-        assert orbit_partition(LieType("C", 3), SubsetJ((1,))).partition == Partition((4, 1, 1))
+        assert orbit_partition(LieType("C", 3), SubsetJ((1,))) == Partition((4, 1, 1))
 
-    def test_type_d_very_even(self):
+    def test_type_d_very_even(self, capsys):
         result = orbit_partition(LieType("D", 4), SubsetJ((4,)))
-        assert result.partition == Partition((4, 4))
+        assert result == Partition((4, 4))
         assert result.very_even
-        assert result.orbit_label_ambiguous
+        assert label_ambiguous(capsys, "D", 4, "4") is True
 
-    def test_type_d_both_top(self):
+    def test_type_d_both_top(self, capsys):
         result = orbit_partition(LieType("D", 4), SubsetJ((3, 4)))
-        assert result.partition == Partition((3, 3, 1, 1))
-        assert not result.orbit_label_ambiguous
+        assert result == Partition((3, 3, 1, 1))
+        assert label_ambiguous(capsys, "D", 4, "3,4") is False
 
     def test_principal_orbits_on_empty_set(self):
         empty = SubsetJ(())
-        assert orbit_partition(LieType("A", 4), empty).partition == Partition((5,))
-        assert orbit_partition(LieType("B", 3), empty).partition == Partition((7,))
-        assert orbit_partition(LieType("C", 3), empty).partition == Partition((6,))
-        assert orbit_partition(LieType("D", 4), empty).partition == Partition((7, 1))
+        assert orbit_partition(LieType("A", 4), empty) == Partition((5,))
+        assert orbit_partition(LieType("B", 3), empty) == Partition((7,))
+        assert orbit_partition(LieType("C", 3), empty) == Partition((6,))
+        assert orbit_partition(LieType("D", 4), empty) == Partition((7, 1))
 
     def test_full_subset_gives_zero_orbit(self):
         for t in (LieType("A", 5), LieType("B", 3), LieType("C", 3), LieType("D", 4)):
             full = SubsetJ(tuple(range(1, t.rank + 1)))
-            p = orbit_partition(t, full).partition
+            p = orbit_partition(t, full)
             assert p.parts == (1,) * t.matrix_dimension
 
     def test_totals(self):
         for t in (LieType("A", 6), LieType("B", 5), LieType("C", 5), LieType("D", 5)):
             for j in all_subsets(t.rank):
-                assert orbit_partition(t, j).partition.total == t.matrix_dimension
+                assert orbit_partition(t, j).total == t.matrix_dimension
 
     def test_rejects_exceptional(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -248,7 +256,7 @@ class TestKernelCheck:
             t = LieType("A", rank)
             for j in all_subsets(rank):
                 zj = center_fiber(t, j).order
-                p = orbit_partition(t, j).partition
+                p = orbit_partition(t, j)
                 pi1, _ = fundamental_groups(t, p)
                 assert zj == pi1.order
 
@@ -281,7 +289,7 @@ class TestSharedJTable:
             for j, (total, zj, pi1, a_order) in zip(all_subsets(t.rank), zip(*columns)):
                 report = kernel_check(t, j)
                 assert (zj, pi1, a_order) == (report.zj_order, report.pi1_order, report.a_order)
-                assert total == orbit_partition(t, j).partition.total
+                assert total == orbit_partition(t, j).total
 
     def test_groups_once_per_distinct_partition(self, monkeypatch):
         calls = []
@@ -293,7 +301,7 @@ class TestSharedJTable:
         monkeypatch.setattr(checks, "fundamental_groups", counted)
         types = classical_types(7)
         checks.j_table(types)
-        distinct = {(t, orbit_partition(t, j).partition) for t in types for j in all_subsets(t.rank)}
+        distinct = {(t, orbit_partition(t, j)) for t in types for j in all_subsets(t.rank)}
         assert sorted(calls, key=str) == sorted(distinct, key=str)
 
     def test_subset_of_mask_follows_all_subsets(self):

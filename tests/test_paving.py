@@ -30,8 +30,13 @@ from nilorbits.paving import (
 
 
 def dimensioned(paving):
-    """[(dimension, w)] for every cell, read off the poincare boundaries."""
-    return [(d, w) for d, ws in paving.buckets() for w in ws]
+    """[(dimension, w)] for every cell, read off the blocks of each dimension."""
+    return [
+        (d, prefix + s)
+        for d, blocks in enumerate(paving.cells.by_dim)
+        for prefix, suffixes in blocks
+        for s in suffixes
+    ]
 
 
 def mahonian(m):
