@@ -23,7 +23,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import VERIFY_RANK_BOUND, summand_report
-from .orbits import center_fiber, fundamental_groups, kernel_check, orbit_dimension_type_a, orbit_partition
+from .orbits import center_fiber, fundamental_groups, orbit_dimension_type_a, orbit_partition
 from .paving import (
     DEFAULT_CELL_BOUND,
     CellBlocks,
@@ -105,11 +105,12 @@ def cmd_orbit(args) -> int:
         payload["z_j"] = _group_json(z)
         if t.family in ("E6", "E7"):
             record = table_lookup(t, j)
+            a_group = record.a_group
             payload["bala_carter"] = record.bala_carter
             payload["pi1"] = _group_json(record.pi1)
-            payload["a_group"] = _group_json(record.a_group)
+            payload["a_group"] = _group_json(a_group)
             payload["kernel_identity_holds"] = (
-                record.z_orbit.order * record.a_group.order == record.pi1.order
+                record.z_orbit.order * a_group.order == record.pi1.order
             )
         else:
             payload["note"] = (
@@ -127,13 +128,14 @@ def cmd_orbit(args) -> int:
         z = center_fiber(t, j)
         payload["j_set"] = list(j.elements)
         payload["z_j"] = _group_json(z)
-        payload["kernel_identity_holds"] = kernel_check(t, j).holds
     else:
         p = _parse_partition(args.partition)
     pi1, a_group = fundamental_groups(t, p)
+    if z is not None:
+        payload["kernel_identity_holds"] = z.order * a_group.order == pi1.order
     payload["partition"] = list(p.parts)
     payload["very_even"] = p.very_even
-    payload["orbit_label_ambiguous"] = t.family == "D" and p.very_even
+    payload["orbit_label_ambiguous"] = t.family == "D" and payload["very_even"]
     payload["pi1"] = _group_json(pi1)
     payload["a_group"] = _group_json(a_group)
     if t.family == "A":
@@ -250,7 +252,7 @@ def cmd_paving(args) -> int:
         "cell count: %d" % payload["cell_count"],
         "poincare: %s" % list(poincare),
         "top cells: %d" % top,
-        "syt count: %d" % syt_count(p),
+        "syt count: %d" % payload["syt_count"],
     ]
     _emit(payload, args.format, lines)
     if args.cells:

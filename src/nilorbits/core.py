@@ -138,9 +138,6 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
-    def multiplicity(self, value: int) -> int:
-        return self.parts.count(value)
-
     @property
     def very_even(self) -> bool:
         """Only even parts, each occurring an even number of times."""

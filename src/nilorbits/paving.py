@@ -146,7 +146,7 @@ class CellBlocks:
     which is (dimension, w) order.  A suffix tuple is shared by every block
     whose prefix took as many labels from each row, so a renderer can work
     once per distinct suffix tuple.  ``len`` counts the cells from the
-    blocks and iteration yields them as one-line tuples.
+    blocks.
     """
 
     __slots__ = ("by_dim",)
@@ -157,28 +157,12 @@ class CellBlocks:
     def __len__(self) -> int:
         return sum(len(suffixes) for blocks in self.by_dim for _, suffixes in blocks)
 
-    def __iter__(self):
-        for blocks in self.by_dim:
-            for prefix, suffixes in blocks:
-                yield from map(prefix.__add__, suffixes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CellBlocks):
-            return NotImplemented
-        return self.by_dim == other.by_dim
-
-    def __hash__(self) -> int:
-        return hash(self.by_dim)
-
-    def __repr__(self) -> str:
-        return "CellBlocks(%r)" % (self.by_dim,)
-
 
 class CellPaving(NamedTuple):
     """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d.
 
-    Product code reads the listing only block by block, through
-    ``cells.by_dim``; the cells of dimension d are those of ``by_dim[d]``.
+    The listing is read block by block, through ``cells.by_dim``; the cells
+    of dimension d are those of ``by_dim[d]``.
     """
 
     cells: CellBlocks

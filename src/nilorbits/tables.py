@@ -283,10 +283,6 @@ class TableValidationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def failures(self) -> list[str]:
-        return [f for c in self.checks for f in c.failures]
-
 
 def validate_records(t: LieType, record_list) -> TableValidationReport:
     """Run the four table checks against an explicit record list."""
@@ -380,6 +376,7 @@ def records_as_dicts(t: LieType) -> list[dict]:
     """Canonical JSON-ready form mirroring the record fields."""
     out = []
     for record in records(t):
+        a_group = record.a_group
         out.append(
             {
                 "bala_carter": record.bala_carter,
@@ -387,7 +384,7 @@ def records_as_dicts(t: LieType) -> list[dict]:
                 "j_sets": [list(j.elements) for j in record.j_sets],
                 "z_orbit": {"kind": record.z_orbit.label, "order": record.z_orbit.order},
                 "pi1": {"kind": record.pi1.label, "order": record.pi1.order},
-                "a_group": {"kind": record.a_group.label, "order": record.a_group.order},
+                "a_group": {"kind": a_group.label, "order": a_group.order},
             }
         )
     return out

@@ -4,7 +4,23 @@ from pathlib import Path
 
 from nilorbits import checks
 from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
-from nilorbits.core import CheckResult, Partition, partitions_of, syt_count
+from nilorbits.core import (
+    CLASSICAL_FAMILIES,
+    CheckResult,
+    InputError,
+    LieType,
+    Partition,
+    all_subsets,
+    partitions_of,
+    syt_count,
+)
+from nilorbits.orbits import (
+    FiniteGroupDescriptor,
+    center_fiber,
+    fundamental_groups,
+    kernel_check,
+    orbit_partition,
+)
 from nilorbits.paving import enumerate_cells, max_cell_dimension
 
 
@@ -95,6 +111,46 @@ class TestOrbitCommand:
         payload = json.loads(out)
         assert payload["orbit_dimension"] == 9999999900000000
         assert payload["d_x"] == 0
+
+    def test_kernel_identity_follows_the_printed_orders(self, capsys, monkeypatch):
+        # With A(O) forced to order 2 the printed orders give 2 * 2 != 2 for
+        # B3 J={}; the printed verdict must be the one those orders give.
+        monkeypatch.setattr(
+            "nilorbits.cli.fundamental_groups",
+            lambda t, p: (fundamental_groups(t, p)[0], FiniteGroupDescriptor.cyclic(2)),
+        )
+        code, out, _ = run(capsys, "orbit", "--type", "B", "--rank", "3", "--j", "")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["a_group"]["order"] == 2
+        orders = payload["z_j"]["order"] * payload["a_group"]["order"] == payload["pi1"]["order"]
+        assert payload["kernel_identity_holds"] is orders is False
+
+    def test_j_sweep_matches_library(self, capsys):
+        # Every classical (type, J) up to rank 5, against the library functions.
+        swept = 0
+        for family in CLASSICAL_FAMILIES:
+            for rank in range(1, 6):
+                try:
+                    t = LieType.of(family, rank)
+                except InputError:
+                    continue
+                for j in all_subsets(rank):
+                    csv = ",".join(map(str, j.elements))
+                    argv = ["orbit", "--type", family, "--rank", str(rank), "--j", csv]
+                    code, out, _ = run(capsys, *argv)
+                    assert code == EXIT_OK
+                    payload = json.loads(out)
+                    p = orbit_partition(t, j)
+                    pi1, a_group = fundamental_groups(t, p)
+                    assert payload["partition"] == list(p.parts)
+                    z = center_fiber(t, j)
+                    assert payload["z_j"] == {"kind": z.label, "order": z.order}
+                    assert payload["pi1"] == {"kind": pi1.label, "order": pi1.order}
+                    assert payload["a_group"] == {"kind": a_group.label, "order": a_group.order}
+                    assert payload["kernel_identity_holds"] is kernel_check(t, j).holds
+                    swept += 1
+        assert swept == 238
 
     def test_exceptional_requires_j(self, capsys):
         code, _, err = run(capsys, "orbit", "--type", "E6")
@@ -190,7 +246,13 @@ class TestPavingCommand:
         for p, bound in shapes:
             paving = enumerate_cells(p, bound=bound)
             dims = [d for d, count in enumerate(paving.poincare) for _ in range(count)]
-            cells = list(zip(dims, paving.cells, strict=True))
+            listed = [
+                prefix + s
+                for blocks in paving.cells.by_dim
+                for prefix, suffixes in blocks
+                for s in suffixes
+            ]
+            cells = list(zip(dims, listed, strict=True))
             d_x = max_cell_dimension(p)
             payload = {
                 "partition": list(p.parts),
