@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    _MIN_RANK,
     CheckResult,
     LieType,
     Partition,
@@ -48,7 +49,7 @@ def _result(name: str, checked: int, failures: list[str]) -> CheckResult:
 
 
 def _classical_ranks(max_rank: int):
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+    for family, lo in _MIN_RANK.items():
         for rank in range(lo, max_rank + 1):
             yield LieType(family, rank)
 

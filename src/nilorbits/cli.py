@@ -42,6 +42,11 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+# The orders `orbit` prints grow with the rank: n + 1 in type A, up to about
+# 2^sqrt(2n) in types B, C and D.  Up to this rank each has at most 4,258
+# digits, within CPython's 4,300-digit limit on converting an int to str.
+ORBIT_RANK_BOUND = 100_000_000
+
 
 def _parse_partition(text: str) -> Partition:
     pieces = [s.strip() for s in text.split(",") if s.strip()]
@@ -90,6 +95,10 @@ def _group_text(descriptor) -> str:
 
 def cmd_orbit(args) -> int:
     t = LieType.of(args.type, args.rank)
+    if t.rank > ORBIT_RANK_BOUND:
+        raise ResourceBoundError(
+            "--rank %d exceeds the orbit bound %d" % (t.rank, ORBIT_RANK_BOUND)
+        )
     if (args.j is None) == (args.partition is None) and t.is_classical:
         raise InputError("supply exactly one of --j / --partition")
     payload: dict = {"type": t.family, "rank": t.rank}

@@ -9,6 +9,7 @@ values; nothing here touches floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator
@@ -138,19 +139,24 @@ class Partition:
     def total(self) -> int:
         return sum(self.parts)
 
+    def multiplicities(self) -> Counter[int]:
+        """Each distinct part mapped to how often it occurs, largest part first.
+
+        One pass over the parts; the parity rules behind very even, rather
+        odd, the so/sp conditions and pi1(O), A(O) all read this count.
+        """
+        return Counter(self.parts)
+
     @property
     def very_even(self) -> bool:
         """Only even parts, each occurring an even number of times."""
-        if not self.parts:
-            return False
-        if any(v % 2 for v in self.parts):
-            return False
-        return all(self.parts.count(v) % 2 == 0 for v in set(self.parts))
+        counts = self.multiplicities()
+        return bool(counts) and all(v % 2 == 0 and m % 2 == 0 for v, m in counts.items())
 
     @property
     def rather_odd(self) -> bool:
         """Every odd part occurs exactly once."""
-        return all(self.parts.count(v) == 1 for v in set(self.parts) if v % 2)
+        return all(m == 1 for v, m in self.multiplicities().items() if v % 2)
 
     def conjugate(self) -> "Partition":
         return Partition(tuple(conjugate_heights(self)))
@@ -345,18 +351,11 @@ class ComponentLabel:
     def render(self) -> str:
         if not self.summands:
             return "Triv."
-        pieces = []
-        i = 0
-        while i < len(self.summands):
-            fam, rank = self.summands[i]
-            j = i
-            while j < len(self.summands) and self.summands[j] == (fam, rank):
-                j += 1
-            count = j - i
-            prefix = str(count) if count > 1 else ""
-            pieces.append("%s%s_%d" % (prefix, fam, rank))
-            i = j
-        return " + ".join(pieces)
+        # Equal summands are adjacent in canonical order, so the counts keep it.
+        return " + ".join(
+            "%s%s_%d" % (count if count > 1 else "", fam, rank)
+            for (fam, rank), count in Counter(self.summands).items()
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -249,28 +249,25 @@ def orbit_dimension_type_a(n: int, p: Partition) -> int:
     return (n + 1) ** 2 - sum((2 * i + 1) * part for i, part in enumerate(p.parts))
 
 
-def _check_orbit_partition(t: LieType, p: Partition) -> None:
-    fam, n = t.family, t.rank
+def _check_orbit_partition(t: LieType, p: Partition, counts: dict[int, int]) -> None:
+    """Reject a wrong total, or an so (sp) partition with an even (odd) part of odd
+    multiplicity; ``counts`` is ``p.multiplicities()``."""
     expected_total = t.matrix_dimension
     if p.total != expected_total:
         raise InputError(
             "partition %s sums to %d, expected %d for %s" % (p, p.total, expected_total, t)
         )
-    if fam == "B" or fam == "D":
-        algebra = "so_%d" % expected_total
-        for v in set(p.parts):
-            if v % 2 == 0 and p.parts.count(v) % 2:
-                raise InputError(
-                    "even part %d has odd multiplicity %d; %s orbit partitions need "
-                    "even parts with even multiplicity" % (v, p.parts.count(v), algebra)
-                )
-    elif fam == "C":
-        for v in set(p.parts):
-            if v % 2 and p.parts.count(v) % 2:
-                raise InputError(
-                    "odd part %d has odd multiplicity %d; sp_%d orbit partitions need "
-                    "odd parts with even multiplicity" % (v, p.parts.count(v), expected_total)
-                )
+    if t.family == "A":
+        return
+    parity, kind, algebra = (1, "odd", "sp") if t.family == "C" else (0, "even", "so")
+    # set(p.parts) fixes which offending part the message names.
+    for v in set(p.parts):
+        if v % 2 == parity and counts[v] % 2:
+            raise InputError(
+                "%s part %d has odd multiplicity %d; %s_%d orbit partitions need "
+                "%s parts with even multiplicity"
+                % (kind, v, counts[v], algebra, expected_total, kind)
+            )
 
 
 def fundamental_groups(
@@ -295,12 +292,11 @@ def fundamental_groups(
             "fundamental groups by partition exist only for classical families, not %s"
             % t.family
         )
-    _check_orbit_partition(t, p)
+    counts = p.multiplicities()
+    _check_orbit_partition(t, p, counts)
     fam = t.family
-    odd_values = {v for v in p.parts if v % 2}
-    even_values = {v for v in p.parts if v % 2 == 0}
-    a = len(odd_values)
-    b = len(even_values)
+    a = sum(v % 2 for v in counts)
+    b = len(counts) - a
     if fam == "A":
         return (
             FiniteGroupDescriptor.cyclic(p.gcd()),
@@ -313,7 +309,7 @@ def fundamental_groups(
             pi1 = FiniteGroupDescriptor.elementary_abelian_2(a - 1)
         return pi1, FiniteGroupDescriptor.elementary_abelian_2(a - 1)
     if fam == "C":
-        even_ok = all(p.parts.count(v) % 2 == 0 for v in even_values)
+        even_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2 == 0)
         return (
             FiniteGroupDescriptor.elementary_abelian_2(b),
             FiniteGroupDescriptor.elementary_abelian_2(b if even_ok else b - 1),
@@ -323,7 +319,7 @@ def fundamental_groups(
         pi1 = FiniteGroupDescriptor.central_extension_2(k)
     else:
         pi1 = FiniteGroupDescriptor.elementary_abelian_2(k)
-    odd_ok = all(p.parts.count(v) % 2 == 0 for v in odd_values)
+    odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
     a_group = FiniteGroupDescriptor.elementary_abelian_2(k if odd_ok else max(0, a - 2))
     return pi1, a_group
 

@@ -46,9 +46,6 @@ DEFAULT_CELL_BOUND = 9
 MAX_LISTED_CELLS = math.factorial(DEFAULT_CELL_BOUND)
 MAX_WALKED_STATES = 10_000
 
-SCHEME_TYM = "Tym"
-SCHEME_STD = "Std"
-
 RootPair = tuple[int, int]
 # A prefix of one-line forms and the suffixes that complete it, in order.
 Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
@@ -65,11 +62,8 @@ class LabeledDiagram:
 
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
-    scheme: str
 
     def __post_init__(self) -> None:
-        if self.scheme not in (SCHEME_TYM, SCHEME_STD):
-            raise InputError("unknown labeling scheme %r" % (self.scheme,))
         if tuple(len(r) for r in self.rows) != self.shape.parts:
             raise InputError("row lengths do not match the shape")
         labels = sorted(v for row in self.rows for v in row)
@@ -196,8 +190,8 @@ def labeled_diagrams(
         for tym_label, std_label in zip(tym_row, std_row):
             sigma[std_label - 1] = tym_label
     return (
-        LabeledDiagram(p, tuple(tuple(r) for r in tym_rows), SCHEME_TYM),
-        LabeledDiagram(p, tuple(tuple(r) for r in std_rows), SCHEME_STD),
+        LabeledDiagram(p, tuple(tuple(r) for r in tym_rows)),
+        LabeledDiagram(p, tuple(tuple(r) for r in std_rows)),
         TableauPermutation(tuple(sigma)),
     )
 

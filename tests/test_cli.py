@@ -112,6 +112,16 @@ class TestOrbitCommand:
         assert payload["orbit_dimension"] == 9999999900000000
         assert payload["d_x"] == 0
 
+    def test_rank_at_bound_prints_every_order(self, capsys):
+        # 14,141 distinct even parts at rank 10^8: |pi1| = 2^14141 has 4,257
+        # digits, just within the int-to-str limit.
+        parts = sorted(list(range(28282, 0, -2)) + [17978], reverse=True)
+        request = ("orbit", "--type", "C", "--rank", "100000000", "--partition")
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, *request, ",".join(map(str, parts)), "--format", fmt)
+            assert (code, err) == (EXIT_OK, "")
+            assert str(2**14141) in out
+
     def test_kernel_identity_follows_the_printed_orders(self, capsys, monkeypatch):
         # With A(O) forced to order 2 the printed orders give 2 * 2 != 2 for
         # B3 J={}; the printed verdict must be the one those orders give.

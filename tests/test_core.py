@@ -68,12 +68,30 @@ class TestPartition:
         assert Partition((4, 4, 2, 2)).very_even
         assert not Partition((4, 4, 2)).very_even
         assert not Partition((3, 3)).very_even
+        for total in range(13):
+            for p in partitions_of(total):
+                parts = p.parts
+                expected = bool(parts) and all(
+                    v % 2 == 0 and parts.count(v) % 2 == 0 for v in set(parts)
+                )
+                assert p.very_even == expected, p
 
     def test_rather_odd(self):
         assert Partition((3, 2, 2)).rather_odd
         assert not Partition((3, 3, 1, 1)).rather_odd
         # a very even partition is trivially rather odd
         assert Partition((4, 4)).rather_odd
+        for total in range(13):
+            for p in partitions_of(total):
+                expected = all(p.parts.count(v) == 1 for v in set(p.parts) if v % 2)
+                assert p.rather_odd == expected, p
+
+    def test_multiplicities_count_every_part(self):
+        for total in range(13):
+            for p in partitions_of(total):
+                counts = p.multiplicities()
+                assert list(counts) == sorted(set(p.parts), reverse=True)
+                assert all(counts[v] == p.parts.count(v) for v in counts)
 
     def test_gcd(self):
         assert Partition((2, 2, 2)).gcd() == 2

@@ -134,3 +134,25 @@ def test_closed_stdout_pipe_exits_zero_without_traceback():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
         assert b"Traceback" not in stderr
+
+
+def test_orbit_rank_above_bound_exits_three_without_traceback():
+    # Past rank 10^8 an order that orbit prints can pass CPython's 4,300-digit
+    # int-to-str limit: |Z(J)| = n + 1 in the first request, |pi1| = 2^15000
+    # for the 15,000 distinct even parts of the second.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    evens = ",".join(map(str, range(30000, 0, -2)))
+    for request in (
+        ["--type", "A", "--rank", "9" * 4300, "--j", ""],
+        ["--type", "C", "--rank", "112507500", "--partition", evens],
+    ):
+        for fmt in ("json", "text"):
+            argv = [sys.executable, "-m", "nilorbits.cli", "orbit", *request, "--format", fmt]
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+            assert proc.returncode == 3
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"error: --rank ")
+            assert proc.stderr.count(b"\n") == 1
+            assert b"Traceback" not in proc.stderr

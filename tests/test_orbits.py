@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -223,6 +225,62 @@ class TestFundamentalGroups:
     def test_rejects_total_mismatch(self):
         with pytest.raises(InputError, match="sums to"):
             fundamental_groups(LieType("C", 4), Partition((4, 1, 1)))
+
+    def test_matches_count_oracle(self):
+        # The docstring's rules, read off per-value parts.count scans.
+        def elementary(k):
+            return FiniteGroupDescriptor.elementary_abelian_2(k)
+
+        def oracle(t, parts):
+            odd = {v for v in parts if v % 2}
+            even = set(parts) - odd
+            a, b = len(odd), len(even)
+            rather_odd = all(parts.count(v) == 1 for v in odd)
+            if t.family == "A":
+                return FiniteGroupDescriptor.cyclic(math.gcd(*parts)), elementary(0)
+            if t.family == "C":
+                even_ok = all(parts.count(v) % 2 == 0 for v in even)
+                return elementary(b), elementary(b if even_ok else b - 1)
+            k = max(0, a - 1)
+            pi1 = FiniteGroupDescriptor.central_extension_2(k) if rather_odd else elementary(k)
+            if t.family == "B":
+                return pi1, elementary(k)
+            odd_ok = all(parts.count(v) % 2 == 0 for v in odd)
+            return pi1, elementary(k if odd_ok else max(0, a - 2))
+
+        checked = set()
+        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+            forbidden = 1 if family == "C" else 0
+            for t in (LieType(family, n) for n in range(lo, 12)):
+                if t.matrix_dimension > 12:
+                    break
+                for p in partitions_of(t.matrix_dimension):
+                    bad = [
+                        v for v in set(p.parts)
+                        if family != "A" and v % 2 == forbidden and p.parts.count(v) % 2
+                    ]
+                    if bad:
+                        with pytest.raises(InputError) as info:
+                            fundamental_groups(t, p)
+                        v = int(str(info.value).split()[2])
+                        assert v in bad
+                        assert "multiplicity %d;" % p.parts.count(v) in str(info.value)
+                        continue
+                    assert fundamental_groups(t, p) == oracle(t, p.parts), (t, p)
+                    checked.add(family)
+        assert checked == {"A", "B", "C", "D"}
+
+    def test_many_parts_take_linear_time(self):
+        # Each even value 2..20000 twice: 20,000 parts, 10,000 distinct.  A
+        # per-value parts.count scan over these takes seconds.
+        p = Partition(tuple(v for v in range(20000, 0, -2) for _ in range(2)))
+        t = LieType("C", p.total // 2)
+        start = time.perf_counter()
+        pi1, a_group = fundamental_groups(t, p)
+        flags = (p.very_even, p.rather_odd)
+        assert time.perf_counter() - start < 0.5
+        assert pi1 == a_group == FiniteGroupDescriptor.elementary_abelian_2(10000)
+        assert flags == (True, True)
 
 
 class TestKernelCheck:
