@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .checks import run_all
 from .core import (
     DataIntegrityError,
     InputError,
@@ -126,8 +125,7 @@ def cmd_orbit(args) -> int:
                 "center of the simply connected group is trivial for %s; "
                 "orbit data beyond E7 is not tabulated" % t.family
             )
-        lines = ["%s: %s" % (k, payload[k]) for k in sorted(payload)]
-        _emit(payload, args.format, lines)
+        _emit(payload, args.format, ("%s: %s" % (k, payload[k]) for k in sorted(payload)))
         return EXIT_OK
 
     z = None
@@ -151,24 +149,26 @@ def cmd_orbit(args) -> int:
         payload["orbit_dimension"] = orbit_dimension_type_a(t.rank, p)
         payload["d_x"] = max_cell_dimension(p)
 
-    lines = [
-        "type: %s" % t,
-        "partition: %s" % p,
-    ]
-    if z is not None:
-        lines.append("J: {%s}" % ", ".join(map(str, payload["j_set"])))
-        lines.append("Z(J): %s" % _group_text(z))
-    lines.append("pi1: %s" % _group_text(pi1))
-    lines.append("A: %s" % _group_text(a_group))
-    if "kernel_identity_holds" in payload:
-        lines.append("kernel identity holds: %s" % payload["kernel_identity_holds"])
-    if "orbit_dimension" in payload:
-        lines.append("orbit dimension: %d" % payload["orbit_dimension"])
-        lines.append("d_x: %d" % payload["d_x"])
-    if payload["orbit_label_ambiguous"]:
-        lines.append("note: very even partition; labels two distinct orbits")
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, _orbit_text(t, p, z, pi1, a_group, payload))
     return EXIT_OK
+
+
+def _orbit_text(t, p, z, pi1, a_group, payload):
+    """The text lines of a classical `orbit` answer, built only when `_emit` reads them."""
+    yield "type: %s" % t
+    yield "partition: %s" % p
+    if z is not None:
+        yield "J: {%s}" % ", ".join(map(str, payload["j_set"]))
+        yield "Z(J): %s" % _group_text(z)
+    yield "pi1: %s" % _group_text(pi1)
+    yield "A: %s" % _group_text(a_group)
+    if "kernel_identity_holds" in payload:
+        yield "kernel identity holds: %s" % payload["kernel_identity_holds"]
+    if "orbit_dimension" in payload:
+        yield "orbit dimension: %d" % payload["orbit_dimension"]
+        yield "d_x: %d" % payload["d_x"]
+    if payload["orbit_label_ambiguous"]:
+        yield "note: very even partition; labels two distinct orbits"
 
 
 def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str) -> None:
@@ -319,6 +319,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Only verify needs the check suites, so other commands never import them.
+    from .checks import run_all
+
     if args.max_rank < 1:
         raise InputError("--max-rank must be >= 1, got %d" % args.max_rank)
     if args.max_rank > VERIFY_RANK_BOUND:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -38,41 +38,81 @@ FAMILIES = CLASSICAL_FAMILIES + tuple(EXCEPTIONAL_RANKS)
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Value:
+    """Base of the immutable value types: fields in ``__slots__``, compared by value.
+
+    Each subclass names its fields in ``__slots__`` and sets them in its
+    own ``__init__`` with ``object.__setattr__``; assigning or deleting an
+    attribute afterwards raises AttributeError.  Values are equal when they
+    have the same class and equal fields, and equal values hash alike.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._field_values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError("cannot change %r of immutable %s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __reduce__(self):
+        # The default restore would assign each slot and be refused, so copies
+        # and pickles rebuild through __init__, whose positional parameters
+        # are the fields in __slots__ order.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+
+class CheckResult(Value):
     """Outcome of one sweep: how many checks it ran and what failed.
 
     A sweep that ran no check is not ok: it would otherwise pass vacuously.
     """
 
-    name: str
-    checked: int
-    failures: tuple[str, ...]
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str, checked: int, failures: tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
         return self.checked > 0 and not self.failures
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(Value):
     """A simple Lie type: classical family with a free rank, or a fixed exceptional type."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise InputError("unknown Lie family %r" % (self.family,))
-        if self.family in EXCEPTIONAL_RANKS:
-            fixed = EXCEPTIONAL_RANKS[self.family]
-            if self.rank != fixed:
-                raise InputError("%s has rank %d, got %d" % (self.family, fixed, self.rank))
-        elif self.rank < _MIN_RANK[self.family]:
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in FAMILIES:
+            raise InputError("unknown Lie family %r" % (family,))
+        if family in EXCEPTIONAL_RANKS:
+            fixed = EXCEPTIONAL_RANKS[family]
+            if rank != fixed:
+                raise InputError("%s has rank %d, got %d" % (family, fixed, rank))
+        elif rank < _MIN_RANK[family]:
             raise InputError(
-                "family %s requires rank >= %d, got %d"
-                % (self.family, _MIN_RANK[self.family], self.rank)
+                "family %s requires rank >= %d, got %d" % (family, _MIN_RANK[family], rank)
             )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def of(cls, family: str, rank: int | None = None) -> "LieType":
@@ -117,8 +157,7 @@ class LieType:
         return "%s%d" % (self.family, self.rank)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A weakly decreasing sequence of positive integers.
 
     Input parts are normalized on construction: sorted descending, with
@@ -126,7 +165,18 @@ class Partition:
     (total 0) is admitted as a degenerate value.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap positive ints already sorted descending, skipping the checks of ``Partition``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
 
     def __post_init__(self) -> None:
         parts = tuple(sorted((int(v) for v in self.parts), reverse=True))
@@ -174,19 +224,25 @@ class Partition:
         return "[" + ", ".join(map(str, self.parts)) + "]"
 
 
-@dataclass(frozen=True)
-class SubsetJ:
+class SubsetJ(Value):
     """A strictly increasing subset of simple-root indices; may be empty."""
 
-    elements: tuple[int, ...] = ()
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(int(v) for v in self.elements))
+    def __init__(self, elements: tuple[int, ...] = ()) -> None:
+        elems = tuple(sorted(int(v) for v in elements))
         if len(set(elems)) != len(elems):
-            raise InputError("subset elements must be distinct: %r" % (self.elements,))
+            raise InputError("subset elements must be distinct: %r" % (elements,))
         if elems and elems[0] < 1:
             raise InputError("subset elements must be >= 1, got %d" % elems[0])
         object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...]) -> "SubsetJ":
+        """Wrap ints >= 1 already strictly increasing, skipping the checks of ``SubsetJ``."""
+        j = object.__new__(cls)
+        object.__setattr__(j, "elements", elements)
+        return j
 
     def __contains__(self, value: int) -> bool:
         return value in self.elements
@@ -203,7 +259,7 @@ class SubsetJ:
 
 def subset_of_mask(mask: int) -> SubsetJ:
     """The subset holding i + 1 for each set bit i of ``mask``."""
-    return SubsetJ(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
+    return SubsetJ._trusted(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
 def all_subsets(rank: int) -> Iterator[SubsetJ]:
@@ -265,16 +321,14 @@ def partitions_of(total: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(Value):
     """A tree on integer nodes with degrees at most 3 (simply laced adjacency)."""
 
-    nodes: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        nodes = tuple(sorted(self.nodes))
-        edges = frozenset(tuple(sorted(e)) for e in self.edges)
+    def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> None:
+        nodes = tuple(sorted(nodes))
+        edges = frozenset(tuple(sorted(e)) for e in edges)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         node_set = set(nodes)
@@ -331,18 +385,17 @@ def dynkin_diagram(t: LieType) -> DynkinDiagram:
     return DynkinDiagram(tuple(range(1, n + 1)), frozenset(edges))
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(Value):
     """A multiset of simple ADE summands, e.g. 2A_2 or A_3 + A_2 + A_1.
 
     Summands are stored sorted by rank descending, then family, so equal
     multisets compare equal and render identically.
     """
 
-    summands: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(self.summands, key=lambda s: (-s[1], s[0])))
+    def __init__(self, summands: tuple[tuple[str, int], ...] = ()) -> None:
+        canon = tuple(sorted(summands, key=lambda s: (-s[1], s[0])))
         for fam, rank in canon:
             if fam not in ("A", "D", "E") or rank < 1:
                 raise InputError("bad summand (%r, %r)" % (fam, rank))

@@ -10,9 +10,7 @@ Multiplicities are lower bounds only and are never fabricated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import InputError, Partition, ResourceBoundError, partitions_of
+from .core import InputError, Partition, ResourceBoundError, Value, partitions_of
 from .orbits import orbit_dimension_type_a
 from .paving import max_cell_dimension
 
@@ -21,8 +19,7 @@ DEFAULT_RANK_BOUND = 20
 VERIFY_RANK_BOUND = 14
 
 
-@dataclass(frozen=True)
-class SummandRecord:
+class SummandRecord(Value):
     """One orbit of sl_{n+1} with its certified character list.
 
     ``characters`` lists the c character labels 0..c-1 of the cyclic
@@ -30,12 +27,24 @@ class SummandRecord:
     occurs at least once, and nothing more is claimed.
     """
 
-    partition: Partition
-    orbit_dimension: int
-    fiber_dimension: int
-    c: int
-    characters: tuple[int, ...]
-    multiplicity_known: bool = False
+    __slots__ = ("partition", "orbit_dimension", "fiber_dimension", "c", "characters",
+                 "multiplicity_known")
+
+    def __init__(
+        self,
+        partition: Partition,
+        orbit_dimension: int,
+        fiber_dimension: int,
+        c: int,
+        characters: tuple[int, ...],
+        multiplicity_known: bool = False,
+    ) -> None:
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "orbit_dimension", orbit_dimension)
+        object.__setattr__(self, "fiber_dimension", fiber_dimension)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "characters", characters)
+        object.__setattr__(self, "multiplicity_known", multiplicity_known)
 
 
 def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecord]:

@@ -8,21 +8,19 @@ consistency report |Z(J)| * |A(O)| = |pi1(O)|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     InputError,
     LieType,
     Partition,
     SubsetJ,
     UnsupportedFamilyError,
+    Value,
     check_subset_range,
     gcd_of_set,
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroupDescriptor:
+class FiniteGroupDescriptor(Value):
     """Order plus a structure tag for the small groups that occur.
 
     Kinds: trivial, cyclic (with its order), elementary_abelian_2 (with
@@ -32,8 +30,7 @@ class FiniteGroupDescriptor:
     labelled S_2, order 2).
     """
 
-    kind: str
-    parameter: int | None = None
+    __slots__ = ("kind", "parameter")
 
     _ORDERS = {
         "trivial": lambda p: 1,
@@ -44,20 +41,22 @@ class FiniteGroupDescriptor:
         "symmetric_2": lambda p: 2,
     }
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._ORDERS:
-            raise InputError("unknown group kind %r" % (self.kind,))
-        if self.kind in ("cyclic", "elementary_abelian_2", "central_extension_2"):
-            if self.parameter is None:
-                raise InputError("kind %s needs a parameter" % self.kind)
-            if self.kind == "cyclic" and self.parameter < 2:
+    def __init__(self, kind: str, parameter: int | None = None) -> None:
+        if kind not in self._ORDERS:
+            raise InputError("unknown group kind %r" % (kind,))
+        if kind in ("cyclic", "elementary_abelian_2", "central_extension_2"):
+            if parameter is None:
+                raise InputError("kind %s needs a parameter" % kind)
+            if kind == "cyclic" and parameter < 2:
                 raise InputError("cyclic parameter must be >= 2; use trivial() for order 1")
-            if self.kind != "cyclic" and self.parameter < 0:
+            if kind != "cyclic" and parameter < 0:
                 raise InputError("exponent must be >= 0")
-            if self.kind == "elementary_abelian_2" and self.parameter == 0:
+            if kind == "elementary_abelian_2" and parameter == 0:
                 raise InputError("elementary_abelian_2(0) is trivial; use trivial()")
-        elif self.parameter is not None:
-            raise InputError("kind %s takes no parameter" % self.kind)
+        elif parameter is not None:
+            raise InputError("kind %s takes no parameter" % kind)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameter", parameter)
 
     @property
     def order(self) -> int:
@@ -121,12 +120,14 @@ class FiniteGroupDescriptor:
         return self.label
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    zj_order: int
-    pi1_order: int
-    a_order: int
-    holds: bool
+class KernelReport(Value):
+    __slots__ = ("zj_order", "pi1_order", "a_order", "holds")
+
+    def __init__(self, zj_order: int, pi1_order: int, a_order: int, holds: bool) -> None:
+        object.__setattr__(self, "zj_order", zj_order)
+        object.__setattr__(self, "pi1_order", pi1_order)
+        object.__setattr__(self, "a_order", a_order)
+        object.__setattr__(self, "holds", holds)
 
 
 def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
@@ -204,7 +205,7 @@ def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
     Type A lays the gaps between consecutive elements of J (and the ends
     0 and n+1) out as parts.  Types B, C and D double each gap and add a
     family-specific closing part; D splits into three cases according to
-    how J meets {n-1, n}.  Parts are normalized on construction; a zero
+    how J meets {n-1, n}.  Parts are sorted descending here; a zero
     leading part (type C with n in J) is dropped.  A very even partition in
     family D labels two distinct orbits; the partition does not pick one.
     """
@@ -233,7 +234,9 @@ def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
             # exactly one of n-1, n present: it is the largest element and
             # gets replaced by n itself in the gap sequence
             raw = _doubled(_gaps(elems[:-1] + (n,)))
-    return Partition(tuple(v for v in raw if v != 0))
+    # Every entry of raw is a nonnegative int, so sorting and dropping the
+    # zeros leaves exactly what Partition's checks would accept.
+    return Partition._trusted(tuple(sorted((v for v in raw if v), reverse=True)))
 
 
 def orbit_dimension_type_a(n: int, p: Partition) -> int:

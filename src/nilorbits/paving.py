@@ -25,7 +25,6 @@ nonempty cell at w has dimension |phi_w| - |phi_w_x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
@@ -34,6 +33,7 @@ from .core import (
     InputError,
     Partition,
     ResourceBoundError,
+    Value,
     conjugate_heights,
 )
 from .jordan import IntMatrix
@@ -51,8 +51,7 @@ RootPair = tuple[int, int]
 Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-@dataclass(frozen=True)
-class LabeledDiagram:
+class LabeledDiagram(Value):
     """A Young diagram whose boxes carry a bijective labeling 1..total.
 
     Rows are stored top to bottom with weakly decreasing lengths.  A
@@ -60,15 +59,16 @@ class LabeledDiagram:
     right label j.
     """
 
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self) -> None:
-        if tuple(len(r) for r in self.rows) != self.shape.parts:
+    def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> None:
+        if tuple(len(r) for r in rows) != shape.parts:
             raise InputError("row lengths do not match the shape")
-        labels = sorted(v for row in self.rows for v in row)
-        if labels != list(range(1, self.shape.total + 1)):
-            raise InputError("labels must be a bijection onto 1..%d" % self.shape.total)
+        labels = sorted(v for row in rows for v in row)
+        if labels != list(range(1, shape.total + 1)):
+            raise InputError("labels must be a bijection onto 1..%d" % shape.total)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
 
     def pairs(self) -> tuple[RootPair, ...]:
         return tuple(
@@ -79,11 +79,14 @@ class LabeledDiagram:
         return " ".join("[" + ",".join(map(str, row)) + "]" for row in self.rows)
 
 
-@dataclass(frozen=True)
-class TableauPermutation:
+class TableauPermutation(Value):
     """A permutation of 1..m in one-line notation: one_line[k-1] = w(k)."""
 
-    one_line: tuple[int, ...]
+    __slots__ = ("one_line",)
+
+    def __init__(self, one_line: tuple[int, ...]) -> None:
+        object.__setattr__(self, "one_line", one_line)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         values = tuple(int(v) for v in self.one_line)

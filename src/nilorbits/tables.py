@@ -17,7 +17,6 @@ component-group order divides out consistently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     CheckResult,
@@ -26,6 +25,7 @@ from .core import (
     InputError,
     LieType,
     SubsetJ,
+    Value,
     all_subsets,
     check_subset_range,
     classify_subdiagram,
@@ -193,21 +193,26 @@ def _parse_base_label(text: str) -> ComponentLabel:
     return ComponentLabel(tuple(summands))
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Value):
     """One orbit row: label, its J sets, and the two group columns."""
 
-    bala_carter: str
-    base_label: ComponentLabel
-    j_sets: tuple[SubsetJ, ...]
-    z_orbit: FiniteGroupDescriptor
-    pi1: FiniteGroupDescriptor
+    __slots__ = ("bala_carter", "base_label", "j_sets", "z_orbit", "pi1")
 
-    def __post_init__(self) -> None:
-        if not self.j_sets:
-            raise DataIntegrityError("record %r carries no J sets" % self.bala_carter)
-        ordered = tuple(sorted(self.j_sets, key=lambda s: s.elements))
-        object.__setattr__(self, "j_sets", ordered)
+    def __init__(
+        self,
+        bala_carter: str,
+        base_label: ComponentLabel,
+        j_sets: tuple[SubsetJ, ...],
+        z_orbit: FiniteGroupDescriptor,
+        pi1: FiniteGroupDescriptor,
+    ) -> None:
+        if not j_sets:
+            raise DataIntegrityError("record %r carries no J sets" % bala_carter)
+        object.__setattr__(self, "bala_carter", bala_carter)
+        object.__setattr__(self, "base_label", base_label)
+        object.__setattr__(self, "j_sets", tuple(sorted(j_sets, key=lambda s: s.elements)))
+        object.__setattr__(self, "z_orbit", z_orbit)
+        object.__setattr__(self, "pi1", pi1)
 
     @property
     def a_group(self) -> FiniteGroupDescriptor:
@@ -274,10 +279,12 @@ def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
     )
 
 
-@dataclass(frozen=True)
-class TableValidationReport:
-    family: str
-    checks: tuple[CheckResult, ...]
+class TableValidationReport(Value):
+    __slots__ = ("family", "checks")
+
+    def __init__(self, family: str, checks: tuple[CheckResult, ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

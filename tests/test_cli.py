@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from nilorbits import checks
 from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 from nilorbits.core import (
@@ -135,6 +137,18 @@ class TestOrbitCommand:
         assert payload["a_group"]["order"] == 2
         orders = payload["z_j"]["order"] * payload["a_group"]["order"] == payload["pi1"]["order"]
         assert payload["kernel_identity_holds"] is orders is False
+
+    def test_json_answer_builds_no_text_line(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a JSON answer formatted a text line")
+
+        monkeypatch.setattr(Partition, "__str__", refuse)
+        request = ("orbit", "--type", "C", "--rank", "3", "--j", "1")
+        code, out, _ = run(capsys, *request)
+        assert code == EXIT_OK
+        assert json.loads(out)["partition"] == [4, 1, 1]
+        with pytest.raises(AssertionError, match="text line"):
+            main([*request, "--format", "text"])
 
     def test_j_sweep_matches_library(self, capsys):
         # Every classical (type, J) up to rank 5, against the library functions.

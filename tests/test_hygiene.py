@@ -1,6 +1,9 @@
 """Static checks on the package source, read with the stdlib ``ast`` module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nilorbits
@@ -43,22 +46,41 @@ def test_all_lists_exactly_the_package_imports():
     assert len(nilorbits.__all__) == len(set(nilorbits.__all__)) == 45
 
 
-def dataclass_fields(tree):
-    """(class, field name) for every annotated field of every ``@dataclass`` class in ``tree``."""
+# The immutable value types built on ``core.Value``.
+VALUE_TYPES = {
+    "CheckResult",
+    "ComponentLabel",
+    "DynkinDiagram",
+    "FiniteGroupDescriptor",
+    "KernelReport",
+    "LabeledDiagram",
+    "LieType",
+    "OrbitRecord",
+    "Partition",
+    "SubsetJ",
+    "SummandRecord",
+    "TableValidationReport",
+    "TableauPermutation",
+}
+
+
+def slot_fields(tree):
+    """(class, field name) for every name in the ``__slots__`` of every class in ``tree``."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            continue
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                yield node, stmt.target.id
+            if (
+                isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["__slots__"]
+            ):
+                for field in ast.literal_eval(stmt.value):
+                    yield node, field
 
 
-def test_every_dataclass_field_is_read():
+def test_every_slot_field_is_read():
     # A field is read when some attribute load of its name lies outside its
-    # class's own __post_init__; its validation alone does not count.
+    # class's own __init__ and __post_init__; its validation alone does not count.
     def parse(paths):
         return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)]
 
@@ -69,14 +91,46 @@ def test_every_dataclass_field_is_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     ]
+    fields = [f for tree in package for f in slot_fields(tree)]
+    # The 13 value types have 32 fields between them; none may drop out of the sweep.
+    assert {cls.name for cls, _ in fields} >= VALUE_TYPES
+    assert sum(cls.name in VALUE_TYPES for cls, _ in fields) >= 32
     unread = []
-    for cls, field in (f for tree in package for f in dataclass_fields(tree)):
+    for cls, field in fields:
         validation = {
             id(node)
             for stmt in cls.body
-            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in ("__init__", "__post_init__")
             for node in ast.walk(stmt)
         }
         if not any(node.attr == field and id(node) not in validation for node in loads):
             unread.append("%s.%s" % (cls.name, field))
     assert unread == []
+
+
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses and inspect, and running the decorators, took most
+    # of the package's import time; the value types are slotted classes.
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(path.name)
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
+    # Deterministic stand-in for the cold-start time of one CLI call.
+    code = "import sys, nilorbits.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "dataclasses", "inspect", "nilorbits.checks"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "[]\n"
