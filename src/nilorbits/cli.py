@@ -45,6 +45,15 @@ EXIT_RESOURCE = 3
 # 2^sqrt(2n) in types B, C and D.  Up to this rank each has at most 4,258
 # digits, within CPython's 4,300-digit limit on converting an int to str.
 ORBIT_RANK_BOUND = 100_000_000
+# An error message quotes at most this many characters of a bad argument.
+ECHO_LIMIT = 60
+
+
+def _echo(text: str) -> str:
+    """``text`` quoted for an error message, cut after ECHO_LIMIT characters and its length named."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
 
 
 def _parse_partition(text: str) -> Partition:
@@ -54,12 +63,12 @@ def _parse_partition(text: str) -> Partition:
     try:
         values = [int(s) for s in pieces]
     except ValueError:
-        raise InputError("partition entries must be integers: %r" % text) from None
+        raise InputError("partition entries must be integers: %s" % _echo(text)) from None
     for v in values:
         if v <= 0:
             raise InputError("partition entries must be positive, got %d" % v)
     if values != sorted(values, reverse=True):
-        raise InputError("partition must be comma-separated descending, got %r" % text)
+        raise InputError("partition must be comma-separated descending, got %s" % _echo(text))
     return Partition(tuple(values))
 
 
@@ -70,9 +79,9 @@ def _parse_j(text: str) -> SubsetJ:
     try:
         values = [int(s) for s in text.split(",")]
     except ValueError:
-        raise InputError("J entries must be integers: %r" % text) from None
+        raise InputError("J entries must be integers: %s" % _echo(text)) from None
     if values != sorted(set(values)):
-        raise InputError("J must be comma-separated strictly ascending, got %r" % text)
+        raise InputError("J must be comma-separated strictly ascending, got %s" % _echo(text))
     return SubsetJ(tuple(values))
 
 
@@ -283,11 +292,11 @@ def cmd_decompose(args) -> int:
         }
         for r in report
     ]
-    lines = [
+    lines = (
         "partition %s  dim O = %d  d_x = %d  c = %d  characters %s"
         % (r.partition, r.orbit_dimension, r.fiber_dimension, r.c, list(r.characters))
         for r in report
-    ]
+    )
     _emit(payload, args.format, lines)
     return EXIT_OK
 

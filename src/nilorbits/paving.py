@@ -6,11 +6,15 @@ the "Std" labeling reads rows top to bottom.  The permutation carrying
 Std labels to Tym labels box by box singles out a distinguished cell of
 maximal dimension.  The nonempty cells are the shuffles of the Tym rows;
 each placed label adds to the cell dimension the popcount of a bitmask
-that depends only on how many labels each row has given out.  So one walk
-over those row states counts the cells by dimension without building
-any, and to list them it meets in the middle: half-length prefixes join
-per-state suffix tables already bucketed by the dimension they add.  The
-listing keeps that factored form, one (prefix, suffixes) block per prefix
+that depends only on how many labels each row has given out.  Those row
+states are numbered in mixed radix, so taking a row's next label adds
+the row's stride.  One walk over the states counts the cells by
+dimension without building any, packing a state's counts into the bit
+fields of one int so that a move costs one shift and one add.  To list
+the cells, each state's moves are listed once, in label order, and the
+walk meets in the middle: half-length prefixes, grown from those lists,
+join per-state suffix tables, built from them too and already bucketed
+by the dimension they add.  The listing keeps that factored form, one (prefix, suffixes) block per prefix
 and added dimension, so its consumers work per block and per distinct
 suffix tuple rather than per cell.
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import or_
+from operator import mul, or_
 from typing import NamedTuple
 
 from .core import (
@@ -270,12 +274,14 @@ def _later_masks(tym: LabeledDiagram) -> list[int]:
     return later
 
 
-def _check_work(parts: tuple[int, ...], cells: bool) -> None:
-    """Raise unless the walk stays within MAX_WALKED_STATES and a listing within MAX_LISTED_CELLS.
+def _check_work(parts: tuple[int, ...], cells: bool) -> int:
+    """The cell count m!/prod(row!), after checking the work against the fixed caps.
 
-    The state count stops at the first part that passes its cap, so a huge
-    partition costs nothing; within it the rows are few and short, and the
-    exact cell count m!/prod(row!), a product of binomials, is cheap.
+    Raise unless the walk stays within MAX_WALKED_STATES and, with
+    ``cells``, the listing within MAX_LISTED_CELLS.  The state count stops
+    at the first part that passes its cap, so a huge partition costs
+    nothing; within it the rows are few and short, and the exact cell
+    count, a product of binomials, is cheap.
     """
     states = 1
     for part in parts:
@@ -284,10 +290,12 @@ def _check_work(parts: tuple[int, ...], cells: bool) -> None:
             raise ResourceBoundError(
                 "partition walks more than %d row states, the fixed state bound" % MAX_WALKED_STATES
             )
-    if cells and math.prod(map(math.comb, accumulate(parts), parts)) > MAX_LISTED_CELLS:
+    total = math.prod(map(math.comb, accumulate(parts), parts))
+    if cells and total > MAX_LISTED_CELLS:
         raise ResourceBoundError(
             "partition has more than %d cells, the fixed bound for a listing" % MAX_LISTED_CELLS
         )
+    return total
 
 
 def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool = True) -> CellPaving:
@@ -304,22 +312,35 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
 
     Placing label i after the labels in the bitmask ``placed`` adds the
     popcount of ``placed & later[i]`` to the dimension.  ``placed`` is
-    fixed by the state of a prefix, the number of labels each row has given
-    out, so the suffixes that complete a prefix, and the dimension each of
-    them adds, depend on that state alone.  One walk over the prod(row + 1)
-    states, back from the full state with two depths alive, counts per
-    state the completing suffixes by added dimension; the count at the
-    empty state is the Poincare vector, and without ``cells`` the call ends
-    there.  To list cells, the walk also keeps the suffixes themselves,
-    bucketed the same way and lexicographic in each bucket, down to depth
-    m // 2, where the prefixes built breadth first in lexicographic order
-    join them.  The join builds no cell: each prefix and each nonempty
-    suffix bucket of its state make one (prefix, suffixes) block of
-    dimension prefix dimension + bucket index, and taking the blocks prefix
-    by prefix leaves each dimension in (dimension, w) order with no sort.
-    The cells come back as those CellBlocks, whose suffix tuples are shared
-    by every prefix reaching the same state.  Nothing recurses, so long rows
-    cannot exhaust the recursion limit.
+    fixed by the state of a prefix, the number k_r of labels each row r has
+    given out, so the suffixes that complete a prefix, and the dimension
+    each of them adds, depend on that state alone.  A state is one index in
+    mixed radix, the sum of k_r * stride[r] where stride[r] is the product
+    of len(row) + 1 over the earlier rows; taking the next label of row r
+    adds stride[r], so every move leads to a larger index.
+
+    One walk over the prod(row + 1) states, back from the full state with
+    two depths alive, counts per state the completing suffixes by added
+    dimension.  Those counts are packed into one int, a field of ``width``
+    bits per dimension, where 2^width exceeds the cell count m!/prod(row!),
+    which bounds every field of every state; so each move passes its next
+    state's int back to its state shifted by the added dimension's fields,
+    one shift and one add with no carry between fields.  The fields of the
+    empty state, decoded once, are the Poincare vector, and without
+    ``cells`` the call ends there.
+
+    To list cells, each state's moves, (label, next state, added
+    dimension) in label order, are built once.  The walk keeps the
+    suffixes themselves, bucketed by added dimension and lexicographic in
+    each bucket, down to depth m // 2, where the prefixes built breadth
+    first in lexicographic order from the move lists of the shallower
+    states join them.  The join builds no cell: each prefix and each
+    nonempty suffix bucket of its state make one (prefix, suffixes) block
+    of dimension prefix dimension + bucket index, and taking the blocks
+    prefix by prefix leaves each dimension in (dimension, w) order with no
+    sort.  The cells come back as those CellBlocks, whose suffix tuples are
+    shared by every prefix reaching the same state.  Nothing recurses, so
+    long rows cannot exhaust the recursion limit.
 
     Before any work, m must be at most ``bound``, the states at most
     MAX_WALKED_STATES and, with ``cells``, the cells at most
@@ -332,73 +353,89 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         raise ResourceBoundError(
             "partition size %d exceeds the enumeration bound %d" % (m, bound)
         )
-    _check_work(p.parts, cells)
+    width = _check_work(p.parts, cells).bit_length()
     tym, _, _ = labeled_diagrams(p)
-    rows = tym.rows
     later = _later_masks(tym)
+    radices = [len(row) + 1 for row in tym.rows]
+    strides = list(accumulate(radices, mul, initial=1))
+    # Per row: its labels, its stride, its radix and the masks of its first k labels.
+    row_data = [
+        (row, stride, radix, list(accumulate((1 << label for label in row), or_, initial=0)))
+        for row, stride, radix in zip(tym.rows, strides, radices)
+    ]
 
-    def moves(state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """(label, next state) for every row with a label left, in label order."""
+    def moves(state: int) -> list[tuple[int, int, int]]:
+        """The moves (label, after, added) of ``state``, in label order."""
+        placed = sum(masks[state // stride % radix] for _, stride, radix, masks in row_data)
         return sorted(
-            (row[k], state[:r] + (k + 1,) + state[r + 1 :])
-            for r, (row, k) in enumerate(zip(rows, state))
-            if k < len(row)
+            (row[k], state + stride, (placed & later[row[k]]).bit_count())
+            for row, stride, radix, masks in row_data
+            if (k := state // stride % radix) < radix - 1
         )
 
-    # row_placed[r][k]: the mask of the first k labels of row r.
-    row_placed = [list(accumulate((1 << label for label in row), or_, initial=0)) for row in rows]
-
     half = m // 2
-    # One depth: state -> suffix counts and, when listing, suffix lists, by added dimension.
-    full = tuple(map(len, rows))
-    counts: dict[tuple[int, ...], list[int]] = {full: [1]}
-    tables: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {full: [[()]]}
+    # One depth: state -> packed suffix counts and, when listing, suffix lists by added dimension.
+    full = strides[-1] - 1
+    counts = {full: 1}
+    tables: dict[int, list[list[tuple[int, ...]]]] = {full: [[()]]}
+    # The moves of the states before depth m // 2, for the prefix front.
+    front_moves: dict[int, list[tuple[int, int, int]]] = {}
     for depth in range(m - 1, -1, -1):
-        listing = cells and depth >= half
-        level: dict[tuple[int, ...], list[int]] = {}
-        for after in counts:
-            for r, k in enumerate(after):
+        # Each state of the deeper level passes its count back along every
+        # move into it.  The move that took label i adds the popcount of
+        # placed & later[i]; here ``placed`` is the deeper state's mask,
+        # which holds i too, but later[i] holds only larger labels.
+        earlier: dict[int, int] = {}
+        for after, count in counts.items():
+            placed = 0
+            taken = []
+            for row, stride, radix, masks in row_data:
+                k = after // stride % radix
                 if k:
-                    level[after[:r] + (k - 1,) + after[r + 1 :]] = []
-        level_tables = {}
-        for state, found in level.items():
-            placed = sum(masks[k] for masks, k in zip(row_placed, state))
-            buckets = level_tables[state] = []
-            for label, after in moves(state):
+                    placed |= masks[k]
+                    taken.append((row[k - 1], after - stride))
+            for label, state in taken:
                 added = (placed & later[label]).bit_count()
-                sub = counts[after]
-                found.extend([0] * (added + len(sub) - len(found)))
-                for d, count in enumerate(sub, added):
-                    found[d] += count
-                if listing:
-                    sub = tables[after]
-                    buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
-                    head = (label,)
-                    for d, suffixes in enumerate(sub, added):
-                        buckets[d].extend(map(head.__add__, suffixes))
-        counts = level
-        if listing:
-            tables = level_tables
-    poincare = tuple(counts[(0,) * len(rows)])
+                earlier[state] = earlier.get(state, 0) + (count << added * width)
+        counts = earlier
+        if not cells:
+            continue
+        if depth < half:
+            for state in counts:
+                front_moves[state] = moves(state)
+            continue
+        level_tables = {}
+        for state in counts:
+            buckets = level_tables[state] = []
+            for label, after, added in moves(state):
+                sub = tables[after]
+                buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
+                head = (label,)
+                for d, suffixes in enumerate(sub, added):
+                    buckets[d].extend(map(head.__add__, suffixes))
+        tables = level_tables
+    # The empty state's fields, lowest first; the top one, the top cells, is nonzero.
+    packed = counts[0]
+    field = (1 << width) - 1
+    coefficients = []
+    while packed:
+        coefficients.append(packed & field)
+        packed >>= width
+    poincare = tuple(coefficients)
     if not cells:
         return CellPaving(cells=CellBlocks(()), poincare=poincare)
-    # Prefixes of length half, in lexicographic order: (labels, state, placed, dimension).
-    front = [((), (0,) * len(rows), 0, 0)]
+    # Prefixes of length half, in lexicographic order: (labels, state, dimension).
+    front = [((), 0, 0)]
     for _ in range(half):
         front = [
-            (
-                prefix + (label,),
-                after,
-                placed | 1 << label,
-                dim + (placed & later[label]).bit_count(),
-            )
-            for prefix, state, placed, dim in front
-            for label, after in moves(state)
+            (prefix + (label,), after, dim + added)
+            for prefix, state, dim in front
+            for label, after, added in front_moves[state]
         ]
     # Each (state, added dimension) suffix list becomes one tuple, shared by its blocks.
     tables = {state: [tuple(suffixes) for suffixes in sub] for state, sub in tables.items()}
     by_dim = [[] for _ in poincare]
-    for prefix, state, _, dim in front:
+    for prefix, state, dim in front:
         for d, suffixes in enumerate(tables[state], dim):
             if suffixes:
                 by_dim[d].append((prefix, suffixes))

@@ -319,6 +319,17 @@ class TestDecomposeCommand:
         assert code == EXIT_OK
         assert out.count("partition") == 3
 
+    def test_json_answer_builds_no_text_line(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "decompose", "--rank", "3")
+
+        def refuse(self):
+            raise AssertionError("a JSON answer formatted a text line")
+
+        monkeypatch.setattr(Partition, "__str__", refuse)
+        assert run(capsys, "decompose", "--rank", "3") == (EXIT_OK, expected, "")
+        with pytest.raises(AssertionError, match="text line"):
+            main(["decompose", "--rank", "3", "--format", "text"])
+
 
 class TestTablesCommand:
     def test_dump_text_is_tsv(self, capsys):

@@ -105,6 +105,13 @@ ARGV = st.one_of(
 )
 
 
+def cli_env():
+    """The environment for ``python -m nilorbits.cli`` with this checkout's sources first."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 @given(ARGV)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_argument_vector_keeps_the_exit_code_contract(argv):
@@ -121,9 +128,7 @@ def test_every_argument_vector_keeps_the_exit_code_contract(argv):
 def test_closed_stdout_pipe_exits_zero_without_traceback():
     # About 0.6 MB of JSON and 0.2 MB of text, far past a pipe's buffer, so
     # the writer meets the closed pipe while it is still printing.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = cli_env()
     argv = [sys.executable, "-m", "nilorbits.cli", "paving", "--partition", "3,3,2,1", "--cells"]
     for fmt, first_line in (("json", b"{\n"), ("text", b"partition: [3, 3, 2, 1]\n")):
         proc = subprocess.Popen(
@@ -140,9 +145,7 @@ def test_orbit_rank_above_bound_exits_three_without_traceback():
     # Past rank 10^8 an order that orbit prints can pass CPython's 4,300-digit
     # int-to-str limit: |Z(J)| = n + 1 in the first request, |pi1| = 2^15000
     # for the 15,000 distinct even parts of the second.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = cli_env()
     evens = ",".join(map(str, range(30000, 0, -2)))
     for request in (
         ["--type", "A", "--rank", "9" * 4300, "--j", ""],
@@ -156,3 +159,36 @@ def test_orbit_rank_above_bound_exits_three_without_traceback():
             assert proc.stderr.startswith(b"error: --rank ")
             assert proc.stderr.count(b"\n") == 1
             assert b"Traceback" not in proc.stderr
+
+
+def test_error_messages_cut_a_huge_argument():
+    # A 100 KB argument is quoted up to a fixed length; a short one whole.
+    env = cli_env()
+    rising = "1," * 50_000 + "2"
+    for request, start in (
+        (["paving", "--partition", rising], b"error: partition must be comma-separated descending"),
+        (["orbit", "--type", "A", "--rank", "4", "--partition", rising + ",x"],
+         b"error: partition entries must be integers"),
+        (["orbit", "--type", "A", "--rank", "4", "--j", "2," * 50_000 + "1"],
+         b"error: J must be comma-separated strictly ascending"),
+        (["orbit", "--type", "A", "--rank", "4", "--j", rising + ",x"], b"error: J entries must be integers"),
+    ):
+        argv = [sys.executable, "-m", "nilorbits.cli", *request]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(start)
+        assert proc.stderr.count(b"\n") == 1
+        assert len(proc.stderr) < 200
+        assert b"... (" in proc.stderr and b"characters)" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+    for request, message in (
+        (["--partition", "1,3"], "partition must be comma-separated descending, got '1,3'"),
+        (["--partition", "3,a"], "partition entries must be integers: '3,a'"),
+        (["--j", "3,1"], "J must be comma-separated strictly ascending, got '3,1'"),
+        (["--j", "1,a"], "J entries must be integers: '1,a'"),
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["orbit", "--type", "A", "--rank", "4", *request])
+        assert (code, err.getvalue()) == (2, "error: %s\n" % message)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -209,6 +210,25 @@ class TestEnumerateCells:
         for m in (2, 3, 4, 5):
             _, poincare = enumerate_cells(Partition((1,) * m))
             assert list(poincare) == mahonian(m)
+        # [1^13] is the widest column under the state cap; its middle
+        # coefficients fill the most bits of the packed count fields.
+        for m in range(1, 14):
+            paving = enumerate_cells(Partition((1,) * m), bound=m, cells=False)
+            assert list(paving.poincare) == mahonian(m)
+
+    def test_summary_at_the_state_cap_stays_small(self):
+        # Packed counts, two depths alive: the staircase summary (5040
+        # states) peaked at 585,232 bytes under tracemalloc when each
+        # state's counts were a list of ints, and 237,300 packed.
+        staircase = Partition((6, 5, 4, 3, 2, 1))
+        enumerate_cells(staircase, bound=21, cells=False)  # warm-up
+        tracemalloc.start()
+        try:
+            enumerate_cells(staircase, bound=21, cells=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 585_232
 
     def test_subregular_sl3(self):
         # two lines meeting in a point: Betti numbers 1, 2
