@@ -14,11 +14,13 @@ import sys
 
 from .core import (
     DataIntegrityError,
+    ECHO_LIMIT,
     InputError,
     LieType,
     Partition,
     ResourceBoundError,
     SubsetJ,
+    echo_value,
     syt_count,
 )
 from .decomposition import VERIFY_RANK_BOUND, summand_report
@@ -45,8 +47,6 @@ EXIT_RESOURCE = 3
 # 2^sqrt(2n) in types B, C and D.  Up to this rank each has at most 4,258
 # digits, within CPython's 4,300-digit limit on converting an int to str.
 ORBIT_RANK_BOUND = 100_000_000
-# An error message quotes at most this many characters of a bad argument.
-ECHO_LIMIT = 60
 
 
 def _echo(text: str) -> str:
@@ -66,7 +66,7 @@ def _parse_partition(text: str) -> Partition:
         raise InputError("partition entries must be integers: %s" % _echo(text)) from None
     for v in values:
         if v <= 0:
-            raise InputError("partition entries must be positive, got %d" % v)
+            raise InputError("partition entries must be positive, got %s" % echo_value(v))
     if values != sorted(values, reverse=True):
         raise InputError("partition must be comma-separated descending, got %s" % _echo(text))
     return Partition(tuple(values))
@@ -105,7 +105,7 @@ def cmd_orbit(args) -> int:
     t = LieType.of(args.type, args.rank)
     if t.rank > ORBIT_RANK_BOUND:
         raise ResourceBoundError(
-            "--rank %d exceeds the orbit bound %d" % (t.rank, ORBIT_RANK_BOUND)
+            "--rank %s exceeds the orbit bound %d" % (echo_value(t.rank), ORBIT_RANK_BOUND)
         )
     if (args.j is None) == (args.partition is None) and t.is_classical:
         raise InputError("supply exactly one of --j / --partition")
@@ -218,7 +218,7 @@ def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str)
 
 def cmd_paving(args) -> int:
     if args.bound < 1:
-        raise InputError("--bound must be >= 1, got %d" % args.bound)
+        raise InputError("--bound must be >= 1, got %s" % echo_value(args.bound))
     p = _parse_partition(args.partition)
     paving = enumerate_cells(p, bound=args.bound, cells=args.cells)
     poincare = paving.poincare
@@ -332,10 +332,11 @@ def cmd_verify(args) -> int:
     from .checks import run_all
 
     if args.max_rank < 1:
-        raise InputError("--max-rank must be >= 1, got %d" % args.max_rank)
+        raise InputError("--max-rank must be >= 1, got %s" % echo_value(args.max_rank))
     if args.max_rank > VERIFY_RANK_BOUND:
         raise ResourceBoundError(
-            "--max-rank %d exceeds the verify bound %d" % (args.max_rank, VERIFY_RANK_BOUND)
+            "--max-rank %s exceeds the verify bound %d"
+            % (echo_value(args.max_rank), VERIFY_RANK_BOUND)
         )
     results = run_all(max_rank=args.max_rank)
     failed = 0

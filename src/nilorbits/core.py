@@ -37,6 +37,25 @@ FAMILIES = CLASSICAL_FAMILIES + tuple(EXCEPTIONAL_RANKS)
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
+# An error message quotes at most this many characters of a bad argument.
+ECHO_LIMIT = 60
+
+
+def echo_value(value) -> str:
+    """``str(value)`` for an error message, cut after ECHO_LIMIT characters and its length named.
+
+    Error messages show ints and partitions from the command line through
+    this.  An int too long for CPython to convert to str at all is named
+    by its bit length instead.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        return "<%d-bit integer>" % value.bit_length()
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+
 
 class Value:
     """Base of the immutable value types: fields in ``__slots__``, compared by value.
@@ -106,10 +125,11 @@ class LieType(Value):
         if family in EXCEPTIONAL_RANKS:
             fixed = EXCEPTIONAL_RANKS[family]
             if rank != fixed:
-                raise InputError("%s has rank %d, got %d" % (family, fixed, rank))
+                raise InputError("%s has rank %d, got %s" % (family, fixed, echo_value(rank)))
         elif rank < _MIN_RANK[family]:
             raise InputError(
-                "family %s requires rank >= %d, got %d" % (family, _MIN_RANK[family], rank)
+                "family %s requires rank >= %d, got %s"
+                % (family, _MIN_RANK[family], echo_value(rank))
             )
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)
@@ -120,7 +140,9 @@ class LieType(Value):
         if family in EXCEPTIONAL_RANKS:
             fixed = EXCEPTIONAL_RANKS[family]
             if rank is not None and rank != fixed:
-                raise InputError("%s has fixed rank %d, got %d" % (family, fixed, rank))
+                raise InputError(
+                    "%s has fixed rank %d, got %s" % (family, fixed, echo_value(rank))
+                )
             return cls(family, fixed)
         if rank is None:
             raise InputError("family %s requires an explicit rank" % family)
@@ -234,7 +256,7 @@ class SubsetJ(Value):
         if len(set(elems)) != len(elems):
             raise InputError("subset elements must be distinct: %r" % (elements,))
         if elems and elems[0] < 1:
-            raise InputError("subset elements must be >= 1, got %d" % elems[0])
+            raise InputError("subset elements must be >= 1, got %s" % echo_value(elems[0]))
         object.__setattr__(self, "elements", elems)
 
     @classmethod
@@ -272,7 +294,7 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
     """Reject subsets with indices outside [1, rank]."""
     for v in j:
         if not 1 <= v <= t.rank:
-            raise InputError("subset element %d out of range [1, %d]" % (v, t.rank))
+            raise InputError("subset element %s out of range [1, %d]" % (echo_value(v), t.rank))
 
 
 def gcd_of_set(values: Iterable[int], extra: int) -> int:

@@ -10,7 +10,7 @@ Multiplicities are lower bounds only and are never fabricated.
 
 from __future__ import annotations
 
-from .core import InputError, Partition, ResourceBoundError, Value, partitions_of
+from .core import InputError, Partition, ResourceBoundError, Value, echo_value, partitions_of
 from .orbits import orbit_dimension_type_a
 from .paving import max_cell_dimension
 
@@ -53,9 +53,9 @@ def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecor
     Ties break on the partition tuple, so output order is deterministic.
     """
     if n < 1:
-        raise InputError("rank must be >= 1, got %d" % n)
+        raise InputError("rank must be >= 1, got %s" % echo_value(n))
     if n > bound:
-        raise ResourceBoundError("rank %d exceeds the report bound %d" % (n, bound))
+        raise ResourceBoundError("rank %s exceeds the report bound %d" % (echo_value(n), bound))
     records = []
     for p in partitions_of(n + 1):
         dim = orbit_dimension_type_a(n, p)

@@ -1,26 +1,27 @@
 """Brute-force verification of the orbit-partition formulas.
 
 Builds the simple-root-vector representative of a subset J as an explicit
-integer matrix and reads its Jordan type off exact ranks of powers.  All
-rank computations use fraction-free (Bareiss) elimination over the
-integers, every division checked for a zero remainder.
+integer matrix and reads its Jordan type off the ranks of its powers.
 
-The oracle's matrices and their powers are sparse with entries 0 and +-1,
-so the elimination skips work that cannot change a rank, and every skip
-is exact.  Rows and columns of zeros are dropped first, since no step
-makes them nonzero.  A row below the pivot whose pivot-column entry is 0
-is skipped when the pivot equals the previous pivot: the update maps each
-entry x to pivot * x / previous = x, so the row would not change.  When
-the previous pivot is +-1 the row is updated in one pass with no
-remainder check, since division by +-1 is always exact.  Every other
-update still divides with ``divmod`` and raises on a remainder.  Products
-touch only the nonzero entries and build their result without
-re-validating entries that are already ints.
+``rank_sequence`` never forms a power.  The rows of N^k are the rows of
+N^(k-1) times N, so it carries an echelon basis of each row space down a
+chain: the basis rows of row(N^(k-1)) times the sparse rows of N span
+row(N^k), and fraction-free reduction turns them into an echelon basis
+whose size is rank(N^k).  Basis rows are sparse integer rows with
+distinct first columns, each divided by the gcd of its entries.  The
+chain is exact: every step is integer arithmetic, each division is by a
+common divisor of what it divides, and each reduction keeps the span, so
+the basis sizes are the ranks over the rationals.
+
+``IntMatrix.matmul`` and the Bareiss ``IntMatrix.rank`` build and rank
+the powers the direct way.  The oracle no longer calls them; the tests
+use them as the second, independent route to the same rank sequences.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd
 
 from .core import (
     DataIntegrityError,
@@ -128,9 +129,12 @@ class IntMatrix:
     def rank(self) -> int:
         """Exact rank by fraction-free (Bareiss) elimination.
 
-        Divisions are checked: a nonzero remainder would mean lost
-        exactness and raises instead of silently truncating.  Work that
-        cannot change the rank is skipped, exactly:
+        ``rank_sequence`` does not call this; it is the tests'
+        cross-check of the row-space chain, ranking explicit powers by a
+        different elimination.  Divisions are checked: a nonzero
+        remainder would mean lost exactness and raises instead of
+        silently truncating.  Work that cannot change the rank is
+        skipped, exactly:
 
         - Rows and columns of zeros are dropped first.  They stay zero
           under every step and never hold a pivot, so the rank of what is
@@ -234,21 +238,66 @@ def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
 def rank_sequence(m: IntMatrix) -> list[int]:
     """Ranks of successive powers, starting at rank(m^0) = dim, ending at 0.
 
-    Raises if the matrix is not nilpotent (no power up to the dimension
-    vanishes).
+    Row i of m^k is row i of m^(k-1) times m, so the row space of m^k is
+    the row space of m^(k-1) times m.  The chain starts from the unit rows
+    of m^0, multiplies the r_(k-1) rows of an echelon basis of each row
+    space by the sparse rows of m, and reduces the products into an
+    echelon basis of the next row space, whose size is r_k.  No power of
+    m is ever formed.  Raises if the matrix is not nilpotent (no power up
+    to the dimension vanishes).
     """
     dim = m.dim
+    cols = range(dim)
+    # Row k of m as its nonzero (column, value) pairs.
+    m_rows = [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
+    basis = [{i: 1} for i in cols]
     ranks = [dim]
-    power = m
-    for _ in range(1, dim + 1):
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
+    for _ in cols:
+        echelon: dict[int, dict[int, int]] = {}
+        for b in basis:
+            product: dict[int, int] = {}
+            for k, x in b.items():
+                for j, y in m_rows[k]:
+                    product[j] = product.get(j, 0) + x * y
+            if product:
+                _reduce_into(echelon, product)
+        basis = list(echelon.values())
+        ranks.append(len(basis))
+        if not basis:
             return ranks
-        power = power.matmul(m)
     raise InputError(
         "matrix is not nilpotent: rank of the %d-th power is %d" % (dim, ranks[-1])
     )
+
+
+def _reduce_into(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Add the sparse ``row`` to the span of ``echelon``, its rows keyed by their first column.
+
+    While the row's first column p is the first column of a basis row b,
+    the row becomes (b[p] * row - row[p] * b) / g with g = gcd(b[p], row[p])
+    taken out of the two factors: column p clears, the first column moves
+    right, and the basis plus the row span the same space.  A row whose
+    first column is new joins the basis divided by the gcd of its entries.
+    Both divisions are by a common divisor, so they are exact.
+    """
+    row = {j: x for j, x in row.items() if x}
+    while row:
+        p = min(row)
+        b = echelon.get(p)
+        if b is None:
+            g = gcd(*row.values())
+            echelon[p] = {j: x // g for j, x in row.items()} if g > 1 else row
+            return
+        g = gcd(b[p], row[p])
+        scale, factor = b[p] // g, row[p] // g
+        if scale != 1:
+            row = {j: scale * x for j, x in row.items()}
+        for j, y in b.items():
+            x = row.get(j, 0) - factor * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
 
 
 def jordan_partition(m: IntMatrix) -> Partition:

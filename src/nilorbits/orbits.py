@@ -16,6 +16,7 @@ from .core import (
     UnsupportedFamilyError,
     Value,
     check_subset_range,
+    echo_value,
     gcd_of_set,
 )
 
@@ -247,7 +248,8 @@ def orbit_dimension_type_a(n: int, p: Partition) -> int:
     """
     if p.total != n + 1:
         raise InputError(
-            "partition %s sums to %d, expected n+1 = %d" % (p, p.total, n + 1)
+            "partition %s sums to %s, expected n+1 = %d"
+            % (echo_value(p), echo_value(p.total), n + 1)
         )
     return (n + 1) ** 2 - sum((2 * i + 1) * part for i, part in enumerate(p.parts))
 
@@ -258,7 +260,8 @@ def _check_orbit_partition(t: LieType, p: Partition, counts: dict[int, int]) -> 
     expected_total = t.matrix_dimension
     if p.total != expected_total:
         raise InputError(
-            "partition %s sums to %d, expected %d for %s" % (p, p.total, expected_total, t)
+            "partition %s sums to %s, expected %d for %s"
+            % (echo_value(p), echo_value(p.total), expected_total, t)
         )
     if t.family == "A":
         return

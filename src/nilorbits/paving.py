@@ -39,6 +39,7 @@ from .core import (
     ResourceBoundError,
     Value,
     conjugate_heights,
+    echo_value,
 )
 from .jordan import IntMatrix
 
@@ -351,7 +352,7 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         raise InputError("cell enumeration needs a nonempty partition")
     if m > bound:
         raise ResourceBoundError(
-            "partition size %d exceeds the enumeration bound %d" % (m, bound)
+            "partition size %s exceeds the enumeration bound %d" % (echo_value(m), bound)
         )
     width = _check_work(p.parts, cells).bit_length()
     tym, _, _ = labeled_diagrams(p)

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +135,59 @@ class TestLieType:
         assert LieType("D", 4).center_order == 4
         assert LieType.of("E6").center_order == 3
         assert LieType.of("G2").center_order == 1
+
+
+# The one multiple bond of each non-simply-laced type, as (short root,
+# long root, bond multiplicity), on the path 1..rank of A_rank.
+MULTIPLE_BONDS = {
+    "B": lambda n: (n, n - 1, 2),
+    "C": lambda n: (n - 1, n, 2),
+    "F4": lambda n: (3, 2, 2),
+    "G2": lambda n: (1, 2, 3),
+}
+
+
+def cartan_matrix(t):
+    """A_ij = 2(a_i, a_j)/(a_i, a_i), from ``dynkin_diagram`` and one multiple bond."""
+    n = t.rank
+    bond = MULTIPLE_BONDS.get(t.family)
+    diagram = dynkin_diagram(LieType("A", n) if bond else t)
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in diagram.edges:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    if bond:
+        short, long, multiplicity = bond(n)
+        a[short - 1][long - 1] = -multiplicity
+    return a
+
+
+def determinant(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+@pytest.mark.parametrize(
+    "t",
+    [LieType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(lo, 13)]
+    + [LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")],
+    ids=str,
+)
+def test_center_order_is_the_cartan_determinant(t):
+    # |Z(G_sc)| = |P^v/Q^v| = det A, independent of the case table.
+    assert t.center_order == determinant(cartan_matrix(t))
 
 
 class TestGcdOfSet:

@@ -15,6 +15,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilorbits.cli import main
@@ -192,3 +193,68 @@ def test_error_messages_cut_a_huge_argument():
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["orbit", "--type", "A", "--rank", "4", *request])
         assert (code, err.getvalue()) == (2, "error: %s\n" % message)
+
+
+NINES = "9" * 4000
+WIDE = "9" * 4300  # CPython's longest int-to-str conversion; two such parts sum past it
+ORBIT_A4 = ["orbit", "--type", "A", "--rank", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["paving", "--partition", "-" + NINES], 2),
+        (ORBIT_A4 + ["--j", "0" + NINES], 2),
+        (ORBIT_A4 + ["--j", "-" + NINES], 2),
+        (["orbit", "--type", "A", "--rank", "-" + NINES, "--j", "1"], 2),
+        (["orbit", "--type", "E6", "--rank", NINES, "--j", "1"], 2),
+        (["orbit", "--type", "A", "--rank", NINES, "--j", "1"], 3),
+        (["paving", "--partition", "2,1", "--bound", "-" + NINES], 2),
+        (["verify", "--max-rank", "-" + NINES], 2),
+        (["verify", "--max-rank", NINES], 3),
+        (["decompose", "--rank", "-" + NINES], 2),
+        (["decompose", "--rank", NINES], 3),
+        (ORBIT_A4 + ["--partition", NINES], 2),
+        (ORBIT_A4 + ["--partition", ",".join(["1"] * 50_000)], 2),
+        (["orbit", "--type", "C", "--rank", "4", "--partition", WIDE + "," + WIDE], 2),
+        (["paving", "--partition", WIDE + "," + WIDE], 3),
+    ],
+)
+def test_error_messages_cut_a_huge_number(argv, code):
+    # An int or partition of thousands of digits is shown up to a fixed
+    # length; a sum past the int-to-str limit is named by its bit length.
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == code
+    message = err.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert len(message.encode()) < 300
+    assert "... (" in message or "-bit integer>" in message
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["paving", "--partition", "2,-1"], 2, "partition entries must be positive, got -1"),
+        (ORBIT_A4 + ["--j", "7"], 2, "subset element 7 out of range [1, 4]"),
+        (ORBIT_A4 + ["--j", "-3"], 2, "subset elements must be >= 1, got -3"),
+        (["orbit", "--type", "A", "--rank", "-3", "--j", "1"], 2,
+         "family A requires rank >= 1, got -3"),
+        (["orbit", "--type", "E6", "--rank", "5", "--j", "1"], 2, "E6 has fixed rank 6, got 5"),
+        (["orbit", "--type", "A", "--rank", "100000001", "--j", "1"], 3,
+         "--rank 100000001 exceeds the orbit bound 100000000"),
+        (["paving", "--partition", "2,1", "--bound", "0"], 2, "--bound must be >= 1, got 0"),
+        (["paving", "--partition", "9,4", "--bound", "12"], 3,
+         "partition size 13 exceeds the enumeration bound 12"),
+        (["verify", "--max-rank", "0"], 2, "--max-rank must be >= 1, got 0"),
+        (["verify", "--max-rank", "15"], 3, "--max-rank 15 exceeds the verify bound 14"),
+        (["decompose", "--rank", "0"], 2, "rank must be >= 1, got 0"),
+        (["decompose", "--rank", "21"], 3, "rank 21 exceeds the report bound 20"),
+        (ORBIT_A4 + ["--partition", "3,1"], 2, "partition [3, 1] sums to 4, expected 5 for A4"),
+    ],
+)
+def test_error_messages_show_a_short_number_whole(argv, code, message):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == code
+    assert err.getvalue() == "error: %s\n" % message

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,90 @@ def dense_power_ranks(rows):
         ranks.append(fraction_rank(power))
         power = [[sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return ranks
+
+
+def power_ranks(m):
+    """[dim, rank(M), rank(M^2), ...] down to 0, from IntMatrix.matmul and the Bareiss rank."""
+    ranks = [m.dim]
+    power = m
+    while ranks[-1]:
+        ranks.append(power.rank())
+        power = power.matmul(m)
+    return ranks
+
+
+def random_nilpotent(rng, dim):
+    """A dense nilpotent integer matrix: strictly upper, entries -3..3, conjugated by unimodular steps.
+
+    Each step conjugates by E = I + c*E_{i,j} (i != j), whose inverse is
+    I - c*E_{i,j}, so the Jordan type is that of the upper matrix.
+    """
+    m = [[rng.randint(-3, 3) if j > i else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for col in range(dim):  # E * m: row i += c * row j
+            m[i][col] += c * m[j][col]
+        for row in m:  # (E * m) * E^-1: column j -= c * column i
+            row[j] -= c * row[i]
+    return m
+
+
+class TestRowSpaceChain:
+    def test_matches_powers_on_random_dense_nilpotents(self, monkeypatch):
+        # Entries past +-1 make reductions meet rows with a common factor;
+        # counting the gcds above 1 proves the exact-division step ran.
+        divisors = []
+
+        def counted_gcd(*values):
+            g = gcd(*values)
+            divisors.append(g)
+            return g
+
+        monkeypatch.setattr(jordan, "gcd", counted_gcd)
+        rng = random.Random(14)
+        for _ in range(400):
+            dim = rng.randint(1, 8)
+            rows = random_nilpotent(rng, dim)
+            ranks = rank_sequence(IntMatrix(rows))
+            assert ranks == power_ranks(IntMatrix(rows)), rows
+            assert ranks == dense_power_ranks(rows), rows
+        assert any(g > 1 for g in divisors)
+
+    @pytest.mark.parametrize(
+        "entries,dim,rank",
+        [
+            ({(i, i): 1 for i in range(1, 4)}, 3, 3),
+            ({**{(i, i + 1): 2 for i in range(1, 4)}, (1, 1): 1}, 4, 1),
+        ],
+    )
+    def test_non_nilpotent_rejected_after_dim_steps(self, entries, dim, rank):
+        m = IntMatrix.from_entries(dim, entries)
+        text = "matrix is not nilpotent: rank of the %d-th power is %d" % (dim, rank)
+        with pytest.raises(InputError) as exc:
+            rank_sequence(m)
+        assert str(exc.value) == text
+        power = m
+        for _ in range(dim - 1):
+            power = power.matmul(m)
+        assert power.rank() == rank
+
+    def test_verify_multiplies_and_ranks_no_explicit_power(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(IntMatrix, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("matmul", "__matmul__", "rank"):
+            monkeypatch.setattr(IntMatrix, name, counted(name))
+        assert all(r.ok for r in checks.run_all(max_rank=7))
+        assert calls == Counter()
 
 
 class TestFormulaOracleEquivalence:
