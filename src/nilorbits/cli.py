@@ -85,10 +85,6 @@ def _parse_j(text: str) -> SubsetJ:
     return SubsetJ(tuple(values))
 
 
-def _group_json(descriptor) -> dict:
-    return {"kind": descriptor.label, "order": descriptor.order}
-
-
 def _emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -119,13 +115,13 @@ def cmd_orbit(args) -> int:
         j = _parse_j(args.j)
         z = center_fiber(t, j)
         payload["j_set"] = list(j.elements)
-        payload["z_j"] = _group_json(z)
+        payload["z_j"] = z.as_json()
         if t.family in ("E6", "E7"):
             record = table_lookup(t, j)
             a_group = record.a_group
             payload["bala_carter"] = record.bala_carter
-            payload["pi1"] = _group_json(record.pi1)
-            payload["a_group"] = _group_json(a_group)
+            payload["pi1"] = record.pi1.as_json()
+            payload["a_group"] = a_group.as_json()
             payload["kernel_identity_holds"] = (
                 record.z_orbit.order * a_group.order == record.pi1.order
             )
@@ -143,7 +139,7 @@ def cmd_orbit(args) -> int:
         p = orbit_partition(t, j)
         z = center_fiber(t, j)
         payload["j_set"] = list(j.elements)
-        payload["z_j"] = _group_json(z)
+        payload["z_j"] = z.as_json()
     else:
         p = _parse_partition(args.partition)
     pi1, a_group = fundamental_groups(t, p)
@@ -152,8 +148,8 @@ def cmd_orbit(args) -> int:
     payload["partition"] = list(p.parts)
     payload["very_even"] = p.very_even
     payload["orbit_label_ambiguous"] = t.family == "D" and payload["very_even"]
-    payload["pi1"] = _group_json(pi1)
-    payload["a_group"] = _group_json(a_group)
+    payload["pi1"] = pi1.as_json()
+    payload["a_group"] = a_group.as_json()
     if t.family == "A":
         payload["orbit_dimension"] = orbit_dimension_type_a(t.rank, p)
         payload["d_x"] = max_cell_dimension(p)

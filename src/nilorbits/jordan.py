@@ -13,15 +13,16 @@ chain is exact: every step is integer arithmetic, each division is by a
 common divisor of what it divides, and each reduction keeps the span, so
 the basis sizes are the ranks over the rationals.
 
-``IntMatrix.matmul`` and the Bareiss ``IntMatrix.rank`` build and rank
-the powers the direct way.  The oracle no longer calls them; the tests
-use them as the second, independent route to the same rank sequences.
+``IntMatrix.matmul`` (a dense product) and ``IntMatrix.rank`` (textbook
+Bareiss) are plain references for the tests: no product path calls them,
+and the tests build and rank explicit powers with them as a second route.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import gcd
+from operator import mul
 
 from .core import (
     DataIntegrityError,
@@ -77,19 +78,10 @@ class IntMatrix:
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise InputError("dimension mismatch in matrix product")
-        n = self.dim
-        cols = range(n)
-        # The nonzero (column, value) entries of each row of the right factor.
-        b = [[(j, row[j]) for j in compress(cols, row)] for row in other.rows]
-        out = []
-        for arow in self.rows:
-            orow = [0] * n
-            for k in compress(cols, arow):
-                v = arow[k]
-                for j, w in b[k]:
-                    orow[j] += v * w
-            out.append(tuple(orow))
-        return IntMatrix._trusted(tuple(out))
+        cols = tuple(zip(*other.rows))
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows)
+        )
 
     __matmul__ = matmul
 
@@ -127,67 +119,32 @@ class IntMatrix:
         return " ".join(pieces)
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination.
+        """Exact rank by textbook fraction-free (Bareiss) elimination.
 
-        ``rank_sequence`` does not call this; it is the tests'
-        cross-check of the row-space chain, ranking explicit powers by a
-        different elimination.  Divisions are checked: a nonzero
-        remainder would mean lost exactness and raises instead of
-        silently truncating.  Work that cannot change the rank is
-        skipped, exactly:
-
-        - Rows and columns of zeros are dropped first.  They stay zero
-          under every step and never hold a pivot, so the rank of what is
-          left is the rank of the matrix.
-        - A row with 0 in the pivot column is skipped when the pivot
-          ``lead`` equals the previous pivot ``prev``: each entry x would
-          become lead * x / prev = x.
-        - When ``prev`` is +-1 the row tail is lead * x - factor * y times
-          ``prev``, in one pass with no remainder check: division by +-1
-          is exact for any integers.
-        - The elimination stops once every row holds a pivot.
+        A plain reference for the tests; ``rank_sequence`` does not call it.
+        Every update divides by the previous pivot, checked: a nonzero
+        remainder would mean lost exactness and raises instead of truncating.
         """
-        rows = [row for row in self.rows if any(row)]
-        if not rows:
-            return 0
-        keep = sorted(set().union(*(compress(range(self.dim), row) for row in rows)))
-        m = [[row[c] for c in keep] for row in rows]
-        n_rows, n = len(m), len(keep)
+        m = [list(row) for row in self.rows]
+        n = self.dim
         rank = 0
         prev = 1
         for col in range(n):
-            hits = [r for r in range(rank, n_rows) if m[r][col]]
-            if not hits:
+            pivot = next((r for r in range(rank, n) if m[r][col]), None)
+            if pivot is None:
                 continue
-            pivot = hits[0]
-            if pivot != rank:
-                m[rank], m[pivot] = m[pivot], m[rank]
+            m[rank], m[pivot] = m[pivot], m[rank]
             lead = m[rank][col]
-            tail_p = m[rank][col + 1 :]
-            # The rows below the pivot row that the step changes; the swap
-            # moved only a row with 0 in this column.
-            for r in hits[1:] if lead == prev else range(rank + 1, n_rows):
-                row_r = m[r]
-                factor = row_r[col]
-                if prev == 1:
-                    row_r[col + 1 :] = [
-                        lead * x - factor * y for x, y in zip(row_r[col + 1 :], tail_p)
-                    ]
-                elif prev == -1:
-                    row_r[col + 1 :] = [
-                        factor * y - lead * x for x, y in zip(row_r[col + 1 :], tail_p)
-                    ]
-                else:
-                    for c in range(col + 1, n):
-                        q, rem = divmod(lead * row_r[c] - factor * tail_p[c - col - 1], prev)
-                        if rem:
-                            raise DataIntegrityError("fraction-free elimination lost exactness")
-                        row_r[c] = q
-                row_r[col] = 0
+            # Only columns right of col are read again, so col is not cleared.
+            for r in range(rank + 1, n):
+                factor = m[r][col]
+                for c in range(col + 1, n):
+                    q, rem = divmod(lead * m[r][c] - factor * m[rank][c], prev)
+                    if rem:
+                        raise DataIntegrityError("fraction-free elimination lost exactness")
+                    m[r][c] = q
             prev = lead
             rank += 1
-            if rank == n_rows:
-                break
         return rank
 
     def __eq__(self, other) -> bool:
@@ -244,9 +201,11 @@ def rank_sequence(m: IntMatrix) -> list[int]:
     space by the sparse rows of m, and reduces the products into an
     echelon basis of the next row space, whose size is r_k.  No power of
     m is ever formed.  Raises if the matrix is not nilpotent (no power up
-    to the dimension vanishes).
+    to the dimension vanishes); the 0x0 matrix is nilpotent, with ranks [0].
     """
     dim = m.dim
+    if not dim:
+        return [0]
     cols = range(dim)
     # Row k of m as its nonzero (column, value) pairs.
     m_rows = [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]

@@ -69,6 +69,10 @@ class FiniteGroupDescriptor(Value):
             return self.kind
         return "%s(%d)" % (self.kind, self.parameter)
 
+    def as_json(self) -> dict:
+        """The group as the CLI and the table dump print it in JSON."""
+        return {"kind": self.label, "order": self.order}
+
     @property
     def math_name(self) -> str:
         if self.kind == "trivial":

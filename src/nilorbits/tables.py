@@ -383,15 +383,14 @@ def records_as_dicts(t: LieType) -> list[dict]:
     """Canonical JSON-ready form mirroring the record fields."""
     out = []
     for record in records(t):
-        a_group = record.a_group
         out.append(
             {
                 "bala_carter": record.bala_carter,
                 "base_label": record.base_label.render(),
                 "j_sets": [list(j.elements) for j in record.j_sets],
-                "z_orbit": {"kind": record.z_orbit.label, "order": record.z_orbit.order},
-                "pi1": {"kind": record.pi1.label, "order": record.pi1.order},
-                "a_group": {"kind": a_group.label, "order": a_group.order},
+                "z_orbit": record.z_orbit.as_json(),
+                "pi1": record.pi1.as_json(),
+                "a_group": record.a_group.as_json(),
             }
         )
     return out

@@ -14,6 +14,7 @@ from nilorbits.jordan import (
     representative_matrix,
 )
 from nilorbits import checks, jordan
+from nilorbits.cli import main
 from nilorbits.orbits import orbit_dimension_type_a, orbit_partition
 
 
@@ -148,6 +149,13 @@ class TestJordanPartition:
     def test_zero_matrix(self):
         assert jordan_partition(IntMatrix.zero(5)) == Partition((1, 1, 1, 1, 1))
 
+    def test_empty_matrix(self):
+        # The 0x0 matrix is its own zeroth power, so it is nilpotent with
+        # ranks [0] and the empty Jordan type.
+        empty = IntMatrix([])
+        assert rank_sequence(empty) == [0]
+        assert jordan_partition(empty) == Partition(())
+
     def test_single_block(self):
         for dim in (1, 2, 5, 8):
             assert jordan_partition(shift_block(dim)) == Partition((dim,))
@@ -269,6 +277,20 @@ class TestRowSpaceChain:
         for name in ("matmul", "__matmul__", "rank"):
             monkeypatch.setattr(IntMatrix, name, counted(name))
         assert all(r.ok for r in checks.run_all(max_rank=7))
+        # One request of every command shape; none may reach the references.
+        requests = [
+            ["orbit", "--type", "C", "--rank", "3", "--j", "1"],
+            ["orbit", "--type", "B", "--rank", "3", "--partition", "3,3,1"],
+            ["orbit", "--type", "E7", "--j", "1,3"],
+            ["decompose", "--rank", "4"],
+            ["tables", "--type", "E6"],
+            ["tables", "--type", "E7", "--validate"],
+        ]
+        for fmt in ("json", "text"):
+            requests.append(["paving", "--partition", "3,2,1", "--format", fmt])
+            requests.append(["paving", "--partition", "3,2,1", "--cells", "--format", fmt])
+        for argv in requests:
+            assert main(argv) == 0, argv
         assert calls == Counter()
 
 
@@ -280,7 +302,9 @@ class TestFormulaOracleEquivalence:
                 for j in all_subsets(rank):
                     m = representative_matrix(t, j)
                     rows = [list(row) for row in m.rows]
-                    assert rank_sequence(m) == dense_power_ranks(rows), (t, j)
+                    ranks = rank_sequence(m)
+                    assert ranks == dense_power_ranks(rows), (t, j)
+                    assert power_ranks(m) == ranks, (t, j)
 
     @pytest.mark.parametrize(
         "family,rank",
