@@ -1,9 +1,12 @@
 """Self-check suites: every library invariant as an executable sweep.
 
 Each suite returns a CheckResult with the number of individual checks it
-ran and a list of failure descriptions.  The CLI ``verify`` command runs
-them all and exits nonzero if anything failed; the test suite calls the
-same functions, so the two surfaces cannot drift apart.
+ran and a list of failure descriptions.  The seven classical suites take
+one ``classical_sweep`` as their only argument, so every classical
+(type, J) is computed once however many suites read it.  The CLI
+``verify`` command runs them all and exits nonzero if anything failed; the
+test suite calls the same functions, so the two surfaces cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .core import (
     CheckResult,
     LieType,
     Partition,
-    SubsetJ,
     all_subsets,
     classify_subdiagram,
     conjugate_heights,
@@ -106,52 +108,82 @@ def check_subdiagram_classification() -> CheckResult:
     return _result("subdiagram-classification", checked, failures)
 
 
-# Per classical type, two columns indexed by the bitmask of J (the order of
-# ``all_subsets``): the rank sequence of the powers of the representative
-# matrix, and whether that matrix is strictly upper triangular.
-RankTable = dict[LieType, tuple[list[list[int]], list[bool]]]
+# Rank sequences are kept for the types of rank up to ORACLE_RANK, which
+# formula-oracle reads; oracle-rank-profile reads those up to PROFILE_RANK.
+ORACLE_RANK = 7
+PROFILE_RANK = 5
 
 
-def rank_table(types) -> RankTable:
-    """The shared oracle sweep: each representative matrix and its rank sequence once per (type, J).
+class Columns:
+    """One classical type's sweep: lists indexed by the bitmask of J (the order of ``all_subsets``).
 
-    formula-oracle and oracle-rank-profile read these columns instead of
-    each building the matrices and ranking their powers again.
+    ``partitions`` holds P(J), one object per distinct partition;
+    ``zj_orders``, ``pi1_orders`` and ``a_orders`` hold |Z(J)|, |pi1(O)| and
+    |A(O)|.  ``ranks`` (the rank sequence of the representative's powers)
+    and ``upper`` (whether it is strictly upper triangular) are empty above
+    ORACLE_RANK.
     """
-    table: RankTable = {}
-    for t in types:
-        sequences, upper = table[t] = ([], [])
+
+    __slots__ = ("partitions", "zj_orders", "pi1_orders", "a_orders", "ranks", "upper")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+
+Sweep = dict[LieType, Columns]
+
+
+def classical_sweep(max_rank: int) -> Sweep:
+    """Everything the seven classical suites read, computed once per classical (type, J).
+
+    The types run over A1.., B2.., C2.. and D3.. up to ``max_rank``.  Each
+    (type, J) gets its orbit partition, its covering fiber and, up to
+    ORACLE_RANK, its representative matrix computed once, and each distinct
+    (type, partition) its fundamental groups, which also rejects a
+    partition of the wrong total.  J itself is rebuilt from its index for a
+    failure message, so the sweep keeps no SubsetJ alive.
+    """
+    sweep: Sweep = {}
+    for t in _classical_ranks(max_rank):
+        c = sweep[t] = Columns()
+        # The group orders depend on the partition alone, and many J share one.
+        seen: dict[Partition, tuple[Partition, int, int]] = {}
+        oracle = t.rank <= ORACLE_RANK
         for j in all_subsets(t.rank):
-            matrix = representative_matrix(t, j)
-            sequences.append(rank_sequence(matrix))
-            upper.append(matrix.is_strictly_upper())
-    return table
+            p = orbit_partition(t, j)
+            entry = seen.get(p)
+            if entry is None:
+                pi1, a_group = fundamental_groups(t, p)
+                entry = seen[p] = (p, pi1.order, a_group.order)
+            c.partitions.append(entry[0])
+            c.zj_orders.append(center_fiber(t, j).order)
+            c.pi1_orders.append(entry[1])
+            c.a_orders.append(entry[2])
+            if oracle:
+                matrix = representative_matrix(t, j)
+                c.ranks.append(rank_sequence(matrix))
+                c.upper.append(matrix.is_strictly_upper())
+    return sweep
 
 
-def check_formula_oracle(max_rank: int = 7, table: RankTable | None = None) -> CheckResult:
+def check_formula_oracle(sweep: Sweep) -> CheckResult:
     """Jordan type of the explicit representative equals the closed-form partition.
 
     In type A the closed-form orbit dimension must also equal (n+1)^2 minus
     the centralizer dimension, the sum of the squared column heights of the
-    Jordan type (Collingwood-McGovern, section 6.1).  Rank sequences come
-    from ``table`` for the types it covers and are computed here for the
-    rest.
+    Jordan type (Collingwood-McGovern, section 6.1).  Covers the types of
+    rank up to ORACLE_RANK.
     """
     failures = []
     checked = 0
-    for t in _classical_ranks(max_rank):
-        sequences = table[t][0] if table and t in table else None
-        for mask, j in enumerate(all_subsets(t.rank)):
+    for t, c in sweep.items():
+        for mask, (formula, ranks) in enumerate(zip(c.partitions, c.ranks)):
             checked += 1
-            formula = orbit_partition(t, j)
-            if sequences is None:
-                ranks = rank_sequence(representative_matrix(t, j))
-            else:
-                ranks = sequences[mask]
             oracle = partition_from_ranks(ranks)
             if formula != oracle:
                 failures.append(
-                    "%s J=%s: formula %s vs oracle %s" % (t, j, formula, oracle)
+                    "%s J=%s: formula %s vs oracle %s" % (t, subset_of_mask(mask), formula, oracle)
                 )
             if t.family == "A":
                 dim = orbit_dimension_type_a(t.rank, formula)
@@ -159,21 +191,22 @@ def check_formula_oracle(max_rank: int = 7, table: RankTable | None = None) -> C
                 if dim != via_oracle:
                     failures.append(
                         "%s J=%s: orbit dimension %d vs %d from the oracle's column heights"
-                        % (t, j, dim, via_oracle)
+                        % (t, subset_of_mask(mask), dim, via_oracle)
                     )
     return _result("formula-oracle", checked, failures)
 
 
-def check_oracle_rank_profile(max_rank: int = 5, table: RankTable | None = None) -> CheckResult:
-    """Rank sequences decrease strictly to zero and are convex; type A stays upper triangular."""
-    types = list(_classical_ranks(max_rank))
-    if table is None:
-        table = rank_table(types)
+def check_oracle_rank_profile(sweep: Sweep) -> CheckResult:
+    """Rank sequences decrease strictly to zero and are convex; type A stays upper triangular.
+
+    Covers the types of rank up to PROFILE_RANK.
+    """
     failures = []
     checked = 0
-    for t in types:
-        sequences, upper = table[t]
-        for mask, (ranks, is_upper) in enumerate(zip(sequences, upper)):
+    for t, c in sweep.items():
+        if t.rank > PROFILE_RANK:
+            continue
+        for mask, (ranks, is_upper) in enumerate(zip(c.ranks, c.upper)):
             checked += 1
             j = subset_of_mask(mask)
             drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
@@ -186,48 +219,12 @@ def check_oracle_rank_profile(max_rank: int = 5, table: RankTable | None = None)
     return _result("oracle-rank-profile", checked, failures)
 
 
-# Per classical type, four columns indexed by the bitmask of J (the order
-# of ``all_subsets``): the total of P(J), |Z(J)|, |pi1(O)| and |A(O)|.
-JTable = dict[LieType, tuple[list[int], list[int], list[int], list[int]]]
-
-
-def j_table(types) -> JTable:
-    """The shared J sweep: orbit partition, covering fiber and group orders once per (type, J).
-
-    The four J suites read these columns instead of each recomputing them.
-    They hold small ints only; J itself is rebuilt from its index for a
-    failure message, so the table keeps no SubsetJ alive.
-    ``fundamental_groups`` runs once per distinct partition of a type and
-    rejects a partition of the wrong total, as ``kernel_check`` does.
-    """
-    table: JTable = {}
-    for t in types:
-        totals, zj_orders, pi1_orders, a_orders = table[t] = ([], [], [], [])
-        # The group orders depend on the partition alone, and many J share one.
-        group_orders: dict[Partition, tuple[int, int]] = {}
-        for j in all_subsets(t.rank):
-            p = orbit_partition(t, j)
-            orders = group_orders.get(p)
-            if orders is None:
-                pi1, a_group = fundamental_groups(t, p)
-                orders = group_orders[p] = (pi1.order, a_group.order)
-            totals.append(p.total)
-            zj_orders.append(center_fiber(t, j).order)
-            pi1_orders.append(orders[0])
-            a_orders.append(orders[1])
-    return table
-
-
-def check_kernel_identity(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
+def check_kernel_identity(sweep: Sweep) -> CheckResult:
     """|Z(J)| * |A(O)| = |pi1(O)| across families A-D and all subsets."""
-    types = list(_classical_ranks(max_rank))
-    if table is None:
-        table = j_table(types)
     failures = []
     checked = 0
-    for t in types:
-        _, zj_orders, pi1_orders, a_orders = table[t]
-        for mask, (zj, pi1, a_order) in enumerate(zip(zj_orders, pi1_orders, a_orders)):
+    for t, c in sweep.items():
+        for mask, (zj, pi1, a_order) in enumerate(zip(c.zj_orders, c.pi1_orders, c.a_orders)):
             checked += 1
             if zj * a_order != pi1:
                 failures.append(
@@ -240,16 +237,14 @@ def check_kernel_identity(max_rank: int = 10, table: JTable | None = None) -> Ch
     return _result("kernel-identity", checked, failures)
 
 
-def check_type_a_exactness(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
+def check_type_a_exactness(sweep: Sweep) -> CheckResult:
     """In type A the covering fiber is the whole fundamental group."""
-    types = [LieType("A", rank) for rank in range(1, max_rank + 1)]
-    if table is None:
-        table = j_table(types)
     failures = []
     checked = 0
-    for t in types:
-        _, zj_orders, pi1_orders, _ = table[t]
-        for mask, (zj, pi1) in enumerate(zip(zj_orders, pi1_orders)):
+    for t, c in sweep.items():
+        if t.family != "A":
+            continue
+        for mask, (zj, pi1) in enumerate(zip(c.zj_orders, c.pi1_orders)):
             checked += 1
             if zj != pi1:
                 failures.append(
@@ -258,34 +253,28 @@ def check_type_a_exactness(max_rank: int = 10, table: JTable | None = None) -> C
     return _result("type-a-exactness", checked, failures)
 
 
-def check_partition_totals(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
+def check_partition_totals(sweep: Sweep) -> CheckResult:
     """Orbit partitions always sum to the matrix dimension of the family."""
-    types = list(_classical_ranks(max_rank))
-    if table is None:
-        table = j_table(types)
     failures = []
     checked = 0
-    for t in types:
-        for mask, total in enumerate(table[t][0]):
+    for t, c in sweep.items():
+        for mask, p in enumerate(c.partitions):
             checked += 1
-            if total != t.matrix_dimension:
+            if p.total != t.matrix_dimension:
                 failures.append(
                     "%s J=%s: total %d != %d"
-                    % (t, subset_of_mask(mask), total, t.matrix_dimension)
+                    % (t, subset_of_mask(mask), p.total, t.matrix_dimension)
                 )
     return _result("partition-totals", checked, failures)
 
 
-def check_center_divisibility(max_rank: int = 10, table: JTable | None = None) -> CheckResult:
+def check_center_divisibility(sweep: Sweep) -> CheckResult:
     """|Z(J)| divides the order of the simply connected center, all families.
 
-    The classical orders come from the shared J sweep; the exceptional
-    types, which it does not cover, call ``center_fiber`` here.
+    The classical orders come from the sweep; the exceptional types, which
+    it does not cover, call ``center_fiber`` here.
     """
-    types = list(_classical_ranks(max_rank))
-    if table is None:
-        table = j_table(types)
-    columns = [(t, table[t][1]) for t in types]
+    columns = [(t, c.zj_orders) for t, c in sweep.items()]
     for family in ("E6", "E7", "E8", "F4", "G2"):
         t = LieType.of(family)
         columns.append((t, [center_fiber(t, j).order for j in all_subsets(t.rank)]))
@@ -302,14 +291,13 @@ def check_center_divisibility(max_rank: int = 10, table: JTable | None = None) -
     return _result("center-divisibility", checked, failures)
 
 
-def check_full_subset_zero_orbit(max_rank: int = 10) -> CheckResult:
+def check_full_subset_zero_orbit(sweep: Sweep) -> CheckResult:
     """J = {1..n} always lands on the zero orbit [1, 1, ...]."""
     failures = []
     checked = 0
-    for t in _classical_ranks(max_rank):
+    for t, c in sweep.items():
         checked += 1
-        full = SubsetJ(tuple(range(1, t.rank + 1)))
-        p = orbit_partition(t, full)
+        p = c.partitions[-1]  # the last mask sets every bit
         if p.parts != (1,) * t.matrix_dimension:
             failures.append("%s full J gives %s" % (t, p))
     return _result("full-subset-zero-orbit", checked, failures)
@@ -540,41 +528,32 @@ def check_tables() -> CheckResult:
 def run_all(max_rank: int = 10) -> list[CheckResult]:
     """Every suite, in a fixed order, with ranks clamped to keep the heavy sweeps bounded.
 
-    The two oracle suites read one shared ``rank_table`` over the ranks both
-    cover, so each of those representative matrices is built and its powers
-    ranked once; formula-oracle computes its higher ranks itself.
-
-    The four J suites (kernel-identity, type-a-exactness, partition-totals
-    and center-divisibility) read one shared ``j_table`` built for this run,
-    so each classical (type, J) gets its orbit partition and covering fiber
-    computed once, and each distinct (type, partition) its fundamental
-    groups.  Both tables are dropped before the paving suites, where a run
-    reaches its peak memory.
+    The seven classical suites (formula-oracle, oracle-rank-profile,
+    kernel-identity, type-a-exactness, partition-totals, center-divisibility
+    and full-subset-zero-orbit) read one ``classical_sweep`` built for this
+    run, so each classical (type, J) gets its orbit partition, covering
+    fiber and representative matrix computed once, and each distinct
+    (type, partition) its fundamental groups.  The sweep is dropped before
+    the paving suites, where a run reaches its peak memory.
     """
-    oracle_rank = min(7, max_rank)
-    profile_rank = min(5, max_rank)
     paving_total = min(8, max_rank + 1)
     structure_cells = min(6, max_rank + 1)
     decompose_rank = min(8, max_rank)
-    ranks = rank_table(_classical_ranks(profile_rank))
+    sweep = classical_sweep(max_rank)
     results = [
         check_conjugate_involution(max_total=max_rank),
         check_syt_symmetry(max_total=max_rank),
         check_subdiagram_classification(),
-        check_formula_oracle(oracle_rank, ranks),
-        check_oracle_rank_profile(profile_rank, ranks),
+        check_formula_oracle(sweep),
+        check_oracle_rank_profile(sweep),
+        check_kernel_identity(sweep),
+        check_type_a_exactness(sweep),
+        check_partition_totals(sweep),
+        check_center_divisibility(sweep),
+        check_full_subset_zero_orbit(sweep),
     ]
-    del ranks
-    table = j_table(_classical_ranks(max_rank))
-    results += [
-        check_kernel_identity(max_rank, table),
-        check_type_a_exactness(max_rank, table),
-        check_partition_totals(max_rank, table),
-        check_center_divisibility(max_rank, table),
-    ]
-    del table
+    del sweep
     return results + [
-        check_full_subset_zero_orbit(max_rank=max_rank),
         check_paving_identities(max_total=paving_total),
         check_paving_structure(
             max_total_roots=max_rank, max_total_cells=structure_cells

@@ -14,12 +14,12 @@ import sys
 
 from .core import (
     DataIntegrityError,
-    ECHO_LIMIT,
     InputError,
     LieType,
     Partition,
     ResourceBoundError,
     SubsetJ,
+    echo_text,
     echo_value,
     syt_count,
 )
@@ -49,13 +49,6 @@ EXIT_RESOURCE = 3
 ORBIT_RANK_BOUND = 100_000_000
 
 
-def _echo(text: str) -> str:
-    """``text`` quoted for an error message, cut after ECHO_LIMIT characters and its length named."""
-    if len(text) <= ECHO_LIMIT:
-        return repr(text)
-    return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
-
-
 def _parse_partition(text: str) -> Partition:
     pieces = [s.strip() for s in text.split(",") if s.strip()]
     if not pieces:
@@ -63,12 +56,12 @@ def _parse_partition(text: str) -> Partition:
     try:
         values = [int(s) for s in pieces]
     except ValueError:
-        raise InputError("partition entries must be integers: %s" % _echo(text)) from None
+        raise InputError("partition entries must be integers: %s" % echo_text(text)) from None
     for v in values:
         if v <= 0:
             raise InputError("partition entries must be positive, got %s" % echo_value(v))
     if values != sorted(values, reverse=True):
-        raise InputError("partition must be comma-separated descending, got %s" % _echo(text))
+        raise InputError("partition must be comma-separated descending, got %s" % echo_text(text))
     return Partition(tuple(values))
 
 
@@ -79,9 +72,9 @@ def _parse_j(text: str) -> SubsetJ:
     try:
         values = [int(s) for s in text.split(",")]
     except ValueError:
-        raise InputError("J entries must be integers: %s" % _echo(text)) from None
+        raise InputError("J entries must be integers: %s" % echo_text(text)) from None
     if values != sorted(set(values)):
-        raise InputError("J must be comma-separated strictly ascending, got %s" % _echo(text))
+        raise InputError("J must be comma-separated strictly ascending, got %s" % echo_text(text))
     return SubsetJ(tuple(values))
 
 

@@ -44,9 +44,10 @@ ECHO_LIMIT = 60
 def echo_value(value) -> str:
     """``str(value)`` for an error message, cut after ECHO_LIMIT characters and its length named.
 
-    Error messages show ints and partitions from the command line through
-    this.  An int too long for CPython to convert to str at all is named
-    by its bit length instead.
+    Error messages show ints, tuples and partitions through this, whether
+    they come from the command line or from a library caller.  An int too
+    long for CPython to convert to str at all is named by its bit length
+    instead.
     """
     try:
         text = str(value)
@@ -55,6 +56,13 @@ def echo_value(value) -> str:
     if len(text) <= ECHO_LIMIT:
         return text
     return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+
+
+def echo_text(text: str) -> str:
+    """``text`` quoted for an error message, cut like ``echo_value``: the text of a bad argument."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
 
 
 class Value:
@@ -121,11 +129,11 @@ class LieType(Value):
 
     def __init__(self, family: str, rank: int) -> None:
         if family not in FAMILIES:
-            raise InputError("unknown Lie family %r" % (family,))
+            raise InputError("unknown Lie family %s" % echo_text(family))
         if family in EXCEPTIONAL_RANKS:
             fixed = EXCEPTIONAL_RANKS[family]
             if rank != fixed:
-                raise InputError("%s has rank %d, got %s" % (family, fixed, echo_value(rank)))
+                raise InputError("%s has fixed rank %d, got %s" % (family, fixed, echo_value(rank)))
         elif rank < _MIN_RANK[family]:
             raise InputError(
                 "family %s requires rank >= %d, got %s"
@@ -136,16 +144,12 @@ class LieType(Value):
 
     @classmethod
     def of(cls, family: str, rank: int | None = None) -> "LieType":
+        """The type named ``family``, in any case; an exceptional family may leave out its rank."""
         family = family.upper()
-        if family in EXCEPTIONAL_RANKS:
-            fixed = EXCEPTIONAL_RANKS[family]
-            if rank is not None and rank != fixed:
-                raise InputError(
-                    "%s has fixed rank %d, got %s" % (family, fixed, echo_value(rank))
-                )
-            return cls(family, fixed)
         if rank is None:
-            raise InputError("family %s requires an explicit rank" % family)
+            if family in CLASSICAL_FAMILIES:
+                raise InputError("family %s requires an explicit rank" % family)
+            rank = EXCEPTIONAL_RANKS.get(family)
         return cls(family, rank)
 
     @property
@@ -204,7 +208,7 @@ class Partition(Value):
         parts = tuple(sorted((int(v) for v in self.parts), reverse=True))
         for v in parts:
             if v <= 0:
-                raise InputError("partition parts must be positive, got %d" % v)
+                raise InputError("partition parts must be positive, got %s" % echo_value(v))
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -254,7 +258,7 @@ class SubsetJ(Value):
     def __init__(self, elements: tuple[int, ...] = ()) -> None:
         elems = tuple(sorted(int(v) for v in elements))
         if len(set(elems)) != len(elems):
-            raise InputError("subset elements must be distinct: %r" % (elements,))
+            raise InputError("subset elements must be distinct: %s" % echo_value(elements))
         if elems and elems[0] < 1:
             raise InputError("subset elements must be >= 1, got %s" % echo_value(elems[0]))
         object.__setattr__(self, "elements", elems)
@@ -300,7 +304,7 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
 def gcd_of_set(values: Iterable[int], extra: int) -> int:
     """gcd of ``values`` together with ``extra``; equals ``extra`` on an empty set."""
     if extra < 1:
-        raise InputError("extra must be >= 1, got %d" % extra)
+        raise InputError("extra must be >= 1, got %s" % echo_value(extra))
     return reduce(math.gcd, values, extra)
 
 

@@ -32,6 +32,7 @@ from .core import (
     SubsetJ,
     UnsupportedFamilyError,
     check_subset_range,
+    echo_value,
 )
 
 
@@ -67,7 +68,10 @@ class IntMatrix:
         grid = [[0] * dim for _ in range(dim)]
         for (i, j), v in entries.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
-                raise InputError("entry position (%d, %d) outside dimension %d" % (i, j, dim))
+                raise InputError(
+                    "entry position (%s, %s) outside dimension %d"
+                    % (echo_value(i), echo_value(j), dim)
+                )
             grid[i - 1][j - 1] = int(v)
         return cls._trusted(tuple(map(tuple, grid)))
 

@@ -96,7 +96,7 @@ class FiniteGroupDescriptor(Value):
     @classmethod
     def cyclic(cls, c: int) -> "FiniteGroupDescriptor":
         if c < 1:
-            raise InputError("cyclic order must be >= 1, got %d" % c)
+            raise InputError("cyclic order must be >= 1, got %s" % echo_value(c))
         if c == 1:
             return cls("trivial")
         return cls("cyclic", c)
@@ -104,7 +104,7 @@ class FiniteGroupDescriptor(Value):
     @classmethod
     def elementary_abelian_2(cls, k: int) -> "FiniteGroupDescriptor":
         if k < 0:
-            raise InputError("exponent must be >= 0, got %d" % k)
+            raise InputError("exponent must be >= 0, got %s" % echo_value(k))
         if k == 0:
             return cls("trivial")
         return cls("elementary_abelian_2", k)

@@ -96,7 +96,7 @@ class TableauPermutation(Value):
     def __post_init__(self) -> None:
         values = tuple(int(v) for v in self.one_line)
         if sorted(values) != list(range(1, len(values) + 1)):
-            raise InputError("not a permutation of 1..%d: %r" % (len(values), values))
+            raise InputError("not a permutation of 1..%d: %s" % (len(values), echo_value(values)))
         object.__setattr__(self, "one_line", values)
 
     @classmethod

@@ -15,6 +15,7 @@ from nilorbits.checks import (
     check_kernel_identity,
     check_paving_identities,
     check_tables,
+    classical_sweep,
     run_all,
 )
 from nilorbits.core import LieType, Partition, partitions_of, syt_count
@@ -101,14 +102,14 @@ def test_criterion_2_root_sets_and_dimensions():
 
 def test_criterion_3_formula_oracle_equivalence():
     with criterion(3, "formula-oracle equivalence, ranks up to 7", 5000.0):
-        result = check_formula_oracle(max_rank=7)
+        result = check_formula_oracle(classical_sweep(7))
         assert result.checked == 1006
         assert result.failures == ()
 
 
 def test_criterion_4_kernel_identity():
     with criterion(4, "kernel identity, ranks up to 10", 1000.0):
-        result = check_kernel_identity(max_rank=10)
+        result = check_kernel_identity(classical_sweep(10))
         assert result.checked == 8174
         assert result.failures == ()
 

@@ -423,3 +423,24 @@ def test_query_mix_workload_matches_recorded_stdout(monkeypatch):
 def test_verify_workload_matches_recorded_stdout(monkeypatch):
     # Pins every suite's checked count at ranks 6, 7 and 10.
     replay_workload(monkeypatch, "verify")
+
+
+def test_bench_wraps_every_suite_that_run_all_calls(monkeypatch):
+    # bench/spans.py gives each suite in SUITES a span; a suite that run_all
+    # calls but SUITES misses would file its time under its caller.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    called = set()
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in [n for n in vars(checks) if n.startswith("check_")]:
+        monkeypatch.setattr(checks, name, recorded(name, getattr(checks, name)))
+    assert all(r.ok for r in checks.run_all(max_rank=3))
+    assert called == {"check_" + suite for suite in spans.SUITES}

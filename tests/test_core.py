@@ -19,6 +19,9 @@ from nilorbits.core import (
     partitions_of,
     syt_count,
 )
+from nilorbits.jordan import IntMatrix
+from nilorbits.orbits import FiniteGroupDescriptor
+from nilorbits.paving import TableauPermutation
 
 
 @st.composite
@@ -130,6 +133,20 @@ class TestLieType:
         assert LieType("C", 3).matrix_dimension == 6
         assert LieType("D", 4).matrix_dimension == 8
 
+    def test_of_fills_only_an_exceptional_rank(self):
+        assert LieType.of("e7") == LieType("E7", 7)
+        for family, rank, message in (
+            ("Q", None, "unknown Lie family 'Q'"),
+            ("Q", 3, "unknown Lie family 'Q'"),
+            ("A", None, "family A requires an explicit rank"),
+            ("E6", 5, "E6 has fixed rank 6, got 5"),
+        ):
+            with pytest.raises(InputError) as caught:
+                LieType.of(family, rank)
+            assert str(caught.value) == message
+        with pytest.raises(InputError, match="fixed rank"):
+            LieType("E6", 5)
+
     def test_center_orders(self):
         assert LieType("A", 5).center_order == 6
         assert LieType("D", 4).center_order == 4
@@ -199,6 +216,24 @@ class TestGcdOfSet:
     def test_rejects_bad_extra(self):
         with pytest.raises(InputError):
             gcd_of_set({2}, 0)
+
+
+def test_library_messages_cut_a_huge_value():
+    # A value too long to print whole, or to convert to str at all, still
+    # gives an InputError with a short message.
+    huge = -(10**5000)
+    for build in (
+        lambda: Partition((huge,)),
+        lambda: gcd_of_set((), huge),
+        lambda: FiniteGroupDescriptor.cyclic(huge),
+        lambda: FiniteGroupDescriptor.elementary_abelian_2(huge),
+        lambda: IntMatrix.from_entries(2, {(-huge, 1): 1}),
+        lambda: SubsetJ((5,) * 20000),
+        lambda: TableauPermutation(tuple(range(2, 20002))),
+    ):
+        with pytest.raises(InputError) as caught:
+            build()
+        assert len(str(caught.value)) < 300
 
 
 class TestConjugateHeights:

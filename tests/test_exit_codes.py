@@ -173,6 +173,8 @@ def test_error_messages_cut_a_huge_argument():
         (["orbit", "--type", "A", "--rank", "4", "--j", "2," * 50_000 + "1"],
          b"error: J must be comma-separated strictly ascending"),
         (["orbit", "--type", "A", "--rank", "4", "--j", rising + ",x"], b"error: J entries must be integers"),
+        (["orbit", "--type", "X" * 100_000, "--rank", "3", "--j", "1"], b"error: unknown Lie family 'X"),
+        (["tables", "--type", "X" * 100_000], b"error: unknown Lie family 'X"),
     ):
         argv = [sys.executable, "-m", "nilorbits.cli", *request]
         proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
@@ -251,6 +253,7 @@ def test_error_messages_cut_a_huge_number(argv, code):
         (["decompose", "--rank", "0"], 2, "rank must be >= 1, got 0"),
         (["decompose", "--rank", "21"], 3, "rank 21 exceeds the report bound 20"),
         (ORBIT_A4 + ["--partition", "3,1"], 2, "partition [3, 1] sums to 4, expected 5 for A4"),
+        (["tables", "--type", "Q"], 2, "unknown Lie family 'Q'"),
     ],
 )
 def test_error_messages_show_a_short_number_whole(argv, code, message):

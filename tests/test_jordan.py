@@ -321,11 +321,12 @@ class TestFormulaOracleEquivalence:
             assert formula == oracle, (t, j)
 
     def test_orbit_dimension_oracle_can_fail(self, monkeypatch):
-        assert checks.check_formula_oracle(max_rank=3).ok
+        sweep = checks.classical_sweep(3)
+        assert checks.check_formula_oracle(sweep).ok
         monkeypatch.setattr(
             checks, "orbit_dimension_type_a", lambda n, p: orbit_dimension_type_a(n, p) + 1
         )
-        result = checks.check_formula_oracle(max_rank=3)
+        result = checks.check_formula_oracle(sweep)
         type_a = sum(1 << rank for rank in range(1, 4))
         assert len(result.failures) == type_a
         assert all("column heights" in f for f in result.failures)
@@ -357,42 +358,37 @@ def classical_types(max_rank):
 
 
 class TestSharedRankTable:
+    """The oracle columns of ``checks.classical_sweep``."""
+
     def test_columns_match_representatives(self):
-        table = checks.rank_table(classical_types(4))
-        for t, (sequences, upper) in table.items():
-            assert len(sequences) == len(upper) == 1 << t.rank
-            for j, ranks, is_upper in zip(all_subsets(t.rank), sequences, upper):
+        sweep = checks.classical_sweep(4)
+        assert list(sweep) == classical_types(4)
+        for t, c in sweep.items():
+            assert len(c.ranks) == len(c.upper) == 1 << t.rank
+            for j, ranks, is_upper in zip(all_subsets(t.rank), c.ranks, c.upper):
                 matrix = representative_matrix(t, j)
                 assert ranks == rank_sequence(matrix)
                 assert is_upper == matrix.is_strictly_upper()
                 assert jordan.partition_from_ranks(ranks) == jordan_partition(matrix)
 
-    def test_suites_agree_with_and_without_table(self):
-        profile, formula = checks.check_oracle_rank_profile, checks.check_formula_oracle
-        for max_rank in range(1, 6):
-            table = checks.rank_table(classical_types(max_rank))
-            assert profile(max_rank, table) == profile(max_rank)
-            # formula-oracle ranks past the table's reach are computed in the suite.
-            for oracle_rank in (max_rank, max_rank + 2):
-                assert formula(oracle_rank, table) == formula(oracle_rank)
-
     def test_tampered_columns_fail(self):
         t, mask = LieType("B", 2), 0b01  # J = {1}
-        table = checks.rank_table(classical_types(3))
-        sequences, upper = table[t]
-        assert sequences[mask] == [5, 2, 1, 0]
-        sequences[mask] = [5, 2, 2, 0]
-        profile = checks.check_oracle_rank_profile(3, table)
+        sweep = checks.classical_sweep(3)
+        checked = checks.check_oracle_rank_profile(sweep).checked
+        ranks = sweep[t].ranks
+        assert ranks[mask] == [5, 2, 1, 0]
+        ranks[mask] = [5, 2, 2, 0]
+        profile = checks.check_oracle_rank_profile(sweep)
         assert profile.failures == (
             "B2 J={1}: rank sequence [5, 2, 2, 0] not strictly decreasing",
             "B2 J={1}: rank drops [3, 0, 2] not convex",
         )
-        formula = checks.check_formula_oracle(3, table)
+        formula = checks.check_formula_oracle(sweep)
         assert formula.failures == ("B2 J={1}: formula [3, 1, 1] vs oracle [3, 3, 1, 1, 1]",)
-        table[LieType("A", 2)][1][0b10] = False  # J = {2}
-        profile = checks.check_oracle_rank_profile(3, table)
+        sweep[LieType("A", 2)].upper[0b10] = False  # J = {2}
+        profile = checks.check_oracle_rank_profile(sweep)
         assert "A2 J={2}: representative not strictly upper" in profile.failures
-        assert profile.checked == checks.check_oracle_rank_profile(3).checked
+        assert profile.checked == checked
 
     def test_run_all_builds_each_representative_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -323,11 +324,14 @@ class TestKernelCheck:
             kernel_check(LieType.of("E7"), SubsetJ((1,)))
 
 
-J_SUITES = (
+SWEEP_SUITES = (
+    checks.check_formula_oracle,
+    checks.check_oracle_rank_profile,
     checks.check_kernel_identity,
     checks.check_type_a_exactness,
     checks.check_partition_totals,
     checks.check_center_divisibility,
+    checks.check_full_subset_zero_orbit,
 )
 
 
@@ -340,14 +344,20 @@ def classical_types(max_rank):
 
 
 class TestSharedJTable:
+    """The orbit and group columns of ``checks.classical_sweep``."""
+
     def test_columns_match_kernel_check(self):
-        table = checks.j_table(classical_types(6))
-        for t, columns in table.items():
+        sweep = checks.classical_sweep(6)
+        assert list(sweep) == classical_types(6)
+        for t, c in sweep.items():
+            columns = (c.partitions, c.zj_orders, c.pi1_orders, c.a_orders)
             assert [len(column) for column in columns] == [1 << t.rank] * 4
-            for j, (total, zj, pi1, a_order) in zip(all_subsets(t.rank), zip(*columns)):
+            for j, (p, zj, pi1, a_order) in zip(all_subsets(t.rank), zip(*columns)):
                 report = kernel_check(t, j)
                 assert (zj, pi1, a_order) == (report.zj_order, report.pi1_order, report.a_order)
-                assert total == orbit_partition(t, j).total
+                assert p == orbit_partition(t, j)
+            # One object per distinct partition.
+            assert len({id(p) for p in c.partitions}) == len(set(c.partitions))
 
     def test_groups_once_per_distinct_partition(self, monkeypatch):
         calls = []
@@ -358,7 +368,7 @@ class TestSharedJTable:
 
         monkeypatch.setattr(checks, "fundamental_groups", counted)
         types = classical_types(7)
-        checks.j_table(types)
+        checks.classical_sweep(7)
         distinct = {(t, orbit_partition(t, j)) for t in types for j in all_subsets(t.rank)}
         assert sorted(calls, key=str) == sorted(distinct, key=str)
 
@@ -366,65 +376,63 @@ class TestSharedJTable:
         for rank in range(0, 8):
             assert [subset_of_mask(k) for k in range(1 << rank)] == list(all_subsets(rank))
 
-    def test_suites_agree_with_and_without_table(self):
-        for max_rank in range(1, 9):
-            table = checks.j_table(classical_types(max_rank))
-            for suite in J_SUITES:
-                assert suite(max_rank, table) == suite(max_rank), (suite.__name__, max_rank)
-
     def test_doubled_center_order_fails(self):
         t, mask = LieType("A", 3), 0b10  # J = {2}
-        table = checks.j_table(classical_types(4))
-        _, zj_orders, pi1_orders, a_orders = table[t]
-        assert (zj_orders[mask], pi1_orders[mask], a_orders[mask]) == (2, 2, 1)
-        zj_orders[mask] *= 2
-        kernel = checks.check_kernel_identity(4, table)
+        sweep = checks.classical_sweep(4)
+        checked = [suite(sweep).checked for suite in SWEEP_SUITES]
+        c = sweep[t]
+        assert (c.zj_orders[mask], c.pi1_orders[mask], c.a_orders[mask]) == (2, 2, 1)
+        c.zj_orders[mask] *= 2
+        kernel = checks.check_kernel_identity(sweep)
         assert kernel.failures == ("A3 J={2}: 4 * 1 != 2",)
-        exactness = checks.check_type_a_exactness(4, table)
+        exactness = checks.check_type_a_exactness(sweep)
         assert exactness.failures == ("A3 J={2}: |Z| = 4 but |pi1| = 2",)
-        assert kernel.checked == checks.check_kernel_identity(4).checked
-        assert exactness.checked == checks.check_type_a_exactness(4).checked
+        assert [suite(sweep).checked for suite in SWEEP_SUITES] == checked
 
     def test_wrong_total_or_order_fails(self):
-        table = checks.j_table(classical_types(3))
-        table[LieType("C", 3)][0][0b1] = 7  # J = {1}
-        result = checks.check_partition_totals(3, table)
+        sweep = checks.classical_sweep(3)
+        sweep[LieType("C", 3)].partitions[0b1] = Partition((7,))  # J = {1}
+        result = checks.check_partition_totals(sweep)
         assert result.failures == ("C3 J={1}: total 7 != 6",)
-        table[LieType("B", 2)][1][0b11] = 3  # J = {1, 2}
-        result = checks.check_center_divisibility(3, table)
+        sweep[LieType("B", 2)].zj_orders[0b11] = 3  # J = {1, 2}
+        result = checks.check_center_divisibility(sweep)
         assert result.failures == ("B2 J={1, 2}: |Z(J)| = 3 does not divide center order 2",)
+        sweep[LieType("A", 2)].partitions[-1] = Partition((2, 1))  # J = {1, 2}
+        result = checks.check_full_subset_zero_orbit(sweep)
+        assert result.failures == ("A2 full J gives [2, 1]",)
 
     def test_run_all_builds_one_sweep(self, monkeypatch):
-        # While the table is built and the four J suites run, each classical
-        # (type, J) gets its partition and its fiber computed once.
-        calls, tables, active = [], [], []
+        # One sweep feeds the seven classical suites, and over the whole run
+        # each classical (type, J) gets its partition, its fiber and its
+        # representative matrix computed once.
+        calls, sweeps = Counter(), []
 
         def counted(tag, fn):
             def wrapper(t, j):
-                if active:
-                    calls.append((tag, t, j))
+                calls[tag, t, j] += 1
                 return fn(t, j)
 
             return wrapper
 
         def traced(fn, builds):
-            def wrapper(*args):
-                active.append(fn)
-                try:
-                    result = fn(*args)
-                finally:
-                    active.pop()
-                tables.append(result if builds else args[-1])
+            def wrapper(arg):
+                result = fn(arg)
+                sweeps.append(result if builds else arg)
                 return result
 
             return wrapper
 
-        monkeypatch.setattr(checks, "orbit_partition", counted("P", checks.orbit_partition))
-        monkeypatch.setattr(checks, "center_fiber", counted("Z", checks.center_fiber))
-        for name in ["j_table"] + [suite.__name__ for suite in J_SUITES]:
-            monkeypatch.setattr(checks, name, traced(getattr(checks, name), name == "j_table"))
-        assert all(r.ok for r in checks.run_all(max_rank=5))
-        assert len(tables) == 5 and all(table is tables[0] for table in tables)
-        classical = [c for c in calls if c[1].is_classical]
-        assert len(classical) == 2 * sum(1 << t.rank for t in classical_types(5))
-        assert len(classical) == len(set(classical))
+        counted_names = {"P": "orbit_partition", "Z": "center_fiber", "M": "representative_matrix"}
+        for tag, name in counted_names.items():
+            monkeypatch.setattr(checks, name, counted(tag, getattr(checks, name)))
+        monkeypatch.setattr(checks, "classical_sweep", traced(checks.classical_sweep, True))
+        for suite in SWEEP_SUITES:
+            monkeypatch.setattr(checks, suite.__name__, traced(suite, False))
+        assert all(r.ok for r in checks.run_all(max_rank=7))
+        assert len(sweeps) == 1 + len(SWEEP_SUITES)
+        assert all(sweep is sweeps[0] for sweep in sweeps)
+        pairs = [(t, j) for t in classical_types(7) for j in all_subsets(t.rank)]
+        assert len(pairs) == 1006
+        for tag in counted_names:
+            per_pair = {(t, j): n for (g, t, j), n in calls.items() if g == tag and t.is_classical}
+            assert per_pair == dict.fromkeys(pairs, 1), counted_names[tag]
