@@ -130,6 +130,10 @@ class LieType(Value):
     def __init__(self, family: str, rank: int) -> None:
         if family not in FAMILIES:
             raise InputError("unknown Lie family %s" % echo_text(family))
+        if type(rank) is not int:
+            raise InputError(
+                "rank must be an int, got %s %s" % (type(rank).__name__, echo_value(rank))
+            )
         if family in EXCEPTIONAL_RANKS:
             fixed = EXCEPTIONAL_RANKS[family]
             if rank != fixed:
@@ -289,16 +293,36 @@ def subset_of_mask(mask: int) -> SubsetJ:
 
 
 def all_subsets(rank: int) -> Iterator[SubsetJ]:
-    """Every subset of 1..rank, in bitmask order: the k-th is ``subset_of_mask(k)``."""
-    for mask in range(1 << rank):
-        yield subset_of_mask(mask)
+    """Every subset of 1..rank, in bitmask order: the k-th is ``subset_of_mask(k)``.
+
+    Built by doubling: the subsets of 1..r-1, then each of them with r
+    appended, whose masks are the same with bit r-1 set.  Each tuple is
+    strictly increasing and its elements lie in 1..rank by construction,
+    so it is wrapped by ``SubsetJ._trusted``.  All 2^rank tuples are held
+    at once.
+    """
+    if rank < 0:
+        raise InputError("rank must be >= 0, got %s" % echo_value(rank))
+    subsets = [()]
+    for r in range(1, rank + 1):
+        subsets += [s + (r,) for s in subsets]
+    return map(SubsetJ._trusted, subsets)
 
 
 def check_subset_range(t: LieType, j: SubsetJ) -> None:
-    """Reject subsets with indices outside [1, rank]."""
-    for v in j:
-        if not 1 <= v <= t.rank:
-            raise InputError("subset element %s out of range [1, %d]" % (echo_value(v), t.rank))
+    """Reject subsets with indices outside [1, rank], naming the first offender.
+
+    A SubsetJ holds its elements strictly increasing, so its first and
+    last elements bound all of them: the check is O(1), and the elements
+    are walked only to name the first one out of range.
+    """
+    elems = j.elements
+    if elems and (elems[0] < 1 or elems[-1] > t.rank):
+        for v in elems:
+            if not 1 <= v <= t.rank:
+                raise InputError(
+                    "subset element %s out of range [1, %d]" % (echo_value(v), t.rank)
+                )
 
 
 def gcd_of_set(values: Iterable[int], extra: int) -> int:
@@ -328,11 +352,17 @@ def syt_count(p: Partition) -> int:
 
 
 def partitions_of(total: int) -> Iterator[Partition]:
-    """All partitions of ``total`` in descending lexicographic order."""
+    """All partitions of ``total`` in descending lexicographic order.
+
+    Each part is drawn from ``range(min(cap, remaining), 0, -1)`` with
+    ``cap`` the part before it, so the parts are positive ints in
+    descending order by construction and are wrapped by
+    ``Partition._trusted``.
+    """
     if total < 0:
         raise InputError("cannot partition a negative total")
     if total == 0:
-        yield Partition(())
+        yield Partition._trusted(())
         return
 
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -344,7 +374,7 @@ def partitions_of(total: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
     for parts in rec(total, total):
-        yield Partition(parts)
+        yield Partition._trusted(parts)
 
 
 class DynkinDiagram(Value):

@@ -93,9 +93,7 @@ class IntMatrix:
         return all(v == 0 for row in self.rows for v in row)
 
     def is_strictly_upper(self) -> bool:
-        return all(
-            self.rows[i][j] == 0 for i in range(self.dim) for j in range(i + 1)
-        )
+        return not any(any(row[: i + 1]) for i, row in enumerate(self.rows))
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as sorted 1-indexed (row, col, value) triples."""
@@ -181,19 +179,27 @@ def _simple_root_entries(family: str, n: int, i: int) -> dict[tuple[int, int], i
 
 
 def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
-    """Sum of the simple root vectors whose indices are *not* in J."""
+    """Sum of the simple root vectors whose indices are *not* in J.
+
+    Every entry of a simple root vector is a 1-indexed position inside the
+    defining model's dimension holding 1 or -1, by construction, so the
+    entries go straight into the grid and the rows are wrapped by
+    ``IntMatrix._trusted``.
+    """
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "representative matrices exist only for classical families, not %s" % t.family
         )
     check_subset_range(t, j)
     n = t.rank
-    entries: dict[tuple[int, int], int] = {}
+    dim = t.matrix_dimension
+    grid = [[0] * dim for _ in range(dim)]
     for i in range(1, n + 1):
         if i in j:
             continue
-        entries.update(_simple_root_entries(t.family, n, i))
-    return IntMatrix.from_entries(t.matrix_dimension, entries)
+        for (r, c), v in _simple_root_entries(t.family, n, i).items():
+            grid[r - 1][c - 1] = v
+    return IntMatrix._trusted(tuple(map(tuple, grid)))
 
 
 def rank_sequence(m: IntMatrix) -> list[int]:
@@ -274,10 +280,15 @@ def jordan_partition(m: IntMatrix) -> Partition:
 
 
 def partition_from_ranks(ranks: list[int]) -> Partition:
-    """The Jordan type whose powers have the ranks ``ranks``, as ``rank_sequence`` returns them."""
+    """The Jordan type whose powers have the ranks ``ranks``, as ``rank_sequence`` returns them.
+
+    The block sizes are taken from ``range(len(counts), 0, -1)``, so the
+    parts are positive ints in descending order by construction and are
+    wrapped by ``Partition._trusted``.
+    """
     counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []
     for size in range(len(counts), 0, -1):
         larger = counts[size] if size < len(counts) else 0
         parts.extend([size] * (counts[size - 1] - larger))
-    return Partition(tuple(parts))
+    return Partition._trusted(tuple(parts))

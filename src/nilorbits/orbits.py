@@ -135,13 +135,24 @@ class KernelReport(Value):
         object.__setattr__(self, "holds", holds)
 
 
+# The fixed groups that center_fiber returns outside type A, built once and
+# shared; values are immutable, so sharing one is safe.
+_TRIVIAL = FiniteGroupDescriptor.trivial()
+_Z2 = FiniteGroupDescriptor.cyclic(2)
+_Z3 = FiniteGroupDescriptor.cyclic(3)
+_Z4 = FiniteGroupDescriptor.cyclic(4)
+_KLEIN_FOUR = FiniteGroupDescriptor.klein_four()
+
+
 def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     """Covering-fiber group over the torus orbit indexed by J.
 
     Empty J is admitted in every family and evaluates each case rule
     vacuously (so e.g. "all j even" holds and type A reduces to
     gcd({n+1}) = n+1).  E8, F4 and G2 have trivial center, hence a
-    trivial fiber for every J.
+    trivial fiber for every J.  Outside type A the group is one of 1,
+    Z/2, Z/3, Z/4 and Z/2 x Z/2, returned as a shared module-level
+    descriptor that was validated once at import; type A builds Z/c.
     """
     check_subset_range(t, j)
     fam, n = t.family, t.rank
@@ -149,41 +160,31 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     if fam == "A":
         return FiniteGroupDescriptor.cyclic(gcd_of_set(elems, n + 1))
     if fam == "B":
-        if all(v % 2 == 0 for v in elems):
-            return FiniteGroupDescriptor.cyclic(2)
-        return FiniteGroupDescriptor.trivial()
+        return _Z2 if all(v % 2 == 0 for v in elems) else _TRIVIAL
     if fam == "C":
-        if n not in j:
-            return FiniteGroupDescriptor.cyclic(2)
-        return FiniteGroupDescriptor.trivial()
+        return _TRIVIAL if n in j else _Z2
     if fam == "D":
         top = n in j
         second = (n - 1) in j
         if not top and not second:
             if all(v % 2 == 0 for v in elems):
                 # full center of the spin group: Z/2 x Z/2 for n even, Z/4 for n odd
-                if n % 2 == 0:
-                    return FiniteGroupDescriptor.klein_four()
-                return FiniteGroupDescriptor.cyclic(4)
-            return FiniteGroupDescriptor.cyclic(2)
+                return _KLEIN_FOUR if n % 2 == 0 else _Z4
+            return _Z2
         if (
             top != second
             and all(v % 2 == 0 for v in elems if v < n - 1)
             and n % 2 == 0
             and n >= 4
         ):
-            return FiniteGroupDescriptor.cyclic(2)
-        return FiniteGroupDescriptor.trivial()
+            return _Z2
+        return _TRIVIAL
     if fam == "E6":
-        if not set(elems) & {1, 3, 5, 6}:
-            return FiniteGroupDescriptor.cyclic(3)
-        return FiniteGroupDescriptor.trivial()
+        return _TRIVIAL if set(elems) & {1, 3, 5, 6} else _Z3
     if fam == "E7":
-        if not set(elems) & {2, 5, 7}:
-            return FiniteGroupDescriptor.cyclic(2)
-        return FiniteGroupDescriptor.trivial()
+        return _TRIVIAL if set(elems) & {2, 5, 7} else _Z2
     # E8, F4, G2: the simply connected group is already adjoint
-    return FiniteGroupDescriptor.trivial()
+    return _TRIVIAL
 
 
 def _gaps(elements: tuple[int, ...]) -> list[int]:
@@ -312,20 +313,22 @@ def fundamental_groups(
             FiniteGroupDescriptor.cyclic(p.gcd()),
             FiniteGroupDescriptor.trivial(),
         )
-    if fam == "B":
-        if p.rather_odd:
-            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
-        else:
-            pi1 = FiniteGroupDescriptor.elementary_abelian_2(a - 1)
-        return pi1, FiniteGroupDescriptor.elementary_abelian_2(a - 1)
     if fam == "C":
         even_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2 == 0)
         return (
             FiniteGroupDescriptor.elementary_abelian_2(b),
             FiniteGroupDescriptor.elementary_abelian_2(b if even_ok else b - 1),
         )
+    # Rather odd (every odd part occurs exactly once), read off the same count.
+    rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
+    if fam == "B":
+        if rather_odd:
+            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
+        else:
+            pi1 = FiniteGroupDescriptor.elementary_abelian_2(a - 1)
+        return pi1, FiniteGroupDescriptor.elementary_abelian_2(a - 1)
     k = max(0, a - 1)
-    if p.rather_odd:
+    if rather_odd:
         pi1 = FiniteGroupDescriptor.central_extension_2(k)
     else:
         pi1 = FiniteGroupDescriptor.elementary_abelian_2(k)

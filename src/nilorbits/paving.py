@@ -75,6 +75,14 @@ class LabeledDiagram(Value):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> "LabeledDiagram":
+        """Wrap rows already matching ``shape`` and labeled 1..total, skipping the checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "shape", shape)
+        object.__setattr__(d, "rows", rows)
+        return d
+
     def pairs(self) -> tuple[RootPair, ...]:
         return tuple(
             (row[c], row[c + 1]) for row in self.rows for c in range(len(row) - 1)
@@ -98,6 +106,13 @@ class TableauPermutation(Value):
         if sorted(values) != list(range(1, len(values) + 1)):
             raise InputError("not a permutation of 1..%d: %s" % (len(values), echo_value(values)))
         object.__setattr__(self, "one_line", values)
+
+    @classmethod
+    def _trusted(cls, one_line: tuple[int, ...]) -> "TableauPermutation":
+        """Wrap a tuple of ints already permuting 1..m, skipping ``__post_init__``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "one_line", one_line)
+        return w
 
     @classmethod
     def identity(cls, m: int) -> "TableauPermutation":
@@ -177,7 +192,10 @@ def labeled_diagrams(
     """Both labelings of shape ``p`` and the permutation linking them.
 
     The returned permutation sigma sends each Std label to the Tym label
-    occupying the same box.
+    occupying the same box.  Each labeling writes 1..|p| once into rows of
+    the lengths of ``p``, and sigma pairs the two labels of every box, so
+    all three are correct by construction and are built through the
+    ``_trusted`` constructors.
     """
     if p.total == 0:
         raise InputError("labelings need a nonempty partition")
@@ -198,9 +216,9 @@ def labeled_diagrams(
         for tym_label, std_label in zip(tym_row, std_row):
             sigma[std_label - 1] = tym_label
     return (
-        LabeledDiagram(p, tuple(tuple(r) for r in tym_rows)),
-        LabeledDiagram(p, tuple(tuple(r) for r in std_rows)),
-        TableauPermutation(tuple(sigma)),
+        LabeledDiagram._trusted(p, tuple(map(tuple, tym_rows))),
+        LabeledDiagram._trusted(p, tuple(map(tuple, std_rows))),
+        TableauPermutation._trusted(tuple(sigma)),
     )
 
 

@@ -12,6 +12,7 @@ from nilorbits.core import (
     LieType,
     Partition,
     SubsetJ,
+    check_subset_range,
     classify_subdiagram,
     conjugate_heights,
     dynkin_diagram,
@@ -114,6 +115,20 @@ class TestSubsetJ:
         with pytest.raises(InputError):
             SubsetJ((0, 1))
 
+    def test_range_check_names_the_first_offender(self):
+        # The check reads the first and last element; the message still
+        # names the first element out of range.
+        for j, message in (
+            (SubsetJ((2, 9)), "subset element 9 out of range [1, 5]"),
+            (SubsetJ((6, 7)), "subset element 6 out of range [1, 5]"),
+            (SubsetJ._trusted((0, 2)), "subset element 0 out of range [1, 5]"),
+        ):
+            with pytest.raises(InputError) as caught:
+                check_subset_range(LieType("A", 5), j)
+            assert str(caught.value) == message
+        for j in (SubsetJ(), SubsetJ((1,)), SubsetJ((1, 5)), SubsetJ((2, 3, 4))):
+            check_subset_range(LieType("A", 5), j)
+
 
 class TestLieType:
     def test_exceptional_rank_fixed(self):
@@ -146,6 +161,22 @@ class TestLieType:
             assert str(caught.value) == message
         with pytest.raises(InputError, match="fixed rank"):
             LieType("E6", 5)
+
+    def test_rank_must_be_an_int(self):
+        for rank, message in (
+            (None, "rank must be an int, got NoneType None"),
+            ("3", "rank must be an int, got str 3"),
+            (3.0, "rank must be an int, got float 3.0"),
+        ):
+            with pytest.raises(InputError) as caught:
+                LieType("A", rank)
+            assert str(caught.value) == message
+        with pytest.raises(InputError, match="rank must be an int"):
+            LieType("E6", 6.0)
+        long_text = "7" * 100_000
+        with pytest.raises(InputError) as caught:
+            LieType("B", long_text)
+        assert len(str(caught.value)) < 300
 
     def test_center_orders(self):
         assert LieType("A", 5).center_order == 6

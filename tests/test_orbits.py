@@ -13,6 +13,7 @@ from nilorbits.core import (
     Partition,
     SubsetJ,
     UnsupportedFamilyError,
+    all_subsets as core_all_subsets,
     conjugate_heights,
     partitions_of,
     subset_of_mask,
@@ -185,6 +186,30 @@ class TestOrbitDimension:
 
 
 class TestFundamentalGroups:
+    def test_one_count_of_multiplicities_per_call(self, monkeypatch):
+        # One Counter feeds pi1, A, the parity checks and rather-odd.
+        calls = []
+        original = Partition.multiplicities
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(Partition, "multiplicities", counted)
+        cases = (
+            ("A", 5, (3, 3)),
+            ("B", 3, (3, 1, 1, 1, 1)),
+            ("B", 4, (5, 3, 1)),
+            ("C", 3, (4, 1, 1)),
+            ("D", 4, (3, 3, 1, 1)),
+            ("D", 5, (5, 3, 1, 1)),
+        )
+        for family, rank, parts in cases:
+            p = Partition(parts)
+            before = len(calls)
+            fundamental_groups(LieType(family, rank), p)
+            assert calls[before:] == [p], (family, rank, parts)
+
     def test_type_a(self):
         pi1, a = fundamental_groups(LieType("A", 5), Partition((3, 3)))
         assert pi1 == FiniteGroupDescriptor.cyclic(3)
@@ -373,8 +398,13 @@ class TestSharedJTable:
         assert sorted(calls, key=str) == sorted(distinct, key=str)
 
     def test_subset_of_mask_follows_all_subsets(self):
-        for rank in range(0, 8):
-            assert [subset_of_mask(k) for k in range(1 << rank)] == list(all_subsets(rank))
+        # core.all_subsets builds by doubling; the k-th is still subset_of_mask(k),
+        # and both equal the validated build of the helper above.
+        for rank in range(0, 13):
+            expected = [subset_of_mask(k) for k in range(1 << rank)]
+            assert list(core_all_subsets(rank)) == expected == list(all_subsets(rank))
+        with pytest.raises(InputError):
+            core_all_subsets(-1)
 
     def test_doubled_center_order_fails(self):
         t, mask = LieType("A", 3), 0b10  # J = {2}
@@ -404,7 +434,7 @@ class TestSharedJTable:
     def test_run_all_builds_one_sweep(self, monkeypatch):
         # One sweep feeds the seven classical suites, and over the whole run
         # each classical (type, J) gets its partition, its fiber and its
-        # representative matrix computed once.
+        # representative matrix computed once; no other representative is built.
         calls, sweeps = Counter(), []
 
         def counted(tag, fn):
@@ -436,3 +466,4 @@ class TestSharedJTable:
         for tag in counted_names:
             per_pair = {(t, j): n for (g, t, j), n in calls.items() if g == tag and t.is_classical}
             assert per_pair == dict.fromkeys(pairs, 1), counted_names[tag]
+        assert sum(n for (g, _, _), n in calls.items() if g == "M") == len(pairs)

@@ -77,6 +77,8 @@ class TestLabeledDiagrams:
     def test_rejects_bad_labels(self):
         with pytest.raises(InputError):
             LabeledDiagram(Partition((2, 1)), ((1, 2), (2,)))
+        with pytest.raises(InputError, match="row lengths"):
+            LabeledDiagram(Partition((2, 1)), ((1,), (2, 3)))
 
     def test_tym_pairs_increase(self):
         for total in range(1, 9):

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from nilorbits import checks
 from nilorbits.core import (
     CheckResult,
     ComponentLabel,
@@ -13,11 +14,18 @@ from nilorbits.core import (
     SubsetJ,
     all_subsets,
     dynkin_diagram,
+    partitions_of,
     subset_of_mask,
 )
 from nilorbits.decomposition import SummandRecord
-from nilorbits.orbits import FiniteGroupDescriptor, KernelReport, orbit_partition
-from nilorbits.paving import TableauPermutation, labeled_diagrams
+from nilorbits.jordan import (
+    IntMatrix,
+    _simple_root_entries,
+    partition_from_ranks,
+    representative_matrix,
+)
+from nilorbits.orbits import FiniteGroupDescriptor, KernelReport, center_fiber, orbit_partition
+from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
 from nilorbits.tables import OrbitRecord, TableValidationReport
 
 # Each builds a fresh instance per call, positionally as the library and tests do.
@@ -121,3 +129,79 @@ def test_orbit_partition_equals_the_validated_build():
                 assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
                 checked += 1
     assert checked == 2**9 - 2 + 2 * (2**9 - 4) + 2**9 - 8
+
+
+def test_partitions_of_equals_the_validated_build():
+    for m in range(13):
+        for p in partitions_of(m):
+            assert p == Partition(p.parts) and hash(p) == hash(Partition(p.parts))
+            assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
+
+
+def test_labeled_diagrams_equal_the_validated_build():
+    checked = 0
+    for m in range(1, 11):
+        for p in partitions_of(m):
+            tym, std, sigma = labeled_diagrams(p)
+            for d in (tym, std):
+                rebuilt = LabeledDiagram(Partition(p.parts), tuple(map(tuple, d.rows)))
+                assert d == rebuilt and hash(d) == hash(rebuilt)
+                assert type(d.rows) is tuple and all(type(row) is tuple for row in d.rows)
+            assert sigma == TableauPermutation(sigma.one_line)
+            assert type(sigma.one_line) is tuple
+            checked += 1
+    assert checked == 138
+
+
+def test_partition_from_ranks_equals_the_validated_build():
+    sequences = [ranks for c in checks.classical_sweep(7).values() for ranks in c.ranks]
+    assert len(sequences) == 1006
+    for ranks in sequences:
+        p = partition_from_ranks(ranks)
+        assert p == Partition(p.parts)
+        assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
+
+
+def test_representative_matrix_equals_the_validated_build():
+    # The validating route: the entry dictionaries merged in index order, through from_entries.
+    checked = 0
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(lo, 7):
+            t = LieType(family, rank)
+            for j in all_subsets(rank):
+                entries = {}
+                for i in range(1, rank + 1):
+                    if i not in j:
+                        entries.update(_simple_root_entries(family, rank, i))
+                expected = IntMatrix.from_entries(t.matrix_dimension, entries)
+                m = representative_matrix(t, j)
+                assert m == expected and m.dim == expected.dim
+                assert all(type(row) is tuple for row in m.rows)
+                upper = all(m.rows[r][c] == 0 for r in range(m.dim) for c in range(r + 1))
+                assert m.is_strictly_upper() is upper
+                checked += 1
+    assert checked == 2**7 - 2 + 2 * (2**7 - 4) + 2**7 - 8
+
+
+def test_shared_center_fibers_equal_fresh_builds():
+    fresh = {
+        "trivial": FiniteGroupDescriptor("trivial"),
+        "cyclic(2)": FiniteGroupDescriptor("cyclic", 2),
+        "cyclic(3)": FiniteGroupDescriptor("cyclic", 3),
+        "cyclic(4)": FiniteGroupDescriptor("cyclic", 4),
+        "klein_four": FiniteGroupDescriptor("klein_four"),
+    }
+    shared = {}
+    types = [LieType(f, r) for f, lo in (("B", 2), ("C", 2), ("D", 3)) for r in range(lo, 7)]
+    types += [LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")]
+    for t in types:
+        for j in all_subsets(t.rank):
+            z = center_fiber(t, j)
+            assert z == fresh[z.label] and hash(z) == hash(fresh[z.label])
+            assert shared.setdefault(z.label, z) is z
+    assert set(shared) == set(fresh)
+    for z in shared.values():
+        with pytest.raises(AttributeError):
+            z.kind = "cyclic"
+        with pytest.raises(AttributeError):
+            z.parameter = 5
