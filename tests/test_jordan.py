@@ -389,3 +389,15 @@ class TestSharedRankTable:
         profile = checks.check_oracle_rank_profile(sweep)
         assert "A2 J={2}: representative not strictly upper" in profile.failures
         assert profile.checked == checked
+
+    def test_run_all_builds_each_representative_once(self, monkeypatch):
+        calls = []
+
+        def counted(t, j):
+            calls.append((t, j))
+            return representative_matrix(t, j)
+
+        monkeypatch.setattr(checks, "representative_matrix", counted)
+        assert all(r.ok for r in checks.run_all(max_rank=6))
+        assert len(calls) == sum(1 << t.rank for t in classical_types(6))
+        assert len(calls) == len(set(calls))
