@@ -176,15 +176,18 @@ def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str)
     characters a cell's last entry drops.  ``lead`` and ``close`` are
     templates that may name the cell's dimension as %(d)d; a literal % in
     either must be doubled.  The cells come in (dimension, w) order with no
-    step per cell in Python: the entries of each distinct suffix tuple are
-    rendered once, and each block is one join whose separator is close +
-    sep + the block's lead, that is, the dimension's lead and the prefix's
+    step per cell in Python: the entries of each distinct suffix tuple and
+    of each prefix tuple are rendered once, both cached by the tuple's
+    ``id``, and each block is one join whose separator is close + sep +
+    the block's lead, that is, the dimension's lead and the prefix's
     entries.  Each dimension is written, as one string, as soon as it is
     rendered.
     """
     write = sys.stdout.write
-    # id of a suffix tuple -> its rendered entries; every tuple stays alive in ``cells``.
+    # id of a suffix tuple -> its rendered entries, and id of a prefix tuple ->
+    # its rendered entries; every tuple stays alive in ``cells``.
     entries_of: dict[int, list[str]] = {}
+    prefix_of: dict[int, str] = {}
     between = ""
     for d, blocks in enumerate(cells.by_dim):
         if not blocks:
@@ -198,7 +201,10 @@ def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str)
             if entries is None:
                 template = (entry * len(suffixes[0]))[:-2]
                 entries = entries_of[id(suffixes)] = [template % s for s in suffixes]
-            head = opening + (entry * len(prefix)) % prefix
+            rendered = prefix_of.get(id(prefix))
+            if rendered is None:
+                rendered = prefix_of[id(prefix)] = (entry * len(prefix)) % prefix
+            head = opening + rendered
             pieces += (head, (closing + head).join(entries), closing)
         pieces[-1] = ending
         write("".join(pieces))

@@ -222,16 +222,22 @@ class Partition(Value):
     def multiplicities(self) -> Counter[int]:
         """Each distinct part mapped to how often it occurs, largest part first.
 
-        One pass over the parts; the parity rules behind very even, rather
-        odd, the so/sp conditions and pi1(O), A(O) all read this count.
+        One pass over the parts; the parity rules behind rather odd, the
+        so/sp conditions and pi1(O), A(O) all read this count.
         """
         return Counter(self.parts)
 
     @property
     def very_even(self) -> bool:
-        """Only even parts, each occurring an even number of times."""
-        counts = self.multiplicities()
-        return bool(counts) and all(v % 2 == 0 and m % 2 == 0 for v, m in counts.items())
+        """Only even parts, each occurring an even number of times.
+
+        The parts are sorted, so each value occurs an even number of times
+        exactly when they pair off as equal neighbors: parts[0] == parts[1],
+        parts[2] == parts[3], and so on.  No count is built, so a classical
+        `orbit` answer counts its parts once, in ``fundamental_groups``.
+        """
+        firsts, seconds = self.parts[::2], self.parts[1::2]
+        return bool(firsts) and firsts == seconds and all(v % 2 == 0 for v in firsts)
 
     @property
     def rather_odd(self) -> bool:
@@ -288,7 +294,9 @@ class SubsetJ(Value):
 
 
 def subset_of_mask(mask: int) -> SubsetJ:
-    """The subset holding i + 1 for each set bit i of ``mask``."""
+    """The subset holding i + 1 for each set bit i of ``mask``; a negative mask raises."""
+    if mask < 0:
+        raise InputError("subset mask must be >= 0, got %s" % echo_value(mask))
     return SubsetJ._trusted(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 

@@ -11,12 +11,14 @@ states are numbered in mixed radix, so taking a row's next label adds
 the row's stride.  One walk over the states counts the cells by
 dimension without building any, packing a state's counts into the bit
 fields of one int so that a move costs one shift and one add.  To list
-the cells, each state's moves are listed once, in label order, and the
-walk meets in the middle: half-length prefixes, grown from those lists,
-join per-state suffix tables, built from them too and already bucketed
-by the dimension they add.  The listing keeps that factored form, one (prefix, suffixes) block per prefix
-and added dimension, so its consumers work per block and per distinct
-suffix tuple rather than per cell.
+the cells, the same walk gathers each state's moves, in label order, and
+meets in the middle after (m - 1) // 2 labels: the prefixes of that
+length, grown from those lists, join per-state suffix tables, built
+from them too as flat lists and bucketed by the dimension they add only
+at the meeting depth.  The listing keeps that factored form, one
+(prefix, suffixes) block per prefix and added dimension, so its
+consumers work per block, per prefix and per distinct suffix tuple
+rather than per cell.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -161,8 +163,9 @@ class CellBlocks:
     ``by_dim[d]`` holds the blocks of dimension d in prefix order; the cells
     of dimension d are prefix + s for each block and each s in its suffixes,
     which is (dimension, w) order.  A suffix tuple is shared by every block
-    whose prefix took as many labels from each row, so a renderer can work
-    once per distinct suffix tuple.  ``len`` counts the cells from the
+    whose prefix took as many labels from each row, and a prefix tuple by
+    its blocks in every dimension, so a renderer can work once per distinct
+    suffix tuple and once per prefix.  ``len`` counts the cells from the
     blocks.
     """
 
@@ -348,18 +351,26 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     empty state, decoded once, are the Poincare vector, and without
     ``cells`` the call ends there.
 
-    To list cells, each state's moves, (label, next state, added
-    dimension) in label order, are built once.  The walk keeps the
-    suffixes themselves, bucketed by added dimension and lexicographic in
-    each bucket, down to depth m // 2, where the prefixes built breadth
-    first in lexicographic order from the move lists of the shallower
-    states join them.  The join builds no cell: each prefix and each
-    nonempty suffix bucket of its state make one (prefix, suffixes) block
-    of dimension prefix dimension + bucket index, and taking the blocks
-    prefix by prefix leaves each dimension in (dimension, w) order with no
-    sort.  The cells come back as those CellBlocks, whose suffix tuples are
-    shared by every prefix reaching the same state.  Nothing recurses, so
-    long rows cannot exhaust the recursion limit.
+    To list cells, the walk also gathers each state's moves, (label, next
+    state, added dimension), and sorts them into label order once.  Down
+    to depth (m - 1) // 2 it keeps the suffixes themselves, per state as
+    two parallel flat lists in lexicographic order: the dimension each
+    suffix adds and the suffix tuple.  A move extends each list with one
+    ``map`` over its next state's lists.  At that depth one stable pass
+    buckets each state's suffixes by added dimension, keeping them
+    lexicographic in each bucket, and the prefixes built breadth first in
+    lexicographic order from the move lists of the shallower states join
+    them.  The join builds no cell: each prefix and each nonempty suffix
+    bucket of its state make one (prefix, suffixes) block of dimension
+    prefix dimension + bucket index, and taking the blocks prefix by
+    prefix leaves each dimension in (dimension, w) order with no sort.
+    The cells come back as those CellBlocks, whose suffix tuples are
+    shared by every prefix reaching the same state, and whose prefix
+    tuples are shared by the blocks of one prefix in every dimension.
+    Meeting after (m - 1) // 2 labels gives an even m fewer, longer blocks
+    than a half-length prefix would, so the renderers do less work per
+    cell.  Nothing recurses, so long rows cannot exhaust the recursion
+    limit.
 
     Before any work, m must be at most ``bound``, the states at most
     MAX_WALKED_STATES and, with ``cells``, the cells at most
@@ -383,28 +394,24 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         for row, stride, radix in zip(tym.rows, strides, radices)
     ]
 
-    def moves(state: int) -> list[tuple[int, int, int]]:
-        """The moves (label, after, added) of ``state``, in label order."""
-        placed = sum(masks[state // stride % radix] for _, stride, radix, masks in row_data)
-        return sorted(
-            (row[k], state + stride, (placed & later[row[k]]).bit_count())
-            for row, stride, radix, masks in row_data
-            if (k := state // stride % radix) < radix - 1
-        )
-
-    half = m // 2
-    # One depth: state -> packed suffix counts and, when listing, suffix lists by added dimension.
+    split = (m - 1) // 2
+    # One depth: state -> packed suffix counts and, when listing, its suffixes
+    # as two parallel flat lists, added dimensions and suffix tuples, in
+    # lexicographic order.
     full = strides[-1] - 1
     counts = {full: 1}
-    tables: dict[int, list[list[tuple[int, ...]]]] = {full: [[()]]}
-    # The moves of the states before depth m // 2, for the prefix front.
+    tables: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {full: ([0], [()])}
+    # The moves of the states before depth (m - 1) // 2, for the prefix front.
     front_moves: dict[int, list[tuple[int, int, int]]] = {}
     for depth in range(m - 1, -1, -1):
         # Each state of the deeper level passes its count back along every
         # move into it.  The move that took label i adds the popcount of
         # placed & later[i]; here ``placed`` is the deeper state's mask,
-        # which holds i too, but later[i] holds only larger labels.
+        # which holds i too, but later[i] holds only larger labels.  When
+        # listing, the same pass gathers each state's moves (label, after,
+        # added).
         earlier: dict[int, int] = {}
+        moves: dict[int, list[tuple[int, int, int]]] = {}
         for after, count in counts.items():
             placed = 0
             taken = []
@@ -416,22 +423,26 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
             for label, state in taken:
                 added = (placed & later[label]).bit_count()
                 earlier[state] = earlier.get(state, 0) + (count << added * width)
+                if cells:
+                    moves.setdefault(state, []).append((label, after, added))
         counts = earlier
         if not cells:
             continue
-        if depth < half:
-            for state in counts:
-                front_moves[state] = moves(state)
+        for out in moves.values():
+            out.sort()
+        if depth < split:
+            front_moves.update(moves)
             continue
+        # Each move extends both flat lists of its state with one map.
         level_tables = {}
-        for state in counts:
-            buckets = level_tables[state] = []
-            for label, after, added in moves(state):
-                sub = tables[after]
-                buckets.extend([] for _ in range(added + len(sub) - len(buckets)))
-                head = (label,)
-                for d, suffixes in enumerate(sub, added):
-                    buckets[d].extend(map(head.__add__, suffixes))
+        for state, out in moves.items():
+            dims: list[int] = []
+            suffixes: list[tuple[int, ...]] = []
+            for label, after, added in out:
+                sub_dims, sub_suffixes = tables[after]
+                dims.extend(map(added.__add__, sub_dims))
+                suffixes.extend(map((label,).__add__, sub_suffixes))
+            level_tables[state] = (dims, suffixes)
         tables = level_tables
     # The empty state's fields, lowest first; the top one, the top cells, is nonzero.
     packed = counts[0]
@@ -443,19 +454,25 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     poincare = tuple(coefficients)
     if not cells:
         return CellPaving(cells=CellBlocks(()), poincare=poincare)
-    # Prefixes of length half, in lexicographic order: (labels, state, dimension).
+    # Prefixes of length (m - 1) // 2, in lexicographic order: (labels, state, dimension).
     front = [((), 0, 0)]
-    for _ in range(half):
+    for _ in range(split):
         front = [
             (prefix + (label,), after, dim + added)
             for prefix, state, dim in front
             for label, after, added in front_moves[state]
         ]
-    # Each (state, added dimension) suffix list becomes one tuple, shared by its blocks.
-    tables = {state: [tuple(suffixes) for suffixes in sub] for state, sub in tables.items()}
+    # Each state's suffixes are bucketed by added dimension once, here, in
+    # one stable pass, and each bucket becomes one tuple shared by its blocks.
+    buckets = {}
+    for state, (dims, suffixes) in tables.items():
+        sub = [[] for _ in range(max(dims) + 1)]
+        for d, suffix in zip(dims, suffixes):
+            sub[d].append(suffix)
+        buckets[state] = list(map(tuple, sub))
     by_dim = [[] for _ in poincare]
     for prefix, state, dim in front:
-        for d, suffixes in enumerate(tables[state], dim):
+        for d, suffixes in enumerate(buckets[state], dim):
             if suffixes:
                 by_dim[d].append((prefix, suffixes))
     return CellPaving(cells=CellBlocks(tuple(map(tuple, by_dim))), poincare=poincare)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from nilorbits import checks
-from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _write_cells, main
 from nilorbits.core import (
     CLASSICAL_FAMILIES,
     CheckResult,
@@ -23,7 +23,7 @@ from nilorbits.orbits import (
     kernel_check,
     orbit_partition,
 )
-from nilorbits.paving import enumerate_cells, max_cell_dimension
+from nilorbits.paving import CellBlocks, enumerate_cells, max_cell_dimension
 
 
 def run(capsys, *argv):
@@ -137,6 +137,24 @@ class TestOrbitCommand:
         assert payload["a_group"]["order"] == 2
         orders = payload["z_j"]["order"] * payload["a_group"]["order"] == payload["pi1"]["order"]
         assert payload["kernel_identity_holds"] is orders is False
+
+    def test_one_count_of_multiplicities_per_request(self, capsys, monkeypatch):
+        # fundamental_groups counts the parts; very_even reads them without a count.
+        request = ("orbit", "--type", "D", "--rank", "4", "--partition", "3,3,1,1")
+        expected = [run(capsys, *request, "--format", fmt) for fmt in ("json", "text")]
+        calls = []
+        original = Partition.multiplicities
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(Partition, "multiplicities", counted)
+        for fmt, before in zip(("json", "text"), expected):
+            calls.clear()
+            assert run(capsys, *request, "--format", fmt) == before
+            assert calls == [Partition((3, 3, 1, 1))]
+        assert json.loads(expected[0][1])["very_even"] is False
 
     def test_json_answer_builds_no_text_line(self, capsys, monkeypatch):
         def refuse(self):
@@ -259,13 +277,51 @@ class TestPavingCommand:
         assert code == EXIT_OK
         assert json.loads(out)["syt_count"] == syt_count(Partition((6, 5, 4, 3, 2, 1)))
 
+    def test_prefix_and_suffix_caches_match_a_per_cell_rendering(self, capsys):
+        # The renderer caches each prefix's and each suffix tuple's entries
+        # by id.  Here one prefix object heads blocks in two dimensions, two
+        # equal prefixes are distinct objects, and one suffix tuple is shared.
+        head = (1, 2)
+        twin, other = tuple([3, 4]), tuple([3, 4])
+        assert twin == other and twin is not other
+        shared = ((5, 6), (6, 5))
+        by_dim = (
+            ((head, shared), (twin, ((5, 6),))),
+            (),
+            ((head, ((6, 5),)), (other, shared)),
+        )
+        cells = CellBlocks(by_dim)
+        listed = [(d, p + s) for d, blocks in enumerate(by_dim) for p, ss in blocks for s in ss]
+        assert len(cells) == len(listed) == 6
+        formats = (
+            (
+                '    {\n      "dimension": %(d)d,\n      "w": [\n',
+                "        %d,\n",
+                "\n      ]\n    }",
+                ",\n",
+            ),
+            ("cell: w=[", "%d, ", "] dim=%(d)d", "\n"),
+        )
+        for lead, entry, close, sep in formats:
+            _write_cells(cells, lead, entry, close, sep)
+            per_cell = [
+                lead % {"d": d} + (entry * len(w))[:-2] % w + close % {"d": d} for d, w in listed
+            ]
+            assert capsys.readouterr().out == sep.join(per_cell)
+        _write_cells(cells, *formats[0])
+        rendered = json.loads("[%s]" % capsys.readouterr().out)
+        assert rendered == [{"dimension": d, "w": list(w)} for d, w in listed]
+
     def test_cells_json_matches_json_dumps(self, capsys):
         # The cell list is rendered block by block; it must match the bytes
         # json.dumps gives for the same payload with a dict per cell, and in
-        # text the summary followed by one line per cell.  The two
-        # partitions of 8 hold many blocks per dimension.
+        # text the summary followed by one line per cell.  The partitions of
+        # 8 hold many blocks per dimension; there, and at [5,5] and [4,4,2],
+        # an even m splits its cells after (m - 1) // 2 labels, not m // 2.
         shapes = [(p, 9) for m in range(1, 8) for p in partitions_of(m)]
         shapes += [(Partition(parts), 9) for parts in ((3, 2, 1, 1, 1), (2, 2, 2, 1, 1))]
+        shapes += [(Partition(parts), 9) for parts in ((8,), (7, 1), (6, 2), (4, 4), (6, 1, 1))]
+        shapes += [(Partition((5, 5)), 10), (Partition((4, 4, 2)), 10)]
         shapes += [(Partition((12, 1)), 13), (Partition((1000,)), 1000)]
         for p, bound in shapes:
             paving = enumerate_cells(p, bound=bound)

@@ -18,6 +18,7 @@ from nilorbits.core import (
     dynkin_diagram,
     gcd_of_set,
     partitions_of,
+    subset_of_mask,
     syt_count,
 )
 from nilorbits.jordan import IntMatrix
@@ -128,6 +129,15 @@ class TestSubsetJ:
             assert str(caught.value) == message
         for j in (SubsetJ(), SubsetJ((1,)), SubsetJ((1, 5)), SubsetJ((2, 3, 4))):
             check_subset_range(LieType("A", 5), j)
+
+    def test_subset_of_mask_rejects_a_negative_mask(self):
+        # int.bit_length ignores the sign, so -1 would read as {1}.
+        for mask, echoed in ((-1, "-1"), (-4, "-4"), (-(10**5000), "<16610-bit integer>")):
+            with pytest.raises(InputError) as caught:
+                subset_of_mask(mask)
+            assert str(caught.value) == "subset mask must be >= 0, got %s" % echoed
+        assert subset_of_mask(0) == SubsetJ()
+        assert subset_of_mask(5) == SubsetJ((1, 3))
 
 
 class TestLieType:

@@ -383,8 +383,8 @@ class TestEnumerateCells:
             assert paving.cells.by_dim == ()
 
     def test_blocks_factor_the_listing(self):
-        # Per dimension, one nonempty block per half-length prefix at most,
-        # in prefix order; the suffix tuples are shared between blocks.
+        # Per dimension, one nonempty block per prefix of length (m - 1) // 2
+        # at most, in prefix order; the suffix tuples are shared between blocks.
         for total in range(1, 8):
             for p in partitions_of(total):
                 paving = enumerate_cells(p)
@@ -392,9 +392,9 @@ class TestEnumerateCells:
                 for count, blocks in zip(paving.poincare, paving.cells.by_dim):
                     prefixes = [prefix for prefix, _ in blocks]
                     assert prefixes == sorted(set(prefixes))
-                    assert all(len(prefix) == total // 2 and suffixes for prefix, suffixes in blocks)
+                    assert all(len(prefix) == (total - 1) // 2 and suffixes for prefix, suffixes in blocks)
                     assert sum(len(suffixes) for _, suffixes in blocks) == count
-        # The partitions of 8: 95,503 cells in 24,218 blocks over 1,409 suffix tuples.
+        # The partitions of 8: 95,503 cells in 8,793 blocks over 1,755 suffix tuples.
         cells = blocks = shared = 0
         for p in partitions_of(8):
             listing = enumerate_cells(p).cells
@@ -402,7 +402,7 @@ class TestEnumerateCells:
             cells += len(listing)
             blocks += len(found)
             shared += len({id(suffixes) for suffixes in found})
-        assert (cells, blocks, shared) == (95503, 24218, 1409)
+        assert (cells, blocks, shared) == (95503, 8793, 1755)
 
     def test_later_masks_match_pair_loop(self):
         # later[i]: the labels j > i whose left neighbor, if any, is at most i.
