@@ -349,49 +349,96 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+
+# Each command's help line, handler and options, in the order that the
+# top-level help lists them.
+COMMANDS = {
+    "orbit": (
+        "orbit invariants for a subset J or a partition",
+        cmd_orbit,
+        (
+            ("--type", {"required": True, "help": "A, B, C, D, E6, E7, E8, F4 or G2"}),
+            ("--rank", {"type": int, "default": None}),
+            ("--j", {"default": None, "help": "comma-separated ascending indices; empty for {}"}),
+            ("--partition", {"default": None, "help": "comma-separated descending parts"}),
+            _FORMAT,
+        ),
+    ),
+    "paving": (
+        "cell paving of a type-A Springer fiber",
+        cmd_paving,
+        (
+            ("--partition", {"required": True}),
+            ("--bound", {"type": int, "default": DEFAULT_CELL_BOUND}),
+            ("--cells", {"action": "store_true", "help": "include the full cell list"}),
+            _FORMAT,
+        ),
+    ),
+    "decompose": (
+        "summand report for sl_(n+1)",
+        cmd_decompose,
+        (("--rank", {"type": int, "required": True}), _FORMAT),
+    ),
+    "tables": (
+        "dump or validate the E6/E7 orbit tables",
+        cmd_tables,
+        (
+            ("--type", {"required": True, "help": "E6 or E7"}),
+            ("--validate", {"action": "store_true"}),
+            _FORMAT,
+        ),
+    ),
+    "verify": (
+        "run every cross-check suite",
+        cmd_verify,
+        (("--max-rank", {"type": int, "default": 10}),),
+    ),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """Build the top-level parser and the subparsers that ``argv`` can reach.
+
+    When ``argv[0]`` names a command, only that command's subparser is
+    built, since argparse hands everything after it to that subparser.
+    Any other ``argv`` (empty, ``-h``, an unknown command) builds all five,
+    so the top-level help and the "required" and "invalid choice" errors
+    read as before.  A partial build lists every command in its usage
+    line through ``metavar``; the full build must not set it, because the
+    metavar would also rename ``argument command`` in those two errors.
+    """
     parser = argparse.ArgumentParser(
         prog="nilorbits",
         description="Exact combinatorial invariants of nilpotent orbits.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    orbit = sub.add_parser("orbit", help="orbit invariants for a subset J or a partition")
-    orbit.add_argument("--type", required=True, help="A, B, C, D, E6, E7, E8, F4 or G2")
-    orbit.add_argument("--rank", type=int, default=None)
-    orbit.add_argument("--j", default=None, help="comma-separated ascending indices; empty for {}")
-    orbit.add_argument("--partition", default=None, help="comma-separated descending parts")
-    orbit.add_argument("--format", choices=("json", "text"), default="json")
-    orbit.set_defaults(handler=cmd_orbit)
-
-    paving = sub.add_parser("paving", help="cell paving of a type-A Springer fiber")
-    paving.add_argument("--partition", required=True)
-    paving.add_argument("--bound", type=int, default=DEFAULT_CELL_BOUND)
-    paving.add_argument("--cells", action="store_true", help="include the full cell list")
-    paving.add_argument("--format", choices=("json", "text"), default="json")
-    paving.set_defaults(handler=cmd_paving)
-
-    decompose = sub.add_parser("decompose", help="summand report for sl_(n+1)")
-    decompose.add_argument("--rank", type=int, required=True)
-    decompose.add_argument("--format", choices=("json", "text"), default="json")
-    decompose.set_defaults(handler=cmd_decompose)
-
-    tables = sub.add_parser("tables", help="dump or validate the E6/E7 orbit tables")
-    tables.add_argument("--type", required=True, help="E6 or E7")
-    tables.add_argument("--validate", action="store_true")
-    tables.add_argument("--format", choices=("json", "text"), default="json")
-    tables.set_defaults(handler=cmd_tables)
-
-    verify = sub.add_parser("verify", help="run every cross-check suite")
-    verify.add_argument("--max-rank", type=int, default=10)
-    verify.set_defaults(handler=cmd_verify)
-
+    if argv and argv[0] in COMMANDS:
+        names = (argv[0],)
+        metavar = "{%s}" % ",".join(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    else:
+        names = tuple(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, handler, options = COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names; return its exit code.
+
+    Each call builds its own parser, with the subparser of that command
+    only (see `build_parser`).  argparse itself raises ``SystemExit``: 0
+    after ``-h``, 2 for a malformed ``argv``.  A library error prints one
+    ``error:`` line to stderr and returns its exit code.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -1,11 +1,20 @@
+import argparse
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from nilorbits import checks
-from nilorbits.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _write_cells, main
+from nilorbits import checks, cli
+from nilorbits.cli import (
+    COMMANDS,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_VERIFY,
+    _write_cells,
+    main,
+)
 from nilorbits.core import (
     CLASSICAL_FAMILIES,
     CheckResult,
@@ -451,6 +460,82 @@ class TestVerifyCommand:
             assert code == EXIT_RESOURCE
             assert out == ""
             assert "verify bound 14" in err
+
+
+
+def outcome(capsys, argv):
+    """Exit code, or ("SystemExit", code), stdout and stderr of one ``main`` call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Help, argparse's refusals and the abbreviations it accepts: an unrecognized
+# option (after every required one) prints the top-level usage line.
+PARSER_ARGVS = [
+    *([name, "-h"] for name in COMMANDS),
+    ["--help"],
+    [],
+    ["nope"],
+    ["orbit", "--type", "A", "--rank", "2", "--j", "1", "--nope"],
+    ["paving", "--partition", "2,1", "--nope"],
+    ["decompose", "--rank", "2", "--nope"],
+    ["tables", "--type", "E6", "--nope"],
+    ["verify", "--nope"],
+    ["verify", "x"],
+    ["paving", "--partition", "2,1", "--format", "xml"],
+    ["orbit", "--type", "A", "--rank", "two", "--j", "1"],
+    ["tables"],
+    ["paving", "--partition=2,1"],
+    ["orbit", "--type", "A", "--rank", "3", "--partition", "2,2", "--form=text"],
+    ["verify", "--max=3"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_answers_as_the_five_command_parser(self, capsys, monkeypatch, argv):
+        answer = outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv: full())
+        assert outcome(capsys, argv) == answer
+
+    def test_usage_and_errors_name_every_command(self, capsys):
+        usage = "usage: nilorbits [-h] {orbit,paving,decompose,tables,verify} ...\n"
+        _, _, err = outcome(capsys, [])
+        assert err == usage + "nilorbits: error: the following arguments are required: command\n"
+        _, _, err = outcome(capsys, ["nope"])
+        assert err.startswith(usage + "nilorbits: error: argument command: invalid choice: 'nope'")
+        _, _, err = outcome(capsys, ["verify", "--nope"])
+        assert err == usage + "nilorbits: error: unrecognized arguments: --nope\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", "--type", "A", "--rank", "2", "--j", "1"],
+            ["paving", "--partition", "2,1"],
+            ["decompose", "--rank", "2"],
+            ["tables", "--type", "E6"],
+            ["verify", "--max-rank", "1"],
+            [],
+            ["--help"],
+            ["nope"],
+        ],
+    )
+    def test_builds_the_subparser_of_the_named_command_only(self, capsys, monkeypatch, argv):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        outcome(capsys, argv)
+        assert built == (argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
 
 
 def replay_workload(monkeypatch, workload):

@@ -101,7 +101,18 @@ ARGV = st.one_of(
     DECOMPOSE,
     TABLES,
     VERIFY,
-    st.sampled_from([[], ["nope"], ["paving", "--nope"], ["verify", "x"]]),
+    st.sampled_from(
+        [
+            [],
+            ["nope"],
+            ["paving", "--nope"],
+            ["verify", "x"],
+            ["orbit", "-h"],
+            ["-h"],
+            ["verify", "--max-rank=3"],
+            ["paving", "orbit"],
+        ]
+    ),
     st.sampled_from(["orbit", "paving", "decompose", "tables"]).map(lambda name: [name]),
 )
 
