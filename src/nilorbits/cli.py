@@ -36,7 +36,13 @@ from .paving import (
     phi_w,
     render_root_set,
 )
-from .tables import dump_tsv, records_as_dicts, table_lookup, validate_tables
+from .tables import (
+    _require_table_family,
+    dump_tsv,
+    records_as_dicts,
+    table_lookup,
+    validate_tables,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -297,7 +303,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    t = LieType.of(args.type)
+    # Only E6 and E7 have tables, so any other family is refused before its rank is asked for.
+    t = LieType.of(_require_table_family(args.type.upper()))
     if args.validate:
         report = validate_tables(t)
         payload = {

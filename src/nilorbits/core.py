@@ -65,6 +65,15 @@ def echo_text(text: str) -> str:
     return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
 
 
+def require_int(value, what: str) -> int:
+    """``value`` if its type is int; anything else, a float or a bool too, raises InputError."""
+    if type(value) is not int:
+        raise InputError(
+            "%s must be an int, got %s %s" % (what, type(value).__name__, echo_value(value))
+        )
+    return value
+
+
 class Value:
     """Base of the immutable value types: fields in ``__slots__``, compared by value.
 
@@ -79,6 +88,7 @@ class Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._field_values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError("cannot change %r of immutable %s" % (name, type(self).__name__))
@@ -92,6 +102,14 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._field_values(self))
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value with ``values`` as its fields in ``__slots__`` order, unchecked."""
+        value = object.__new__(cls)
+        for set_field, field in zip(cls._setters, values):
+            set_field(value, field)
+        return value
 
     def __reduce__(self):
         # The default restore would assign each slot and be refused, so copies
@@ -130,10 +148,7 @@ class LieType(Value):
     def __init__(self, family: str, rank: int) -> None:
         if family not in FAMILIES:
             raise InputError("unknown Lie family %s" % echo_text(family))
-        if type(rank) is not int:
-            raise InputError(
-                "rank must be an int, got %s %s" % (type(rank).__name__, echo_value(rank))
-            )
+        require_int(rank, "rank")
         if family in EXCEPTIONAL_RANKS:
             fixed = EXCEPTIONAL_RANKS[family]
             if rank != fixed:
@@ -201,19 +216,12 @@ class Partition(Value):
         object.__setattr__(self, "parts", parts)
         self.__post_init__()
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
-        """Wrap positive ints already sorted descending, skipping the checks of ``Partition``."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        return p
-
     def __post_init__(self) -> None:
-        parts = tuple(sorted((int(v) for v in self.parts), reverse=True))
+        parts = sorted((require_int(v, "partition part") for v in self.parts), reverse=True)
         for v in parts:
             if v <= 0:
                 raise InputError("partition parts must be positive, got %s" % echo_value(v))
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", tuple(parts))
 
     @property
     def total(self) -> int:
@@ -266,19 +274,12 @@ class SubsetJ(Value):
     __slots__ = ("elements",)
 
     def __init__(self, elements: tuple[int, ...] = ()) -> None:
-        elems = tuple(sorted(int(v) for v in elements))
+        elems = tuple(sorted(require_int(v, "subset element") for v in elements))
         if len(set(elems)) != len(elems):
             raise InputError("subset elements must be distinct: %s" % echo_value(elements))
         if elems and elems[0] < 1:
             raise InputError("subset elements must be >= 1, got %s" % echo_value(elems[0]))
         object.__setattr__(self, "elements", elems)
-
-    @classmethod
-    def _trusted(cls, elements: tuple[int, ...]) -> "SubsetJ":
-        """Wrap ints >= 1 already strictly increasing, skipping the checks of ``SubsetJ``."""
-        j = object.__new__(cls)
-        object.__setattr__(j, "elements", elements)
-        return j
 
     def __contains__(self, value: int) -> bool:
         return value in self.elements

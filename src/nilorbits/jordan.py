@@ -31,32 +31,27 @@ from .core import (
     Partition,
     SubsetJ,
     UnsupportedFamilyError,
+    Value,
     check_subset_range,
     echo_value,
+    require_int,
 )
 
 
-class IntMatrix:
-    """Square matrix of arbitrary-precision integers."""
+class IntMatrix(Value):
+    """Square matrix of arbitrary-precision integers: a read-only value, compared by its rows."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise InputError("matrix must be square")
-        self.dim = dim
-        self.rows = rows
+    def __init__(self, rows) -> None:
+        rows = tuple(tuple(require_int(v, "matrix entry") for v in row) for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError("matrix must be square")
+        object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap square rows of ints as they are, without the checks of ``IntMatrix(rows)``."""
-        m = object.__new__(cls)
-        m.dim = len(rows)
-        m.rows = rows
-        return m
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def zero(cls, dim: int) -> "IntMatrix":
@@ -72,7 +67,7 @@ class IntMatrix:
                     "entry position (%s, %s) outside dimension %d"
                     % (echo_value(i), echo_value(j), dim)
                 )
-            grid[i - 1][j - 1] = int(v)
+            grid[i - 1][j - 1] = require_int(v, "matrix entry")
         return cls._trusted(tuple(map(tuple, grid)))
 
     def entry(self, i: int, j: int) -> int:
@@ -148,15 +143,6 @@ class IntMatrix:
             prev = lead
             rank += 1
         return rank
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return "IntMatrix(%r)" % (list(list(r) for r in self.rows),)
 
 
 def _simple_root_entries(family: str, n: int, i: int) -> dict[tuple[int, int], int]:

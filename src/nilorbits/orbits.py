@@ -18,6 +18,7 @@ from .core import (
     check_subset_range,
     echo_value,
     gcd_of_set,
+    require_int,
 )
 
 
@@ -48,6 +49,7 @@ class FiniteGroupDescriptor(Value):
         if kind in ("cyclic", "elementary_abelian_2", "central_extension_2"):
             if parameter is None:
                 raise InputError("kind %s needs a parameter" % kind)
+            require_int(parameter, "%s parameter" % kind)
             if kind == "cyclic" and parameter < 2:
                 raise InputError("cyclic parameter must be >= 2; use trivial() for order 1")
             if kind != "cyclic" and parameter < 0:

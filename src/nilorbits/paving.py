@@ -42,6 +42,7 @@ from .core import (
     Value,
     conjugate_heights,
     echo_value,
+    require_int,
 )
 from .jordan import IntMatrix
 
@@ -77,14 +78,6 @@ class LabeledDiagram(Value):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def _trusted(cls, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> "LabeledDiagram":
-        """Wrap rows already matching ``shape`` and labeled 1..total, skipping the checks."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "shape", shape)
-        object.__setattr__(d, "rows", rows)
-        return d
-
     def pairs(self) -> tuple[RootPair, ...]:
         return tuple(
             (row[c], row[c + 1]) for row in self.rows for c in range(len(row) - 1)
@@ -104,17 +97,10 @@ class TableauPermutation(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.one_line)
+        values = tuple(require_int(v, "permutation entry") for v in self.one_line)
         if sorted(values) != list(range(1, len(values) + 1)):
             raise InputError("not a permutation of 1..%d: %s" % (len(values), echo_value(values)))
         object.__setattr__(self, "one_line", values)
-
-    @classmethod
-    def _trusted(cls, one_line: tuple[int, ...]) -> "TableauPermutation":
-        """Wrap a tuple of ints already permuting 1..m, skipping ``__post_init__``."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "one_line", one_line)
-        return w
 
     @classmethod
     def identity(cls, m: int) -> "TableauPermutation":
@@ -198,7 +184,7 @@ def labeled_diagrams(
     occupying the same box.  Each labeling writes 1..|p| once into rows of
     the lengths of ``p``, and sigma pairs the two labels of every box, so
     all three are correct by construction and are built through the
-    ``_trusted`` constructors.
+    ``_trusted`` constructor of ``core.Value``.
     """
     if p.total == 0:
         raise InputError("labelings need a nonempty partition")

@@ -7,11 +7,12 @@ label (e.g. (3A_1)'') distinguish different orbits sharing a Levi type;
 they are data keyed by J, not something computable from the sub-diagram
 alone.
 
-``validate_tables`` sweeps every subset of simple-root indices and
-checks the embedded data four ways: the J-sets partition the full power
-set, the Z column agrees with the per-family case rule, every J's
-complement sub-diagram classifies to the record's base label, and the
-component-group order divides out consistently.
+``validate_tables`` checks the embedded data four ways in one walk over
+the (record, J) pairs: the J-sets partition the full power set, the Z
+column agrees with the per-family case rule, every J's complement
+sub-diagram classifies to the record's base label, and the
+component-group order divides out consistently.  Any other Lie family,
+a classical one included, raises ``core.UnsupportedFamilyError``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from __future__ import annotations
 import re
 
 from .core import (
+    FAMILIES,
     CheckResult,
     ComponentLabel,
     DataIntegrityError,
-    InputError,
     LieType,
     SubsetJ,
+    UnsupportedFamilyError,
     Value,
     all_subsets,
     check_subset_range,
@@ -249,25 +251,23 @@ _RECORDS = {
 }
 
 
-class UnsupportedTableError(InputError):
-    def __init__(self, family: str):
-        super().__init__("no embedded orbit table for family %s (only E6, E7)" % family)
-
-
-def _require_table_family(t: LieType) -> str:
-    if t.family not in _RECORDS:
-        raise UnsupportedTableError(t.family)
-    return t.family
+def _require_table_family(family: str) -> str:
+    """``family`` unless it names a Lie family without an embedded table: all but E6 and E7."""
+    if family in FAMILIES and family not in _RECORDS:
+        raise UnsupportedFamilyError(
+            "no embedded orbit table for family %s (only E6, E7)" % family
+        )
+    return family
 
 
 def records(t: LieType) -> tuple[OrbitRecord, ...]:
     """All records for E6 or E7, in embedded (dimension-descending) order."""
-    return _RECORDS[_require_table_family(t)]
+    return _RECORDS[_require_table_family(t.family)]
 
 
 def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
     """The unique record whose J sets contain ``j``."""
-    family = _require_table_family(t)
+    family = _require_table_family(t.family)
     check_subset_range(t, j)
     target = j.elements
     for record in _RECORDS[family]:
@@ -292,22 +292,46 @@ class TableValidationReport(Value):
 
 
 def validate_records(t: LieType, record_list) -> TableValidationReport:
-    """Run the four table checks against an explicit record list."""
-    family = _require_table_family(t)
+    """Run the four table checks against an explicit record list, each (record, J) pair once.
+
+    A J outside 1..rank fails the power-set partition and skips the Z and
+    label checks, so their counts take only the J sets they checked.
+    """
+    family = _require_table_family(t.family)
     rank = t.rank
     diagram = dynkin_diagram(t)
     nodes = set(range(1, rank + 1))
 
-    partition_failures = []
     counts: dict[tuple[int, ...], int] = {j.elements: 0 for j in all_subsets(rank)}
+    partition_failures = []
+    z_failures = []
+    label_failures = []
+    quotient_failures = []
     for record in record_list:
         for j_set in record.j_sets:
-            if j_set.elements in counts:
-                counts[j_set.elements] += 1
-            else:
+            if j_set.elements not in counts:
                 partition_failures.append(
                     "subset %s is out of range for rank %d" % (j_set, rank)
                 )
+                continue
+            counts[j_set.elements] += 1
+            expected = center_fiber(t, j_set).order
+            if expected != record.z_orbit.order:
+                z_failures.append(
+                    "Z mismatch at J=%s: rule gives order %d, record %r has %d"
+                    % (j_set, expected, record.bala_carter, record.z_orbit.order)
+                )
+            derived = classify_subdiagram(diagram, nodes - set(j_set.elements))
+            if derived != record.base_label:
+                label_failures.append(
+                    "label mismatch at J=%s: complement classifies as %s, record says %r"
+                    % (j_set, derived, record.bala_carter)
+                )
+        if record.pi1.order % record.z_orbit.order:
+            quotient_failures.append(
+                "record %r: |Z| = %d does not divide |pi1| = %d"
+                % (record.bala_carter, record.z_orbit.order, record.pi1.order)
+            )
     for subset, seen in counts.items():
         if seen == 0:
             partition_failures.append(
@@ -318,43 +342,11 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
                 "subset {%s} appears in %d records" % (",".join(map(str, subset)), seen)
             )
 
-    z_failures = []
-    z_checked = 0
-    for record in record_list:
-        for j_set in record.j_sets:
-            z_checked += 1
-            expected = center_fiber(t, j_set).order
-            if expected != record.z_orbit.order:
-                z_failures.append(
-                    "Z mismatch at J=%s: rule gives order %d, record %r has %d"
-                    % (j_set, expected, record.bala_carter, record.z_orbit.order)
-                )
-
-    label_failures = []
-    label_checked = 0
-    for record in record_list:
-        for j_set in record.j_sets:
-            label_checked += 1
-            complement = nodes - set(j_set.elements)
-            derived = classify_subdiagram(diagram, complement)
-            if derived != record.base_label:
-                label_failures.append(
-                    "label mismatch at J=%s: complement classifies as %s, record says %r"
-                    % (j_set, derived, record.bala_carter)
-                )
-
-    quotient_failures = []
-    for record in record_list:
-        if record.pi1.order % record.z_orbit.order:
-            quotient_failures.append(
-                "record %r: |Z| = %d does not divide |pi1| = %d"
-                % (record.bala_carter, record.z_orbit.order, record.pi1.order)
-            )
-
+    in_range = sum(counts.values())
     checks = (
         CheckResult("power-set-partition", len(counts), tuple(partition_failures)),
-        CheckResult("z-column-agreement", z_checked, tuple(z_failures)),
-        CheckResult("subdiagram-labels", label_checked, tuple(label_failures)),
+        CheckResult("z-column-agreement", in_range, tuple(z_failures)),
+        CheckResult("subdiagram-labels", in_range, tuple(label_failures)),
         CheckResult("component-group-quotient", len(record_list), tuple(quotient_failures)),
     )
     return TableValidationReport(family=family, checks=checks)

@@ -421,8 +421,14 @@ class TestTablesCommand:
         assert out.count("PASS") == 4
 
     def test_rejects_classical(self, capsys):
-        code, _, err = run(capsys, "tables", "--type", "A")
-        assert code == EXIT_INPUT
+        # No rank would give a classical family a table, so none is asked for.
+        for family in ("A", "B", "C", "D", "a", "d"):
+            code, out, err = run(capsys, "tables", "--type", family)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == "error: no embedded orbit table for family %s (only E6, E7)\n" % (
+                family.upper()
+            )
 
 
 class TestVerifyCommand:

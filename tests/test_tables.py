@@ -1,6 +1,14 @@
+import re
+
 import pytest
 
-from nilorbits.core import DataIntegrityError, InputError, LieType, SubsetJ
+from nilorbits.core import (
+    DataIntegrityError,
+    InputError,
+    LieType,
+    SubsetJ,
+    UnsupportedFamilyError,
+)
 from nilorbits.orbits import FiniteGroupDescriptor
 from nilorbits.tables import (
     OrbitRecord,
@@ -45,8 +53,10 @@ class TestLookup:
             table_lookup(E6, SubsetJ((7,)))
 
     def test_rejects_untabulated_family(self):
-        with pytest.raises(InputError):
-            table_lookup(LieType.of("E8"), SubsetJ(()))
+        for t in (LieType.of("E8"), LieType("A", 3), LieType("D", 4)):
+            message = "no embedded orbit table for family %s (only E6, E7)" % t.family
+            with pytest.raises(UnsupportedFamilyError, match=re.escape(message)):
+                table_lookup(t, SubsetJ(()))
 
 
 class TestRecordShape:
@@ -91,12 +101,12 @@ class TestValidation:
             "subdiagram-labels",
             "component-group-quotient",
         ]
-        assert report.checks[0].checked == 64
+        assert [c.checked for c in report.checks] == [64, 64, 64, 17]
 
     def test_e7_all_pass(self):
         report = validate_tables(E7)
         assert report.ok
-        assert report.checks[0].checked == 128
+        assert [c.checked for c in report.checks] == [128, 128, 128, 32]
 
     def test_missing_subset_is_named(self):
         doctored = []
@@ -156,6 +166,29 @@ class TestValidation:
         report = validate_records(E6, doctored)
         failures = [f for c in report.checks for f in c.failures]
         assert any("label mismatch" in f for f in failures)
+
+    def test_out_of_range_subset_is_reported_not_raised(self):
+        # The Z rule would refuse J = {7} in rank 6, so that J is skipped by the
+        # Z and label checks after the partition check has named it.
+        first, *rest = records(E6)
+        doctored = [
+            OrbitRecord(
+                first.bala_carter,
+                first.base_label,
+                first.j_sets + (SubsetJ((7,)),),
+                first.z_orbit,
+                first.pi1,
+            ),
+            *rest,
+        ]
+        report = validate_records(E6, doctored)
+        assert not report.ok
+        assert [(c.name, c.checked, c.failures) for c in report.checks] == [
+            ("power-set-partition", 64, ("subset {7} is out of range for rank 6",)),
+            ("z-column-agreement", 64, ()),
+            ("subdiagram-labels", 64, ()),
+            ("component-group-quotient", 17, ()),
+        ]
 
     def test_record_requires_j_sets(self):
         with pytest.raises(DataIntegrityError):

@@ -9,6 +9,7 @@ from nilorbits import checks
 from nilorbits.core import (
     CheckResult,
     ComponentLabel,
+    InputError,
     LieType,
     Partition,
     SubsetJ,
@@ -46,6 +47,7 @@ MAKERS = {
         FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial"),
     ),
     "TableValidationReport": lambda: TableValidationReport("E6", (CheckResult("x", 1, ()),)),
+    "IntMatrix": lambda: IntMatrix([[0, 1], [0, 0]]),
 }
 
 
@@ -106,6 +108,40 @@ def test_positional_and_default_construction():
         Partition((2, 0))
     with pytest.raises(ValueError):
         SubsetJ((2, 2))
+
+
+# Each validating constructor refuses an entry whose type is not int instead of truncating it.
+NON_INT_ENTRIES = {
+    "Partition": (lambda: Partition((2.7, 1)), "partition part must be an int, got float 2.7"),
+    "SubsetJ": (lambda: SubsetJ((1.9,)), "subset element must be an int, got float 1.9"),
+    "TableauPermutation": (
+        lambda: TableauPermutation((2, "1")), "permutation entry must be an int, got str 1"
+    ),
+    "IntMatrix": (lambda: IntMatrix([[1.9]]), "matrix entry must be an int, got float 1.9"),
+    "IntMatrix.from_entries": (
+        lambda: IntMatrix.from_entries(2, {(1, 2): True}),
+        "matrix entry must be an int, got bool True",
+    ),
+    "FiniteGroupDescriptor": (
+        lambda: FiniteGroupDescriptor("cyclic", 2.5),
+        "cyclic parameter must be an int, got float 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(NON_INT_ENTRIES))
+def test_non_int_entries_are_refused(constructor):
+    build, message = NON_INT_ENTRIES[constructor]
+    with pytest.raises(InputError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+def test_int_matrix_dim_is_read_only_and_follows_the_rows():
+    m = IntMatrix._trusted(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    assert m.dim == 3 and m == IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(AttributeError):
+        m.dim = 2
 
 
 def test_subset_of_mask_equals_the_validated_build():
