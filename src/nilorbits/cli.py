@@ -404,48 +404,53 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """Build the top-level parser and the subparsers that ``argv`` can reach.
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the options and handler of command ``name`` added."""
+    _, handler, options = COMMANDS[name]
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
 
-    When ``argv[0]`` names a command, only that command's subparser is
-    built, since argparse hands everything after it to that subparser.
-    Any other ``argv`` (empty, ``-h``, an unknown command) builds all five,
-    so the top-level help and the "required" and "invalid choice" errors
-    read as before.  A partial build lists every command in its usage
-    line through ``metavar``; the full build must not set it, because the
-    metavar would also rename ``argument command`` in those two errors.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for each of the five commands.
+
+    `main` uses it only for an ``argv`` that does not name a command
+    (empty, ``-h``, an unknown command) or that leaves arguments over, so
+    the top-level help, usage line and errors read the same as ever.
     """
     parser = argparse.ArgumentParser(
         prog="nilorbits",
         description="Exact combinatorial invariants of nilpotent orbits.",
     )
-    if argv and argv[0] in COMMANDS:
-        names = (argv[0],)
-        metavar = "{%s}" % ",".join(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    else:
-        names = tuple(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, handler, options = COMMANDS[name]
-        command = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            command.add_argument(flag, **kwargs)
-        command.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     """Run the command that ``argv`` (default ``sys.argv[1:]``) names; return its exit code.
 
-    Each call builds its own parser, with the subparser of that command
-    only (see `build_parser`).  argparse itself raises ``SystemExit``: 0
-    after ``-h``, 2 for a malformed ``argv``.  A library error prints one
-    ``error:`` line to stderr and returns its exit code.
+    Each call builds its own parser.  When ``argv[0]`` names a command,
+    that is one ``ArgumentParser(prog="nilorbits <command>")`` with the
+    command's options, the parser that `build_parser` adds for it, and it
+    parses the rest of ``argv``.  Any other ``argv``, or one with
+    arguments left over, is parsed by `build_parser`, whose top-level
+    usage line goes with its "unrecognized arguments" error.  argparse
+    itself raises ``SystemExit``: 0 after ``-h``, 2 for a malformed
+    ``argv``.  A library error prints one ``error:`` line to stderr and
+    returns its exit code.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    extra = True
+    if argv and argv[0] in COMMANDS:
+        command = _command_parser(argparse.ArgumentParser(prog="nilorbits " + argv[0]), argv[0])
+        args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

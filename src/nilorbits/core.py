@@ -308,8 +308,9 @@ def all_subsets(rank: int) -> Iterator[SubsetJ]:
     appended, whose masks are the same with bit r-1 set.  Each tuple is
     strictly increasing and its elements lie in 1..rank by construction,
     so it is wrapped by ``SubsetJ._trusted``.  All 2^rank tuples are held
-    at once.
+    at once.  A non-int ``rank`` (a bool too) raises InputError.
     """
+    require_int(rank, "rank")
     if rank < 0:
         raise InputError("rank must be >= 0, got %s" % echo_value(rank))
     subsets = [()]
@@ -363,27 +364,44 @@ def syt_count(p: Partition) -> int:
 def partitions_of(total: int) -> Iterator[Partition]:
     """All partitions of ``total`` in descending lexicographic order.
 
-    Each part is drawn from ``range(min(cap, remaining), 0, -1)`` with
-    ``cap`` the part before it, so the parts are positive ints in
-    descending order by construction and are wrapped by
-    ``Partition._trusted``.
+    A non-int ``total`` (a bool too) or a negative one raises InputError
+    at the call, before any partition is built.  The walk is iterative,
+    the descending-order algorithm of Zoghbi and Stojmenovic ("Fast
+    algorithms for generating integer partitions", 1998): it keeps the
+    parts above 1 and a count of trailing ones, and each step lowers the
+    last part above 1 by one and refills greedily with the new part, so a
+    step does O(1) amortized work besides building the yielded tuple.  The
+    parts are positive ints in descending order by construction and are
+    wrapped by ``Partition._trusted``.  ``total`` 0 yields one empty
+    partition.
     """
+    require_int(total, "partition total")
     if total < 0:
         raise InputError("cannot partition a negative total")
-    if total == 0:
-        yield Partition._trusted(())
-        return
+    return _descending_partitions(total)
 
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+
+def _descending_partitions(total: int) -> Iterator[Partition]:
+    big, ones = ([total], 0) if total > 1 else ([], total)
+    trusted = Partition._trusted
+    while True:
+        yield trusted(tuple(big) + (1,) * ones)
+        if not big:
             return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    for parts in rec(total, total):
-        yield Partition._trusted(parts)
+        part = big.pop()
+        if part == 2:
+            ones += 2
+            continue
+        # Refill part + ones with parts part - 1 >= 2: as many as fit, then
+        # the remainder as one part, or as a trailing one.
+        lower = part - 1
+        count, rest = divmod(part + ones, lower)
+        big += (lower,) * count
+        if rest > 1:
+            big.append(rest)
+            ones = 0
+        else:
+            ones = rest
 
 
 class DynkinDiagram(Value):

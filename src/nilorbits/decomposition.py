@@ -10,7 +10,15 @@ Multiplicities are lower bounds only and are never fabricated.
 
 from __future__ import annotations
 
-from .core import InputError, Partition, ResourceBoundError, Value, echo_value, partitions_of
+from .core import (
+    InputError,
+    Partition,
+    ResourceBoundError,
+    Value,
+    echo_value,
+    partitions_of,
+    require_int,
+)
 from .orbits import orbit_dimension_type_a
 from .paving import max_cell_dimension
 
@@ -51,24 +59,21 @@ def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecor
     """One record per partition of n+1, sorted by orbit dimension descending.
 
     Ties break on the partition tuple, so output order is deterministic.
+    A non-int ``n`` (a bool too) raises InputError before any work.  Each
+    record is correct by construction and is built by
+    ``SummandRecord._trusted``.
     """
+    require_int(n, "rank")
     if n < 1:
         raise InputError("rank must be >= 1, got %s" % echo_value(n))
     if n > bound:
         raise ResourceBoundError("rank %s exceeds the report bound %d" % (echo_value(n), bound))
+    trusted = SummandRecord._trusted
     records = []
     for p in partitions_of(n + 1):
-        dim = orbit_dimension_type_a(n, p)
-        d_x = max_cell_dimension(p)
         c = p.gcd()
         records.append(
-            SummandRecord(
-                partition=p,
-                orbit_dimension=dim,
-                fiber_dimension=d_x,
-                c=c,
-                characters=tuple(range(c)),
-            )
+            trusted(p, orbit_dimension_type_a(n, p), max_cell_dimension(p), c, tuple(range(c)), False)
         )
     records.sort(key=lambda r: (-r.orbit_dimension, r.partition.parts))
     return records

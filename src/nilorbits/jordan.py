@@ -59,9 +59,18 @@ class IntMatrix(Value):
 
     @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
-        """Build from 1-indexed (row, col) -> value assignments."""
+        """Build from 1-indexed (row, col) -> value assignments.
+
+        ``dim``, each position and each value must be ints (not bools);
+        a negative ``dim`` is refused.
+        """
+        require_int(dim, "matrix dimension")
+        if dim < 0:
+            raise InputError("matrix dimension must be >= 0, got %s" % echo_value(dim))
         grid = [[0] * dim for _ in range(dim)]
         for (i, j), v in entries.items():
+            require_int(i, "entry row")
+            require_int(j, "entry column")
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise InputError(
                     "entry position (%s, %s) outside dimension %d"

@@ -501,13 +501,21 @@ PARSER_ARGVS = [
 ]
 
 
+def reference_outcome(capsys, argv):
+    """``outcome`` of ``argv`` through the five-command parser of `build_parser` and its handler."""
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+        code = args.handler(args)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
-    def test_answers_as_the_five_command_parser(self, capsys, monkeypatch, argv):
-        answer = outcome(capsys, argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda argv: full())
-        assert outcome(capsys, argv) == answer
+    def test_answers_as_the_five_command_parser(self, capsys, argv):
+        assert outcome(capsys, argv) == reference_outcome(capsys, argv)
 
     def test_usage_and_errors_name_every_command(self, capsys):
         usage = "usage: nilorbits [-h] {orbit,paving,decompose,tables,verify} ...\n"
@@ -529,19 +537,34 @@ class TestParser:
             [],
             ["--help"],
             ["nope"],
+            ["verify", "--nope"],
         ],
     )
     def test_builds_the_subparser_of_the_named_command_only(self, capsys, monkeypatch, argv):
-        built = []
-        add_parser = argparse._SubParsersAction.add_parser
+        # Records the prog of every ArgumentParser and each _SubParsersAction built.
+        progs, subparser_actions = [], []
+        parser_init = argparse.ArgumentParser.__init__
+        action_init = argparse._SubParsersAction.__init__
 
-        def counted(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted_parser(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            parser_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        def counted_action(self, *args, **kwargs):
+            subparser_actions.append(self)
+            action_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
+        monkeypatch.setattr(argparse._SubParsersAction, "__init__", counted_action)
         outcome(capsys, argv)
-        assert built == (argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
+        five = ["nilorbits"] + ["nilorbits " + name for name in COMMANDS]
+        if not argv or argv[0] not in COMMANDS:
+            assert progs == five and len(subparser_actions) == 1
+        elif argv[1:] == ["--nope"]:
+            # Arguments left over: the named command's parser, then all five.
+            assert progs == ["nilorbits " + argv[0]] + five and len(subparser_actions) == 1
+        else:
+            assert progs == ["nilorbits " + argv[0]] and subparser_actions == []
 
 
 def replay_workload(monkeypatch, workload):

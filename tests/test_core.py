@@ -12,6 +12,7 @@ from nilorbits.core import (
     LieType,
     Partition,
     SubsetJ,
+    all_subsets,
     check_subset_range,
     classify_subdiagram,
     conjugate_heights,
@@ -21,6 +22,7 @@ from nilorbits.core import (
     subset_of_mask,
     syt_count,
 )
+from nilorbits.decomposition import summand_report
 from nilorbits.jordan import IntMatrix
 from nilorbits.orbits import FiniteGroupDescriptor
 from nilorbits.paving import TableauPermutation
@@ -331,6 +333,74 @@ class TestPartitionsOf:
     def test_all_sum_correctly(self, n):
         for p in partitions_of(n):
             assert p.total == n
+
+    def test_matches_brute_force_in_descending_lexicographic_order(self):
+        for n in range(13):
+            assert [p.parts for p in partitions_of(n)] == _brute_force_partitions(n)
+            assert all(type(p) is Partition for p in partitions_of(n))
+
+    def test_counts_follow_the_pentagonal_recurrence(self):
+        # Euler: p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+        p = [1]
+        for n in range(1, 41):
+            total, k = 0, 1
+            while k * (3 * k - 1) // 2 <= n:
+                sign = 1 if k % 2 else -1
+                total += sign * p[n - k * (3 * k - 1) // 2]
+                if k * (3 * k + 1) // 2 <= n:
+                    total += sign * p[n - k * (3 * k + 1) // 2]
+                k += 1
+            p.append(total)
+        assert p[8] == 22 and p[40] == 37338
+        for n in range(41):
+            assert sum(1 for _ in partitions_of(n)) == p[n]
+
+    def test_rejects_a_negative_total_at_the_call(self):
+        with pytest.raises(InputError, match="negative total"):
+            partitions_of(-1)
+
+
+def _brute_force_partitions(n):
+    """The partitions of ``n`` as tuples, descending lexicographic, from its 2^(n-1) compositions.
+
+    Bit i of a mask cuts the row of n cells after cell i + 1; each
+    composition's parts are sorted descending and the distinct tuples sorted.
+    """
+    if n == 0:
+        return [()]
+    found = set()
+    for mask in range(1 << (n - 1)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if mask >> i & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        parts.append(run)
+        found.add(tuple(sorted(parts, reverse=True)))
+    return sorted(found, reverse=True)
+
+
+# Each enumerator refuses a non-int argument before any work; a float total
+# would otherwise walk past 0 into negative parts.
+NON_INT_ARGUMENTS = {
+    "partitions_of": (partitions_of, "partition total"),
+    "all_subsets": (all_subsets, "rank"),
+    "summand_report": (summand_report, "rank"),
+}
+
+
+@pytest.mark.parametrize("function", sorted(NON_INT_ARGUMENTS))
+@pytest.mark.parametrize("value", [2.5, "3", True, None], ids=repr)
+def test_enumerators_refuse_a_non_int_argument(function, value):
+    call, what = NON_INT_ARGUMENTS[function]
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value) == "%s must be an int, got %s %s" % (
+        what,
+        type(value).__name__,
+        value,
+    )
 
 
 class TestDynkinDiagram:

@@ -57,6 +57,25 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             IntMatrix.from_entries(2, {(3, 1): 1})
 
+    @pytest.mark.parametrize(
+        "dim, position, message",
+        [
+            (2, (1.5, 1), "entry row must be an int, got float 1.5"),
+            (2, (1, True), "entry column must be an int, got bool True"),
+            (2.0, (1, 1), "matrix dimension must be an int, got float 2.0"),
+            (-1, (1, 1), "matrix dimension must be >= 0, got -1"),
+            (2, (0, 1), "entry position (0, 1) outside dimension 2"),
+            (2, (1, 3), "entry position (1, 3) outside dimension 2"),
+        ],
+    )
+    def test_from_entries_checks_dimension_and_positions(self, dim, position, message):
+        with pytest.raises(InputError) as caught:
+            IntMatrix.from_entries(dim, {position: 1})
+        assert str(caught.value) == message
+
+    def test_from_entries_admits_dimension_zero(self):
+        assert IntMatrix.from_entries(0, {}).rows == ()
+
     def test_term_string(self):
         m = IntMatrix.from_entries(6, {(2, 3): 1, (6, 5): -1, (3, 6): 1})
         assert m.term_string() == "E_{2,3} + E_{3,6} - E_{6,5}"
