@@ -7,10 +7,10 @@ an error: the command exits 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .core import (
     DataIntegrityError,
@@ -404,53 +404,96 @@ COMMANDS = {
 }
 
 
-def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the options and handler of command ``name`` added."""
-    _, handler, options = COMMANDS[name]
+def _plain_args(argv):
+    """The namespace `build_parser` would parse from a plain ``argv``, or None for any other.
+
+    ``argv`` is plain when ``argv[0]`` names a command and the rest are
+    that command's exact option strings, each ``store_true`` option alone
+    and each other one followed by its value.  A value may not start with
+    "-" unless it is "-" itself or "-" and decimal digits, which argparse
+    reads as values too, because no option here looks like a negative
+    number.  Each value must convert through the option's ``type`` and
+    lie within its ``choices``, and every required option must be given.
+    A repeated option keeps its last value, as in argparse.  The namespace
+    holds each option's dest, given or defaulted, and ``handler``; only
+    ``command``, which no handler reads, is left out.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, options = COMMANDS[argv[0]]
+    spec = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = spec.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") and not (value == "-" or value[1:].isdecimal()):
+            return None
+        convert = kwargs.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        choices = kwargs.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(handler=handler)
     for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(handler=handler)
-    return parser
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, with a subparser for each of the five commands.
+    """The argparse parser of the CLI, with a subparser for each of the five commands.
 
-    `main` uses it only for an ``argv`` that does not name a command
-    (empty, ``-h``, an unknown command) or that leaves arguments over, so
-    the top-level help, usage line and errors read the same as ever.
+    `main` parses with it every ``argv`` that `_plain_args` does not read:
+    help, abbreviations, ``--flag=value``, ``--`` and every malformed
+    vector, so help, usage lines and errors read as argparse writes them.
+    argparse is imported here, so a plain call never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nilorbits",
         description="Exact combinatorial invariants of nilpotent orbits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _command_parser(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, handler, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     """Run the command that ``argv`` (default ``sys.argv[1:]``) names; return its exit code.
 
-    Each call builds its own parser.  When ``argv[0]`` names a command,
-    that is one ``ArgumentParser(prog="nilorbits <command>")`` with the
-    command's options, the parser that `build_parser` adds for it, and it
-    parses the rest of ``argv``.  Any other ``argv``, or one with
-    arguments left over, is parsed by `build_parser`, whose top-level
-    usage line goes with its "unrecognized arguments" error.  argparse
-    itself raises ``SystemExit``: 0 after ``-h``, 2 for a malformed
-    ``argv``.  A library error prints one ``error:`` line to stderr and
-    returns its exit code.
+    Each call reads its own ``argv``; nothing is kept between calls.  A
+    plain vector (see `_plain_args`) is read straight from the
+    ``COMMANDS`` table, and any other is parsed by `build_parser`.
+    argparse itself raises ``SystemExit``: 0 after ``-h``, 2 for a
+    malformed ``argv``.  A library error prints one ``error:`` line to
+    stderr and returns its exit code.
     """
     if argv is None:
         argv = sys.argv[1:]
-    extra = True
-    if argv and argv[0] in COMMANDS:
-        command = _command_parser(argparse.ArgumentParser(prog="nilorbits " + argv[0]), argv[0])
-        args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        args = build_parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

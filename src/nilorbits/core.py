@@ -74,6 +74,25 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def require_str(value, what: str) -> str:
+    """``value`` if its type is str; anything else raises InputError."""
+    if type(value) is not str:
+        raise InputError(
+            "%s must be a str, got %s %s" % (what, type(value).__name__, echo_value(value))
+        )
+    return value
+
+
+def require_iterable(values, what: str) -> Iterator:
+    """An iterator over ``values``; a value that cannot be iterated raises InputError."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InputError(
+            "%s must be iterable, got %s %s" % (what, type(values).__name__, echo_value(values))
+        ) from None
+
+
 class Value:
     """Base of the immutable value types: fields in ``__slots__``, compared by value.
 
@@ -146,7 +165,7 @@ class LieType(Value):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
-        if family not in FAMILIES:
+        if require_str(family, "Lie family") not in FAMILIES:
             raise InputError("unknown Lie family %s" % echo_text(family))
         require_int(rank, "rank")
         if family in EXCEPTIONAL_RANKS:
@@ -164,7 +183,7 @@ class LieType(Value):
     @classmethod
     def of(cls, family: str, rank: int | None = None) -> "LieType":
         """The type named ``family``, in any case; an exceptional family may leave out its rank."""
-        family = family.upper()
+        family = require_str(family, "Lie family").upper()
         if rank is None:
             if family in CLASSICAL_FAMILIES:
                 raise InputError("family %s requires an explicit rank" % family)
@@ -217,7 +236,10 @@ class Partition(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        parts = sorted((require_int(v, "partition part") for v in self.parts), reverse=True)
+        parts = sorted(
+            (require_int(v, "partition part") for v in require_iterable(self.parts, "partition")),
+            reverse=True,
+        )
         for v in parts:
             if v <= 0:
                 raise InputError("partition parts must be positive, got %s" % echo_value(v))
@@ -274,7 +296,9 @@ class SubsetJ(Value):
     __slots__ = ("elements",)
 
     def __init__(self, elements: tuple[int, ...] = ()) -> None:
-        elems = tuple(sorted(require_int(v, "subset element") for v in elements))
+        elems = tuple(
+            sorted(require_int(v, "subset element") for v in require_iterable(elements, "subset"))
+        )
         if len(set(elems)) != len(elems):
             raise InputError("subset elements must be distinct: %s" % echo_value(elements))
         if elems and elems[0] < 1:
@@ -295,8 +319,8 @@ class SubsetJ(Value):
 
 
 def subset_of_mask(mask: int) -> SubsetJ:
-    """The subset holding i + 1 for each set bit i of ``mask``; a negative mask raises."""
-    if mask < 0:
+    """The subset holding i + 1 for each set bit i of ``mask``; a negative or non-int mask raises."""
+    if require_int(mask, "subset mask") < 0:
         raise InputError("subset mask must be >= 0, got %s" % echo_value(mask))
     return SubsetJ._trusted(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 

@@ -59,11 +59,12 @@ def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecor
     """One record per partition of n+1, sorted by orbit dimension descending.
 
     Ties break on the partition tuple, so output order is deterministic.
-    A non-int ``n`` (a bool too) raises InputError before any work.  Each
-    record is correct by construction and is built by
+    A non-int ``n`` or ``bound`` (a bool too) raises InputError before
+    any work.  Each record is correct by construction and is built by
     ``SummandRecord._trusted``.
     """
     require_int(n, "rank")
+    require_int(bound, "bound")
     if n < 1:
         raise InputError("rank must be >= 1, got %s" % echo_value(n))
     if n > bound:

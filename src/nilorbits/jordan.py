@@ -35,6 +35,7 @@ from .core import (
     check_subset_range,
     echo_value,
     require_int,
+    require_iterable,
 )
 
 
@@ -44,7 +45,10 @@ class IntMatrix(Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(require_int(v, "matrix entry") for v in row) for row in rows)
+        rows = tuple(
+            tuple(require_int(v, "matrix entry") for v in require_iterable(row, "matrix row"))
+            for row in require_iterable(rows, "matrix")
+        )
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")
         object.__setattr__(self, "rows", rows)

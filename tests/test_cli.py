@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilorbits import checks, cli
 from nilorbits.cli import (
@@ -33,6 +34,8 @@ from nilorbits.orbits import (
     orbit_partition,
 )
 from nilorbits.paving import CellBlocks, enumerate_cells, max_cell_dimension
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(capsys, *argv):
@@ -480,7 +483,9 @@ def outcome(capsys, argv):
 
 
 # Help, argparse's refusals and the abbreviations it accepts: an unrecognized
-# option (after every required one) prints the top-level usage line.
+# option (after every required one) prints the top-level usage line.  The
+# last five are edge cases of plain vectors: a negative number and "-" as
+# values, a value that argparse reads as an option, and repeated options.
 PARSER_ARGVS = [
     *([name, "-h"] for name in COMMANDS),
     ["--help"],
@@ -498,18 +503,77 @@ PARSER_ARGVS = [
     ["paving", "--partition=2,1"],
     ["orbit", "--type", "A", "--rank", "3", "--partition", "2,2", "--form=text"],
     ["verify", "--max=3"],
+    ["decompose", "--rank", "-3"],
+    ["orbit", "--type", "A", "--rank", "3", "--j", "-"],
+    ["orbit", "--type", "A", "--rank", "3", "--j", "-x"],
+    ["paving", "--partition", "2,1", "--cells", "--cells"],
+    ["decompose", "--rank", "3", "--rank", "4"],
 ]
 
 
+# Exact, abbreviated and foreign option strings, "=" forms, -h and --, with
+# values that argparse reads as values, as options or as neither.
+FLAGS = sorted({flag for _, _, options in COMMANDS.values() for flag, _ in options})
+VALUES = st.sampled_from(
+    ["", "-", "-3", "-\u0663", "-3\n", "-x", " 3", "x", "JSON", "3.0", "3", "2,1", "E6", "json", "text"]
+)
+
+
+@st.composite
+def argument_vectors(draw):
+    """A command, its required options or not, and a few chunks of options and values.
+
+    Half the vectors take only the command's own options, a switch alone
+    and any other with a value, so that many of them are plain.
+    """
+    name = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[name][2]
+    own = [flag for flag, _ in options]
+    exact = st.sampled_from(options).flatmap(
+        lambda option: st.just([option[0]])
+        if option[1].get("action") == "store_true"
+        else VALUES.map(lambda value: [option[0], value])
+    )
+    flags = st.one_of(
+        st.sampled_from(own),
+        st.sampled_from(own).map(lambda flag: flag[:-1]),
+        st.sampled_from(FLAGS + ["-h", "--"]),
+    )
+    any_chunk = st.one_of(
+        exact,
+        st.tuples(flags, VALUES).map(list),
+        st.tuples(flags, VALUES).map(lambda pair: ["=".join(pair)]),
+        flags.map(lambda flag: [flag]),
+        VALUES.map(lambda value: [value]),
+    )
+    argv = [name]
+    if draw(st.booleans()):
+        for flag, kwargs in options:
+            if kwargs.get("required"):
+                argv += [flag, draw(VALUES)]
+    for chunk in draw(st.lists(draw(st.sampled_from([exact, any_chunk])), max_size=5)):
+        argv += chunk
+    return argv
+
+
+def record_parsers(monkeypatch):
+    """The list to which each ArgumentParser built from now on adds its prog."""
+    progs = []
+    parser_init = argparse.ArgumentParser.__init__
+
+    def counted_parser(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        parser_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
+    return progs
+
+
 def reference_outcome(capsys, argv):
-    """``outcome`` of ``argv`` through the five-command parser of `build_parser` and its handler."""
-    try:
-        args = cli.build_parser().parse_args(list(argv))
-        code = args.handler(args)
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """``outcome`` of ``argv`` when `_plain_args` reads nothing, so that `build_parser` parses it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_plain_args", lambda argv: None)
+        return outcome(capsys, argv)
 
 
 class TestParser:
@@ -541,42 +605,63 @@ class TestParser:
         ],
     )
     def test_builds_the_subparser_of_the_named_command_only(self, capsys, monkeypatch, argv):
-        # Records the prog of every ArgumentParser and each _SubParsersAction built.
-        progs, subparser_actions = [], []
-        parser_init = argparse.ArgumentParser.__init__
+        # A plain vector builds no parser at all; every other one builds the
+        # five-command tree of build_parser, and nothing more.
+        progs = record_parsers(monkeypatch)
+        subparser_actions = []
         action_init = argparse._SubParsersAction.__init__
-
-        def counted_parser(self, *args, **kwargs):
-            progs.append(kwargs.get("prog"))
-            parser_init(self, *args, **kwargs)
 
         def counted_action(self, *args, **kwargs):
             subparser_actions.append(self)
             action_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
         monkeypatch.setattr(argparse._SubParsersAction, "__init__", counted_action)
         outcome(capsys, argv)
-        five = ["nilorbits"] + ["nilorbits " + name for name in COMMANDS]
-        if not argv or argv[0] not in COMMANDS:
-            assert progs == five and len(subparser_actions) == 1
-        elif argv[1:] == ["--nope"]:
-            # Arguments left over: the named command's parser, then all five.
-            assert progs == ["nilorbits " + argv[0]] + five and len(subparser_actions) == 1
+        if argv and argv[0] in COMMANDS and argv[1:] != ["--nope"]:
+            assert progs == [] and subparser_actions == []
         else:
-            assert progs == ["nilorbits " + argv[0]] and subparser_actions == []
+            five = ["nilorbits"] + ["nilorbits " + name for name in COMMANDS]
+            assert progs == five and len(subparser_actions) == 1
+
+    @pytest.mark.parametrize("workload", ["query-mix", "paving", "verify"])
+    def test_every_benchmark_request_is_plain(self, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        for seed in range(6):
+            for req in workloads.requests(workload, seed):
+                assert cli._plain_args(list(req.argv)) is not None, req.argv
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argument_vectors())
+    @example(argv=["decompose", "--rank", "-3"])
+    @example(argv=["decompose", "--rank", "-\u0663"])
+    @example(argv=["orbit", "--type", "A", "--rank", "3", "--j", "-"])
+    @example(argv=["paving", "--partition", "2,1", "--cells", "--cells", "--bound", " 3"])
+    @example(argv=["decompose", "--rank", "3", "--rank", "4"])
+    @example(argv=["verify"])
+    def test_plain_reader_agrees_with_the_five_command_parser(self, argv):
+        args = cli._plain_args(argv)
+        if args is not None:
+            expected = vars(cli.build_parser().parse_args(argv))
+            del expected["command"]
+            assert vars(args) == expected
 
 
 def replay_workload(monkeypatch, workload):
-    """Run the benchmark's requests of ``workload`` at its default seed against bench/golden.json."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
+    """Run the benchmark's requests of ``workload`` at its default seed against bench/golden.json.
+
+    Every request is plain, so the replay must build no argparse parser.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
     import client
 
-    golden = json.loads((bench / "golden.json").read_text())[workload]
+    progs = record_parsers(monkeypatch)
+    golden = json.loads((BENCH / "golden.json").read_text())[workload]
     result = client.run_pass(workload, client.DEFAULT_SEED, None, golden)
     assert result["attempted"] == len(golden)
     assert result["failed"] == 0, result["problems"]
+    assert progs == []
 
 
 def test_paving_workload_matches_recorded_stdout(monkeypatch):
@@ -598,7 +683,7 @@ def test_verify_workload_matches_recorded_stdout(monkeypatch):
 def test_bench_wraps_every_suite_that_run_all_calls(monkeypatch):
     # bench/spans.py gives each suite in SUITES a span; a suite that run_all
     # calls but SUITES misses would file its time under its caller.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
     called = set()

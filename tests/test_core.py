@@ -382,11 +382,13 @@ def _brute_force_partitions(n):
 
 
 # Each enumerator refuses a non-int argument before any work; a float total
-# would otherwise walk past 0 into negative parts.
+# would otherwise walk past 0 into negative parts, and a bool mask read as 1.
 NON_INT_ARGUMENTS = {
     "partitions_of": (partitions_of, "partition total"),
     "all_subsets": (all_subsets, "rank"),
     "summand_report": (summand_report, "rank"),
+    "summand_report bound": (lambda bound: summand_report(2, bound=bound), "bound"),
+    "subset_of_mask": (subset_of_mask, "subset mask"),
 }
 
 
@@ -481,3 +483,20 @@ class TestClassifySubdiagram:
         d = dynkin_diagram(LieType.of("E6"))
         with pytest.raises(InputError):
             classify_subdiagram(d, {9})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Partition(5), "partition must be iterable, got int 5"),
+        (lambda: SubsetJ(5), "subset must be iterable, got int 5"),
+        (lambda: IntMatrix([1]), "matrix row must be iterable, got int 1"),
+        (lambda: LieType(None, 3), "Lie family must be a str, got NoneType None"),
+        (lambda: LieType.of(None), "Lie family must be a str, got NoneType None"),
+    ],
+    ids=["Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of"],
+)
+def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):
+    with pytest.raises(InputError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -147,11 +147,13 @@ def test_no_module_imports_dataclasses():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
-    # Deterministic stand-in for the cold-start time of one CLI call.
+    # Deterministic stand-in for the cold-start time of one CLI call; only
+    # build_parser, for help and malformed vectors, imports argparse.
     code = "import sys, nilorbits.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    modules = ["dataclasses", "inspect", "nilorbits.checks", "argparse", "gettext"]
     out = subprocess.run(
-        [sys.executable, "-c", code, "dataclasses", "inspect", "nilorbits.checks"],
+        [sys.executable, "-c", code, *modules],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[]\n"
