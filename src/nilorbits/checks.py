@@ -47,7 +47,7 @@ from .tables import records, validate_tables
 
 
 def _result(name: str, checked: int, failures: list[str]) -> CheckResult:
-    return CheckResult(name=name, checked=checked, failures=tuple(failures))
+    return CheckResult(name, checked, tuple(failures))
 
 
 def _classical_ranks(max_rank: int):

@@ -96,10 +96,10 @@ def require_iterable(values, what: str) -> Iterator:
 class Value:
     """Base of the immutable value types: fields in ``__slots__``, compared by value.
 
-    Each subclass names its fields in ``__slots__`` and sets them in its
-    own ``__init__`` with ``object.__setattr__``; assigning or deleting an
-    attribute afterwards raises AttributeError.  Values are equal when they
-    have the same class and equal fields, and equal values hash alike.
+    ``Value.__init__`` takes the fields positionally, in ``__slots__`` order;
+    a validating subclass checks its arguments, then calls it.  Assigning or
+    deleting an attribute afterwards raises AttributeError.  Values are equal
+    when they have the same class and equal fields, and equal values hash alike.
     """
 
     __slots__ = ()
@@ -108,6 +108,13 @@ class Value:
         super().__init_subclass__(**kwargs)
         cls._field_values = attrgetter(*cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values) -> None:
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError("%s has %d fields, got %d" % (type(self).__name__, len(setters), len(values)))
+        for set_field, field in zip(setters, values):
+            set_field(self, field)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError("cannot change %r of immutable %s" % (name, type(self).__name__))
@@ -149,11 +156,6 @@ class CheckResult(Value):
 
     __slots__ = ("name", "checked", "failures")
 
-    def __init__(self, name: str, checked: int, failures: tuple[str, ...]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failures", failures)
-
     @property
     def ok(self) -> bool:
         return self.checked > 0 and not self.failures
@@ -177,8 +179,7 @@ class LieType(Value):
                 "family %s requires rank >= %d, got %s"
                 % (family, _MIN_RANK[family], echo_value(rank))
             )
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+        Value.__init__(self, family, rank)
 
     @classmethod
     def of(cls, family: str, rank: int | None = None) -> "LieType":
@@ -232,18 +233,17 @@ class Partition(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "parts", parts)
-        self.__post_init__()
+        self.__post_init__(parts)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parts) -> None:
         parts = sorted(
-            (require_int(v, "partition part") for v in require_iterable(self.parts, "partition")),
+            (require_int(v, "partition part") for v in require_iterable(parts, "partition")),
             reverse=True,
         )
         for v in parts:
             if v <= 0:
                 raise InputError("partition parts must be positive, got %s" % echo_value(v))
-        object.__setattr__(self, "parts", tuple(parts))
+        Value.__init__(self, tuple(parts))
 
     @property
     def total(self) -> int:
@@ -300,10 +300,10 @@ class SubsetJ(Value):
             sorted(require_int(v, "subset element") for v in require_iterable(elements, "subset"))
         )
         if len(set(elems)) != len(elems):
-            raise InputError("subset elements must be distinct: %s" % echo_value(elements))
+            raise InputError("subset elements must be distinct: %s" % echo_value(elems))
         if elems and elems[0] < 1:
             raise InputError("subset elements must be >= 1, got %s" % echo_value(elems[0]))
-        object.__setattr__(self, "elements", elems)
+        Value.__init__(self, elems)
 
     def __contains__(self, value: int) -> bool:
         return value in self.elements
@@ -434,16 +434,18 @@ class DynkinDiagram(Value):
     __slots__ = ("nodes", "edges")
 
     def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> None:
-        nodes = tuple(sorted(nodes))
-        edges = frozenset(tuple(sorted(e)) for e in edges)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        nodes = tuple(sorted(require_int(v, "node") for v in require_iterable(nodes, "nodes")))
+        edges = frozenset(
+            tuple(sorted(require_int(v, "edge end") for v in require_iterable(e, "edge")))
+            for e in require_iterable(edges, "edges")
+        )
         node_set = set(nodes)
-        for a, b in edges:
-            if a not in node_set or b not in node_set or a == b:
-                raise InputError("edge (%d, %d) not between distinct nodes" % (a, b))
+        for e in edges:
+            if len(e) != 2 or e[0] not in node_set or e[1] not in node_set or e[0] == e[1]:
+                raise InputError("edge %s not between distinct nodes" % echo_value(e))
         if len(edges) != len(nodes) - 1:
             raise InputError("diagram must be a tree")
+        Value.__init__(self, nodes, edges)
         adj = self.adjacency()
         if any(len(nbrs) > 3 for nbrs in adj.values()):
             raise InputError("diagram node degree exceeds 3")
@@ -502,11 +504,16 @@ class ComponentLabel(Value):
     __slots__ = ("summands",)
 
     def __init__(self, summands: tuple[tuple[str, int], ...] = ()) -> None:
-        canon = tuple(sorted(summands, key=lambda s: (-s[1], s[0])))
-        for fam, rank in canon:
-            if fam not in ("A", "D", "E") or rank < 1:
-                raise InputError("bad summand (%r, %r)" % (fam, rank))
-        object.__setattr__(self, "summands", canon)
+        pairs = []
+        for summand in require_iterable(summands, "component label"):
+            pair = tuple(require_iterable(summand, "summand"))
+            if len(pair) != 2:
+                raise InputError("bad summand %s" % echo_value(pair))
+            fam, rank = pair
+            if fam not in ("A", "D", "E") or require_int(rank, "summand rank") < 1:
+                raise InputError("bad summand %s" % echo_value(pair))
+            pairs.append(pair)
+        Value.__init__(self, tuple(sorted(pairs, key=lambda s: (-s[1], s[0]))))
 
     def render(self) -> str:
         if not self.summands:

@@ -47,12 +47,9 @@ class SummandRecord(Value):
         characters: tuple[int, ...],
         multiplicity_known: bool = False,
     ) -> None:
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "orbit_dimension", orbit_dimension)
-        object.__setattr__(self, "fiber_dimension", fiber_dimension)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "characters", characters)
-        object.__setattr__(self, "multiplicity_known", multiplicity_known)
+        Value.__init__(
+            self, partition, orbit_dimension, fiber_dimension, c, characters, multiplicity_known
+        )
 
 
 def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecord]:

@@ -51,7 +51,7 @@ class IntMatrix(Value):
         )
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        Value.__init__(self, rows)
 
     @property
     def dim(self) -> int:

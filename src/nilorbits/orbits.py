@@ -16,9 +16,11 @@ from .core import (
     UnsupportedFamilyError,
     Value,
     check_subset_range,
+    echo_text,
     echo_value,
     gcd_of_set,
     require_int,
+    require_str,
 )
 
 
@@ -44,8 +46,8 @@ class FiniteGroupDescriptor(Value):
     }
 
     def __init__(self, kind: str, parameter: int | None = None) -> None:
-        if kind not in self._ORDERS:
-            raise InputError("unknown group kind %r" % (kind,))
+        if require_str(kind, "group kind") not in self._ORDERS:
+            raise InputError("unknown group kind %s" % echo_text(kind))
         if kind in ("cyclic", "elementary_abelian_2", "central_extension_2"):
             if parameter is None:
                 raise InputError("kind %s needs a parameter" % kind)
@@ -58,8 +60,7 @@ class FiniteGroupDescriptor(Value):
                 raise InputError("elementary_abelian_2(0) is trivial; use trivial()")
         elif parameter is not None:
             raise InputError("kind %s takes no parameter" % kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parameter", parameter)
+        Value.__init__(self, kind, parameter)
 
     @property
     def order(self) -> int:
@@ -97,7 +98,7 @@ class FiniteGroupDescriptor(Value):
 
     @classmethod
     def cyclic(cls, c: int) -> "FiniteGroupDescriptor":
-        if c < 1:
+        if require_int(c, "cyclic order") < 1:
             raise InputError("cyclic order must be >= 1, got %s" % echo_value(c))
         if c == 1:
             return cls("trivial")
@@ -105,7 +106,7 @@ class FiniteGroupDescriptor(Value):
 
     @classmethod
     def elementary_abelian_2(cls, k: int) -> "FiniteGroupDescriptor":
-        if k < 0:
+        if require_int(k, "exponent") < 0:
             raise InputError("exponent must be >= 0, got %s" % echo_value(k))
         if k == 0:
             return cls("trivial")
@@ -129,12 +130,6 @@ class FiniteGroupDescriptor(Value):
 
 class KernelReport(Value):
     __slots__ = ("zj_order", "pi1_order", "a_order", "holds")
-
-    def __init__(self, zj_order: int, pi1_order: int, a_order: int, holds: bool) -> None:
-        object.__setattr__(self, "zj_order", zj_order)
-        object.__setattr__(self, "pi1_order", pi1_order)
-        object.__setattr__(self, "a_order", a_order)
-        object.__setattr__(self, "holds", holds)
 
 
 # The fixed groups that center_fiber returns outside type A, built once and
@@ -353,9 +348,4 @@ def kernel_check(t: LieType, j: SubsetJ) -> KernelReport:
     zj = center_fiber(t, j).order
     p = orbit_partition(t, j)
     pi1, a_group = fundamental_groups(t, p)
-    return KernelReport(
-        zj_order=zj,
-        pi1_order=pi1.order,
-        a_order=a_group.order,
-        holds=(zj * a_group.order == pi1.order),
-    )
+    return KernelReport(zj, pi1.order, a_group.order, zj * a_group.order == pi1.order)

@@ -43,6 +43,7 @@ from .core import (
     conjugate_heights,
     echo_value,
     require_int,
+    require_iterable,
 )
 from .jordan import IntMatrix
 
@@ -70,13 +71,18 @@ class LabeledDiagram(Value):
     __slots__ = ("shape", "rows")
 
     def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> None:
+        if not isinstance(shape, Partition):
+            raise InputError("diagram shape must be a Partition, got %s" % type(shape).__name__)
+        rows = tuple(
+            tuple(require_int(v, "diagram label") for v in require_iterable(row, "diagram row"))
+            for row in require_iterable(rows, "diagram rows")
+        )
         if tuple(len(r) for r in rows) != shape.parts:
             raise InputError("row lengths do not match the shape")
         labels = sorted(v for row in rows for v in row)
         if labels != list(range(1, shape.total + 1)):
             raise InputError("labels must be a bijection onto 1..%d" % shape.total)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+        Value.__init__(self, shape, rows)
 
     def pairs(self) -> tuple[RootPair, ...]:
         return tuple(
@@ -93,14 +99,15 @@ class TableauPermutation(Value):
     __slots__ = ("one_line",)
 
     def __init__(self, one_line: tuple[int, ...]) -> None:
-        object.__setattr__(self, "one_line", one_line)
-        self.__post_init__()
+        self.__post_init__(one_line)
 
-    def __post_init__(self) -> None:
-        values = tuple(require_int(v, "permutation entry") for v in self.one_line)
+    def __post_init__(self, one_line) -> None:
+        values = tuple(
+            require_int(v, "permutation entry") for v in require_iterable(one_line, "permutation")
+        )
         if sorted(values) != list(range(1, len(values) + 1)):
             raise InputError("not a permutation of 1..%d: %s" % (len(values), echo_value(values)))
-        object.__setattr__(self, "one_line", values)
+        Value.__init__(self, values)
 
     @classmethod
     def identity(cls, m: int) -> "TableauPermutation":

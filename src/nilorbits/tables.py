@@ -32,6 +32,7 @@ from .core import (
     check_subset_range,
     classify_subdiagram,
     dynkin_diagram,
+    require_iterable,
 )
 from .orbits import FiniteGroupDescriptor, center_fiber
 
@@ -208,13 +209,12 @@ class OrbitRecord(Value):
         z_orbit: FiniteGroupDescriptor,
         pi1: FiniteGroupDescriptor,
     ) -> None:
+        j_sets = tuple(
+            sorted(map(SubsetJ, require_iterable(j_sets, "J sets")), key=lambda s: s.elements)
+        )
         if not j_sets:
-            raise DataIntegrityError("record %r carries no J sets" % bala_carter)
-        object.__setattr__(self, "bala_carter", bala_carter)
-        object.__setattr__(self, "base_label", base_label)
-        object.__setattr__(self, "j_sets", tuple(sorted(j_sets, key=lambda s: s.elements)))
-        object.__setattr__(self, "z_orbit", z_orbit)
-        object.__setattr__(self, "pi1", pi1)
+            raise DataIntegrityError("record %r carries no J sets" % (bala_carter,))
+        Value.__init__(self, bala_carter, base_label, j_sets, z_orbit, pi1)
 
     @property
     def a_group(self) -> FiniteGroupDescriptor:
@@ -232,12 +232,11 @@ class OrbitRecord(Value):
 def _build_records(rows) -> tuple[OrbitRecord, ...]:
     records = []
     for label, z_code, pi1_code, j_strings in rows:
-        j_sets = tuple(SubsetJ(tuple(int(ch) for ch in text)) for text in j_strings)
         records.append(
             OrbitRecord(
                 bala_carter=label,
                 base_label=_parse_base_label(label),
-                j_sets=j_sets,
+                j_sets=[tuple(map(int, text)) for text in j_strings],
                 z_orbit=_GROUP_CODES[z_code],
                 pi1=_GROUP_CODES[pi1_code],
             )
@@ -281,10 +280,6 @@ def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
 
 class TableValidationReport(Value):
     __slots__ = ("family", "checks")
-
-    def __init__(self, family: str, checks: tuple[CheckResult, ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -349,7 +344,7 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
         CheckResult("subdiagram-labels", in_range, tuple(label_failures)),
         CheckResult("component-group-quotient", len(record_list), tuple(quotient_failures)),
     )
-    return TableValidationReport(family=family, checks=checks)
+    return TableValidationReport(family, checks)
 
 
 def validate_tables(t: LieType) -> TableValidationReport:

@@ -25,7 +25,8 @@ from nilorbits.core import (
 from nilorbits.decomposition import summand_report
 from nilorbits.jordan import IntMatrix
 from nilorbits.orbits import FiniteGroupDescriptor
-from nilorbits.paving import TableauPermutation
+from nilorbits.paving import LabeledDiagram, TableauPermutation
+from nilorbits.tables import OrbitRecord
 
 
 @st.composite
@@ -113,6 +114,12 @@ class TestSubsetJ:
     def test_rejects_duplicates(self):
         with pytest.raises(InputError):
             SubsetJ((2, 2))
+
+    def test_duplicates_are_named_by_their_values(self):
+        # A one-shot iterable is spent by then, so the message echoes the sorted elements.
+        with pytest.raises(InputError) as caught:
+            SubsetJ(x for x in (2, 2))
+        assert str(caught.value) == "subset elements must be distinct: (2, 2)"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
@@ -493,8 +500,38 @@ class TestClassifySubdiagram:
         (lambda: IntMatrix([1]), "matrix row must be iterable, got int 1"),
         (lambda: LieType(None, 3), "Lie family must be a str, got NoneType None"),
         (lambda: LieType.of(None), "Lie family must be a str, got NoneType None"),
+        (lambda: TableauPermutation(5), "permutation must be iterable, got int 5"),
+        (lambda: LabeledDiagram(Partition((1,)), 5), "diagram rows must be iterable, got int 5"),
+        (lambda: LabeledDiagram(5, ((1,),)), "diagram shape must be a Partition, got int"),
+        (lambda: ComponentLabel(5), "component label must be iterable, got int 5"),
+        (lambda: ComponentLabel((("A", "x"),)), "summand rank must be an int, got str x"),
+        (lambda: DynkinDiagram(5, frozenset()), "nodes must be iterable, got int 5"),
+        (lambda: DynkinDiagram((1, 2), 5), "edges must be iterable, got int 5"),
+        (
+            lambda: DynkinDiagram((1, 2), {(1, 2, 3)}),
+            "edge (1, 2, 3) not between distinct nodes",
+        ),
+        (
+            lambda: OrbitRecord(
+                "x", ComponentLabel(()), 5,
+                FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial(),
+            ),
+            "J sets must be iterable, got int 5",
+        ),
+        (lambda: FiniteGroupDescriptor([1]), "group kind must be a str, got list [1]"),
+        (lambda: FiniteGroupDescriptor.cyclic("3"), "cyclic order must be an int, got str 3"),
+        (
+            lambda: FiniteGroupDescriptor.elementary_abelian_2(None),
+            "exponent must be an int, got NoneType None",
+        ),
     ],
-    ids=["Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of"],
+    ids=[
+        "Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of",
+        "TableauPermutation", "LabeledDiagram-rows", "LabeledDiagram-shape",
+        "ComponentLabel", "ComponentLabel-rank", "DynkinDiagram-nodes", "DynkinDiagram-edges",
+        "DynkinDiagram-edge", "OrbitRecord", "FiniteGroupDescriptor",
+        "FiniteGroupDescriptor.cyclic", "FiniteGroupDescriptor.elementary_abelian_2",
+    ],
 )
 def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):
     with pytest.raises(InputError) as caught:

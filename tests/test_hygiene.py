@@ -1,10 +1,13 @@
 """Static checks on the package source, read with the stdlib ``ast`` module."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nilorbits
 
@@ -127,6 +130,49 @@ def test_value_protocol_is_defined_on_core_value_only():
                     continue
                 definers += [(path.name, node.name, name) for name in sorted(names & protocol)]
     assert sorted(definers) == [("core.py", "Value", name) for name in sorted(protocol)]
+
+
+def test_no_module_calls_object_setattr():
+    # Value.__init__ stores the fields of every value type through its slot setters.
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"
+            ):
+                callers.append("%s:%d" % (path.name, node.lineno))
+    assert callers == []
+
+
+# Records with nothing to check: their fields go straight to Value.__init__.
+PLAIN_RECORDS = {"CheckResult": "core", "KernelReport": "orbits", "TableValidationReport": "tables"}
+
+
+def test_plain_records_define_no_init():
+    defined = {}
+    for name, module in PLAIN_RECORDS.items():
+        tree = ast.parse((PACKAGE / (module + ".py")).read_text(encoding="utf-8"))
+        [cls] = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name]
+        defined[name] = [
+            stmt.name for stmt in cls.body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+        ]
+    assert defined == {name: [] for name in PLAIN_RECORDS}
+
+
+def test_plain_records_refuse_a_wrong_number_of_fields():
+    for name, module in PLAIN_RECORDS.items():
+        cls = getattr(importlib.import_module("nilorbits." + module), name)
+        fields = tuple(range(len(cls.__slots__)))
+        value = cls(*fields)
+        assert tuple(getattr(value, field) for field in cls.__slots__) == fields
+        for wrong in (fields[:-1], fields + (None,)):
+            with pytest.raises(TypeError):
+                cls(*wrong)
 
 
 def test_no_module_imports_dataclasses():
