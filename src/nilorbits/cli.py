@@ -7,9 +7,9 @@ an error: the command exits 0.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .core import (
@@ -84,9 +84,50 @@ def _parse_j(text: str) -> SubsetJ:
     return SubsetJ(tuple(values))
 
 
+# The JSON text of each scalar type that an answer holds, by exact type.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the values that the CLI emits.
+
+    ``value`` is built of dicts with str keys, lists, tuples, str, int,
+    bool and None; any other type, a float or a non-str key among them,
+    raises TypeError.  Strings are escaped by json's own C function and
+    ints written by ``int.__repr__``, as ``json.dumps`` does, but
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, and this
+    builds each container with one join instead.  ``newline`` is the line
+    break and indentation that precede the closing bracket of ``value``.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())
+        ]
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), newline)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(v, inner) for v in value]
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), newline)
+    encode = _SCALAR_JSON.get(kind)
+    if encode is None:
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+    return encode(value)
+
+
 def _emit(payload, fmt: str, text_lines) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -234,15 +275,13 @@ def cmd_paving(args) -> int:
         "syt_count": syt_count(p),
     }
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = _json(payload)
         if not args.cells:
             print(text)
             return EXIT_OK
-        # json.dumps takes its C encoder only when indent is None, so a dict
-        # per cell through indent=2 would run in pure Python and cost most of
-        # a large paving.  The cells are written in the same layout from the
-        # blocks instead, where sort_keys puts "cells": right after
-        # "cell_count", the first key.
+        # A dict per cell through _json would cost most of a large paving, so
+        # the cells are written in the same layout from the blocks instead,
+        # where sorted keys put "cells": right after "cell_count", the first key.
         head, tail = text.split(",\n", 1)
         sys.stdout.write('%s,\n  "cells": [\n' % head)
         _write_cells(
@@ -280,25 +319,48 @@ def cmd_paving(args) -> int:
     return EXIT_OK
 
 
+# One record of a `decompose` answer per format.  In JSON its keys are in
+# sorted order, and each list holds at least one entry, one per line:
+# characters 0..c-1 with c >= 1, and the parts of a partition of n + 1 >= 2.
+_DECOMPOSE_JSON_ROW = """  {
+    "c": %d,
+    "characters": [
+      %s
+    ],
+    "fiber_dimension": %d,
+    "multiplicity_known": %s,
+    "orbit_dimension": %d,
+    "partition": [
+      %s
+    ]
+  }"""
+_DECOMPOSE_TEXT_ROW = "partition %s  dim O = %d  d_x = %d  c = %d  characters %s\n"
+
+
 def cmd_decompose(args) -> int:
     report = summand_report(args.rank)
-    payload = [
-        {
-            "partition": list(r.partition.parts),
-            "orbit_dimension": r.orbit_dimension,
-            "fiber_dimension": r.fiber_dimension,
-            "c": r.c,
-            "characters": list(r.characters),
-            "multiplicity_known": r.multiplicity_known,
-        }
-        for r in report
-    ]
-    lines = (
-        "partition %s  dim O = %d  d_x = %d  c = %d  characters %s"
-        % (r.partition, r.orbit_dimension, r.fiber_dimension, r.c, list(r.characters))
-        for r in report
-    )
-    _emit(payload, args.format, lines)
+    if args.format == "json":
+        entries = ",\n      ".join
+        rows = [
+            _DECOMPOSE_JSON_ROW
+            % (
+                r.c,
+                entries(map(str, r.characters)),
+                r.fiber_dimension,
+                _json(r.multiplicity_known),
+                r.orbit_dimension,
+                entries(map(str, r.partition.parts)),
+            )
+            for r in report
+        ]
+        text = "[\n%s\n]\n" % ",\n".join(rows)
+    else:
+        text = "".join([
+            _DECOMPOSE_TEXT_ROW
+            % (r.partition, r.orbit_dimension, r.fiber_dimension, r.c, list(r.characters))
+            for r in report
+        ])
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -323,7 +385,7 @@ def cmd_tables(args) -> int:
         _emit(payload, args.format, lines)
         return EXIT_OK if report.ok else EXIT_VERIFY
     if args.format == "json":
-        print(json.dumps(records_as_dicts(t), sort_keys=True, indent=2))
+        print(_json(records_as_dicts(t)))
     else:
         print(dump_tsv(t))
     return EXIT_OK

@@ -278,7 +278,7 @@ class Partition(Value):
         return Partition(tuple(conjugate_heights(self)))
 
     def gcd(self) -> int:
-        return reduce(math.gcd, self.parts, 0)
+        return math.gcd(*self.parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
@@ -435,6 +435,8 @@ class DynkinDiagram(Value):
 
     def __init__(self, nodes: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> None:
         nodes = tuple(sorted(require_int(v, "node") for v in require_iterable(nodes, "nodes")))
+        if len(set(nodes)) != len(nodes):
+            raise InputError("diagram nodes must be distinct: %s" % echo_value(nodes))
         edges = frozenset(
             tuple(sorted(require_int(v, "edge end") for v in require_iterable(e, "edge")))
             for e in require_iterable(edges, "edges")
@@ -494,6 +496,11 @@ def dynkin_diagram(t: LieType) -> DynkinDiagram:
     return DynkinDiagram(tuple(range(1, n + 1)), frozenset(edges))
 
 
+def _summand_order(summand: tuple[str, int]) -> tuple[int, str]:
+    """The canonical order of the summands of a ComponentLabel: rank descending, then family."""
+    return -summand[1], summand[0]
+
+
 class ComponentLabel(Value):
     """A multiset of simple ADE summands, e.g. 2A_2 or A_3 + A_2 + A_1.
 
@@ -513,7 +520,7 @@ class ComponentLabel(Value):
             if fam not in ("A", "D", "E") or require_int(rank, "summand rank") < 1:
                 raise InputError("bad summand %s" % echo_value(pair))
             pairs.append(pair)
-        Value.__init__(self, tuple(sorted(pairs, key=lambda s: (-s[1], s[0]))))
+        Value.__init__(self, tuple(sorted(pairs, key=_summand_order)))
 
     def render(self) -> str:
         if not self.summands:
@@ -568,14 +575,16 @@ def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> Co
 
     Each connected component of the induced forest is classified: a path
     with k nodes gives A_k; a tree with one degree-3 node gives D or E
-    according to its sorted arm lengths.
+    according to its sorted arm lengths.  Each summand is ("A", "D" or
+    "E", rank >= 1) by construction, so the label is built by
+    ``ComponentLabel._trusted`` from the summands in its canonical order.
     """
     kept = set(kept_nodes)
     unknown = kept - set(diagram.nodes)
     if unknown:
         raise InputError("kept nodes %r are not diagram nodes" % (sorted(unknown),))
     full_adj = diagram.adjacency()
-    adj = {v: sorted(u for u in full_adj[v] if u in kept) for v in kept}
+    adj = {v: [u for u in full_adj[v] if u in kept] for v in kept}
     seen: set[int] = set()
     summands = []
     for start in sorted(kept):
@@ -592,4 +601,4 @@ def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> Co
                     comp.append(u)
                     stack.append(u)
         summands.append(_classify_component(comp, adj))
-    return ComponentLabel(tuple(summands))
+    return ComponentLabel._trusted(tuple(sorted(summands, key=_summand_order)))

@@ -67,11 +67,16 @@ def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecor
     if n > bound:
         raise ResourceBoundError("rank %s exceeds the report bound %d" % (echo_value(n), bound))
     trusted = SummandRecord._trusted
+    # c -> the characters 0..c-1, one tuple shared by every record with that c.
+    characters: dict[int, tuple[int, ...]] = {}
     records = []
     for p in partitions_of(n + 1):
         c = p.gcd()
+        chars = characters.get(c)
+        if chars is None:
+            chars = characters[c] = tuple(range(c))
         records.append(
-            trusted(p, orbit_dimension_type_a(n, p), max_cell_dimension(p), c, tuple(range(c)), False)
+            trusted(p, orbit_dimension_type_a(n, p), max_cell_dimension(p), c, chars, False)
         )
     records.sort(key=lambda r: (-r.orbit_dimension, r.partition.parts))
     return records

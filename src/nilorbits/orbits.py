@@ -8,6 +8,8 @@ consistency report |Z(J)| * |A(O)| = |pi1(O)|.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .core import (
     InputError,
     LieType,
@@ -141,6 +143,20 @@ _Z4 = FiniteGroupDescriptor.cyclic(4)
 _KLEIN_FOUR = FiniteGroupDescriptor.klein_four()
 
 
+# Unchecked twins of the factories, for an order or exponent that the caller
+# derived in range: c >= 1, k >= 0.  Order 1 is the shared trivial group.
+def _cyclic(c: int) -> FiniteGroupDescriptor:
+    return _TRIVIAL if c == 1 else FiniteGroupDescriptor._trusted("cyclic", c)
+
+
+def _elementary_abelian_2(k: int) -> FiniteGroupDescriptor:
+    return _TRIVIAL if k == 0 else FiniteGroupDescriptor._trusted("elementary_abelian_2", k)
+
+
+def _central_extension_2(k: int) -> FiniteGroupDescriptor:
+    return FiniteGroupDescriptor._trusted("central_extension_2", k)
+
+
 def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     """Covering-fiber group over the torus orbit indexed by J.
 
@@ -149,13 +165,14 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     gcd({n+1}) = n+1).  E8, F4 and G2 have trivial center, hence a
     trivial fiber for every J.  Outside type A the group is one of 1,
     Z/2, Z/3, Z/4 and Z/2 x Z/2, returned as a shared module-level
-    descriptor that was validated once at import; type A builds Z/c.
+    descriptor that was validated once at import; type A builds Z/c
+    unchecked, c being a gcd with n + 1 >= 2.
     """
     check_subset_range(t, j)
     fam, n = t.family, t.rank
     elems = j.elements
     if fam == "A":
-        return FiniteGroupDescriptor.cyclic(gcd_of_set(elems, n + 1))
+        return _cyclic(gcd_of_set(elems, n + 1))
     if fam == "B":
         return _Z2 if all(v % 2 == 0 for v in elems) else _TRIVIAL
     if fam == "C":
@@ -253,7 +270,7 @@ def orbit_dimension_type_a(n: int, p: Partition) -> int:
             "partition %s sums to %s, expected n+1 = %d"
             % (echo_value(p), echo_value(p.total), n + 1)
         )
-    return (n + 1) ** 2 - sum((2 * i + 1) * part for i, part in enumerate(p.parts))
+    return (n + 1) ** 2 - sum(map(mul, range(1, 2 * len(p.parts), 2), p.parts))
 
 
 def _check_orbit_partition(t: LieType, p: Partition, counts: dict[int, int]) -> None:
@@ -305,32 +322,29 @@ def fundamental_groups(
     fam = t.family
     a = sum(v % 2 for v in counts)
     b = len(counts) - a
+    # The checked partition is not empty, and an odd total (type B) has an
+    # odd part, so each order and exponent below is in range.
     if fam == "A":
-        return (
-            FiniteGroupDescriptor.cyclic(p.gcd()),
-            FiniteGroupDescriptor.trivial(),
-        )
+        return _cyclic(p.gcd()), _TRIVIAL
     if fam == "C":
         even_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2 == 0)
-        return (
-            FiniteGroupDescriptor.elementary_abelian_2(b),
-            FiniteGroupDescriptor.elementary_abelian_2(b if even_ok else b - 1),
-        )
+        # An even part of odd multiplicity makes b >= 1.
+        return _elementary_abelian_2(b), _elementary_abelian_2(b if even_ok else b - 1)
     # Rather odd (every odd part occurs exactly once), read off the same count.
     rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
     if fam == "B":
         if rather_odd:
-            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
+            pi1 = _central_extension_2(a - 1)
         else:
-            pi1 = FiniteGroupDescriptor.elementary_abelian_2(a - 1)
-        return pi1, FiniteGroupDescriptor.elementary_abelian_2(a - 1)
+            pi1 = _elementary_abelian_2(a - 1)
+        return pi1, _elementary_abelian_2(a - 1)
     k = max(0, a - 1)
     if rather_odd:
-        pi1 = FiniteGroupDescriptor.central_extension_2(k)
+        pi1 = _central_extension_2(k)
     else:
-        pi1 = FiniteGroupDescriptor.elementary_abelian_2(k)
+        pi1 = _elementary_abelian_2(k)
     odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
-    a_group = FiniteGroupDescriptor.elementary_abelian_2(k if odd_ok else max(0, a - 2))
+    a_group = _elementary_abelian_2(k if odd_ok else max(0, a - 2))
     return pi1, a_group
 
 

@@ -273,7 +273,7 @@ def max_cell_dimension(p: Partition) -> int:
     the codimension of the orbit; ``checks.check_dimension_identity``
     compares all three.
     """
-    return sum(i * part for i, part in enumerate(p.parts))
+    return sum(map(mul, range(len(p.parts)), p.parts))
 
 
 def _later_masks(tym: LabeledDiagram) -> list[int]:

@@ -24,6 +24,7 @@ from .core import (
     CheckResult,
     ComponentLabel,
     DataIntegrityError,
+    InputError,
     LieType,
     SubsetJ,
     UnsupportedFamilyError,
@@ -32,6 +33,7 @@ from .core import (
     check_subset_range,
     classify_subdiagram,
     dynkin_diagram,
+    echo_value,
     require_iterable,
 )
 from .orbits import FiniteGroupDescriptor, center_fiber
@@ -214,6 +216,16 @@ class OrbitRecord(Value):
         )
         if not j_sets:
             raise DataIntegrityError("record %r carries no J sets" % (bala_carter,))
+        for field, value, kind in (
+            ("base_label", base_label, ComponentLabel),
+            ("z_orbit", z_orbit, FiniteGroupDescriptor),
+            ("pi1", pi1, FiniteGroupDescriptor),
+        ):
+            if not isinstance(value, kind):
+                raise InputError(
+                    "%s must be a %s, got %s %s"
+                    % (field, kind.__name__, type(value).__name__, echo_value(value))
+                )
         Value.__init__(self, bala_carter, base_label, j_sets, z_orbit, pi1)
 
     @property

@@ -13,6 +13,7 @@ from nilorbits.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY,
+    _json,
     _write_cells,
     main,
 )
@@ -26,6 +27,7 @@ from nilorbits.core import (
     partitions_of,
     syt_count,
 )
+from nilorbits.decomposition import summand_report
 from nilorbits.orbits import (
     FiniteGroupDescriptor,
     center_fiber,
@@ -397,6 +399,62 @@ class TestDecomposeCommand:
         assert run(capsys, "decompose", "--rank", "3") == (EXIT_OK, expected, "")
         with pytest.raises(AssertionError, match="text line"):
             main(["decompose", "--rank", "3", "--format", "text"])
+
+    def test_answers_match_json_dumps_and_the_line_format(self, capsys):
+        # Each record is written from one template per format; both must give
+        # the bytes of json.dumps over a dict per record, and of one line per record.
+        for rank in range(1, 21):
+            report = summand_report(rank)
+            payload = [
+                {
+                    "partition": list(r.partition.parts),
+                    "orbit_dimension": r.orbit_dimension,
+                    "fiber_dimension": r.fiber_dimension,
+                    "c": r.c,
+                    "characters": list(r.characters),
+                    "multiplicity_known": r.multiplicity_known,
+                }
+                for r in report
+            ]
+            lines = [
+                "partition %s  dim O = %d  d_x = %d  c = %d  characters %s\n"
+                % (r.partition, r.orbit_dimension, r.fiber_dimension, r.c, list(r.characters))
+                for r in report
+            ]
+            expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert run(capsys, "decompose", "--rank", str(rank)) == (EXIT_OK, expected, "")
+            text = run(capsys, "decompose", "--rank", str(rank), "--format", "text")
+            assert text == (EXIT_OK, "".join(lines), "")
+
+
+# What an answer may hold, with the characters that escaping must get right.
+_JSON_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _JSON_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    @example({"b": [], "a": {}, "c": (-1, None, True, False)})
+    @example(-(10**4000))
+    def test_equals_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1, 2}, object(), {1: 2}, {"a": 1, 2: 3}, [0, {"x": float("nan")}]],
+        ids=["float", "set", "object", "int-key", "mixed-keys", "nested-float"],
+    )
+    def test_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 class TestTablesCommand:

@@ -105,6 +105,7 @@ class TestPartition:
     def test_gcd(self):
         assert Partition((2, 2, 2)).gcd() == 2
         assert Partition((3, 3, 1)).gcd() == 1
+        assert Partition().gcd() == 0
 
 
 class TestSubsetJ:
@@ -524,6 +525,25 @@ class TestClassifySubdiagram:
             lambda: FiniteGroupDescriptor.elementary_abelian_2(None),
             "exponent must be an int, got NoneType None",
         ),
+        (
+            # A triangle on the three distinct nodes: the repeat is named, not the shape.
+            lambda: DynkinDiagram((1, 1, 2, 3), {(1, 2), (2, 3), (1, 3)}),
+            "diagram nodes must be distinct: (1, 1, 2, 3)",
+        ),
+        (
+            lambda: OrbitRecord("x", 5, ((1,),), None, None),
+            "base_label must be a ComponentLabel, got int 5",
+        ),
+        (
+            lambda: OrbitRecord("x", ComponentLabel(()), ((1,),), None, None),
+            "z_orbit must be a FiniteGroupDescriptor, got NoneType None",
+        ),
+        (
+            lambda: OrbitRecord(
+                "x", ComponentLabel(()), ((1,),), FiniteGroupDescriptor.trivial(), 2
+            ),
+            "pi1 must be a FiniteGroupDescriptor, got int 2",
+        ),
     ],
     ids=[
         "Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of",
@@ -531,6 +551,8 @@ class TestClassifySubdiagram:
         "ComponentLabel", "ComponentLabel-rank", "DynkinDiagram-nodes", "DynkinDiagram-edges",
         "DynkinDiagram-edge", "OrbitRecord", "FiniteGroupDescriptor",
         "FiniteGroupDescriptor.cyclic", "FiniteGroupDescriptor.elementary_abelian_2",
+        "DynkinDiagram-repeated-node", "OrbitRecord-base_label", "OrbitRecord-z_orbit",
+        "OrbitRecord-pi1",
     ],
 )
 def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):

@@ -40,6 +40,13 @@ class TestSummandReport:
             for record in summand_report(n):
                 assert len(record.characters) == record.partition.gcd()
 
+    def test_records_with_one_c_share_their_characters(self):
+        shared = {}
+        for record in summand_report(20):
+            assert record.characters == tuple(range(record.c))
+            assert shared.setdefault(record.c, record.characters) is record.characters
+        assert sorted(shared) == [1, 3, 7, 21]
+
     def test_dimension_sum_identity(self):
         for n in range(1, 8):
             report = summand_report(n)

@@ -192,6 +192,26 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def test_json_answers_are_written_by_the_cli_writer_only():
+    # json.dumps(..., indent=2) runs json's pure-Python encoder; cli._json
+    # writes the same bytes, and _write_cells the cell list of `paving --cells`.
+    dumps_calls = []
+    json_imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            if call and node.func.attr == "dumps":
+                dumps_calls.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Import):
+                json_imports += [
+                    (path.name, a.name, None) for a in node.names if a.name.split(".")[0] == "json"
+                ]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                json_imports += [(path.name, node.module, a.name) for a in node.names]
+    assert dumps_calls == []
+    assert json_imports == [("cli.py", "json.encoder", "encode_basestring_ascii")]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
     # Deterministic stand-in for the cold-start time of one CLI call; only
     # build_parser, for help and malformed vectors, imports argparse.

@@ -18,6 +18,7 @@ from nilorbits.core import (
     Partition,
     SubsetJ,
     all_subsets,
+    classify_subdiagram,
     dynkin_diagram,
     partitions_of,
     subset_of_mask,
@@ -29,7 +30,13 @@ from nilorbits.jordan import (
     partition_from_ranks,
     representative_matrix,
 )
-from nilorbits.orbits import FiniteGroupDescriptor, KernelReport, center_fiber, orbit_partition
+from nilorbits.orbits import (
+    FiniteGroupDescriptor,
+    KernelReport,
+    center_fiber,
+    fundamental_groups,
+    orbit_partition,
+)
 from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
 from nilorbits.tables import OrbitRecord, TableValidationReport
 
@@ -201,6 +208,11 @@ CONSTRUCTORS = {
 }
 
 
+# What a caller reads from a value beyond its fields; a build that accepted
+# junk in a field the reading needs fails here.
+DERIVED = {"OrbitRecord": lambda record: record.a_group}
+
+
 def test_constructor_sweep_covers_every_value_type():
     # MAKERS names the 14 value types of tests/test_hygiene.py::VALUE_TYPES.
     assert {name for name in CONSTRUCTORS if "." not in name} == set(MAKERS)
@@ -213,13 +225,19 @@ def test_constructors_return_or_raise_input_error_on_junk(name, data):
     build, well_formed = CONSTRUCTORS[name]
     args = [data.draw(st.one_of(JUNK, arg), label="arg%d" % i) for i, arg in enumerate(well_formed)]
     try:
-        build(*args)
+        value = build(*args)
     except InputError:
-        pass
+        return
     except DataIntegrityError as error:
         # A record with no J sets is refused as bad table data, as
         # tests/test_tables.py pins; every other refusal is an InputError.
         assert name == "OrbitRecord" and "carries no J sets" in str(error)
+        return
+    try:
+        DERIVED.get(name, repr)(value)
+    except DataIntegrityError as error:
+        # A Z column that is neither trivial nor all of pi1 leaves A(O) undefined.
+        assert name == "OrbitRecord" and "cannot derive A(O)" in str(error)
 
 
 def test_int_matrix_dim_is_read_only_and_follows_the_rows():
@@ -326,3 +344,35 @@ def test_shared_center_fibers_equal_fresh_builds():
             z.kind = "cyclic"
         with pytest.raises(AttributeError):
             z.parameter = 5
+
+
+def test_classified_labels_equal_the_validated_build():
+    checked = 0
+    types = [LieType("A", r) for r in range(1, 8)] + [LieType("D", r) for r in range(4, 8)]
+    types += [LieType.of(f) for f in ("E6", "E7", "E8")]
+    for t in types:
+        diagram = dynkin_diagram(t)
+        for j in all_subsets(t.rank):
+            label = classify_subdiagram(diagram, set(diagram.nodes) - set(j.elements))
+            rebuilt = ComponentLabel(label.summands)
+            assert label == rebuilt and hash(label) == hash(rebuilt)
+            assert type(label.summands) is tuple
+            checked += 1
+    assert checked == 2**8 - 2 + 2**8 - 16 + 2**6 + 2**7 + 2**8
+
+
+def test_type_a_fibers_and_fundamental_groups_equal_the_validated_build():
+    # Each group is the one its validating constructor builds from the same fields.
+    checked = 0
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(lo, 9):
+            t = LieType(family, rank)
+            for j in all_subsets(rank):
+                groups = fundamental_groups(t, orbit_partition(t, j))
+                if family == "A":
+                    groups += (center_fiber(t, j),)
+                for g in groups:
+                    rebuilt = FiniteGroupDescriptor(g.kind, g.parameter)
+                    assert g == rebuilt and hash(g) == hash(rebuilt)
+                    checked += 1
+    assert checked == 3 * (2**9 - 2) + 2 * (2 * (2**9 - 4) + 2**9 - 8)
