@@ -338,7 +338,8 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
     cells; and it equals the row-removal recursion, which never enumerates
     a cell and must itself have the right sum, degree and top coefficient.
     The listing is read as its (prefix, suffixes) blocks: the listed count
-    is the sum of the block sizes, and the linking permutation is looked up
+    is the sum of the block sizes, not ``len`` of the listing, which is the
+    count the walk started from; and the linking permutation is looked up
     only in the blocks of dimension d_x whose prefix it starts with.
     """
     failures = []
@@ -348,7 +349,8 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
         for p in partitions_of(m):
             checked += 1
             cells, poincare = enumerate_cells(p)
-            listed = len(cells)
+            by_dim = cells.by_dim
+            listed = sum(len(suffixes) for blocks in by_dim for _, suffixes in blocks)
             expected_count = math.factorial(m)
             for row_len in p.parts:
                 expected_count //= math.factorial(row_len)
@@ -366,7 +368,7 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
                 failures.append("%s: dimension identity fails" % p)
             _, _, sigma = labeled_diagrams(p)
             w = sigma.one_line
-            top_blocks = cells.by_dim[d_x] if d_x < len(cells.by_dim) else ()
+            top_blocks = by_dim[d_x] if d_x < len(by_dim) else ()
             found = sum(
                 suffixes.count(w[len(prefix) :])
                 for prefix, suffixes in top_blocks

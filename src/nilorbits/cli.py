@@ -222,21 +222,19 @@ def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str)
     ``entry`` is a %d template for one entry of w that ends in two
     characters a cell's last entry drops.  ``lead`` and ``close`` are
     templates that may name the cell's dimension as %(d)d; a literal % in
-    either must be doubled.  The cells come in (dimension, w) order with no
-    step per cell in Python: the entries of each distinct suffix tuple and
-    of each prefix tuple are rendered once, both cached by the tuple's
-    ``id``, and each block is one join whose separator is close + sep +
-    the block's lead, that is, the dimension's lead and the prefix's
-    entries.  Each dimension is written, as one string, as soon as it is
-    rendered.
+    either must be doubled.  Each label is formatted once, as an entry and
+    as a last entry, and ``cells.blocks`` joins those pieces into the text
+    of each prefix and each distinct suffix, so no cell and no suffix is
+    formatted on its own.  The cells come in (dimension, w) order, each
+    block as one join whose separator is close + sep + the block's lead,
+    that is, the dimension's lead and the prefix's text.  Each dimension is
+    written, as one string, as soon as it is joined.
     """
     write = sys.stdout.write
-    # id of a suffix tuple -> its rendered entries, and id of a prefix tuple ->
-    # its rendered entries; every tuple stays alive in ``cells``.
-    entries_of: dict[int, list[str]] = {}
-    prefix_of: dict[int, str] = {}
+    unit = [""] + [entry % label for label in range(1, len(cells.moves) + 1)]
+    last = [piece[:-2] for piece in unit]
     between = ""
-    for d, blocks in enumerate(cells.by_dim):
+    for d, blocks in enumerate(cells.blocks(unit, last)):
         if not blocks:
             continue
         opening = lead % {"d": d}
@@ -244,15 +242,8 @@ def _write_cells(cells: CellBlocks, lead: str, entry: str, close: str, sep: str)
         closing = ending + sep
         pieces = [between]
         for prefix, suffixes in blocks:
-            entries = entries_of.get(id(suffixes))
-            if entries is None:
-                template = (entry * len(suffixes[0]))[:-2]
-                entries = entries_of[id(suffixes)] = [template % s for s in suffixes]
-            rendered = prefix_of.get(id(prefix))
-            if rendered is None:
-                rendered = prefix_of[id(prefix)] = (entry * len(prefix)) % prefix
-            head = opening + rendered
-            pieces += (head, (closing + head).join(entries), closing)
+            head = opening + prefix
+            pieces += (head, (closing + head).join(suffixes), closing)
         pieces[-1] = ending
         write("".join(pieces))
         between = sep

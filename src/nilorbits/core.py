@@ -83,6 +83,16 @@ def require_str(value, what: str) -> str:
     return value
 
 
+def require_instance(value, kind: type, what: str):
+    """``value`` if it is an instance of ``kind``; anything else raises InputError."""
+    if not isinstance(value, kind):
+        raise InputError(
+            "%s must be a %s, got %s %s"
+            % (what, kind.__name__, type(value).__name__, echo_value(value))
+        )
+    return value
+
+
 def require_iterable(values, what: str) -> Iterator:
     """An iterator over ``values``; a value that cannot be iterated raises InputError."""
     try:

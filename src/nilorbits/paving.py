@@ -12,13 +12,14 @@ the row's stride.  One walk over the states counts the cells by
 dimension without building any, packing a state's counts into the bit
 fields of one int so that a move costs one shift and one add.  To list
 the cells, the same walk gathers each state's moves, in label order, and
-meets in the middle after (m - 1) // 2 labels: the prefixes of that
-length, grown from those lists, join per-state suffix tables, built
-from them too as flat lists and bucketed by the dimension they add only
-at the meeting depth.  The listing keeps that factored form, one
-(prefix, suffixes) block per prefix and added dimension, so its
-consumers work per block, per prefix and per distinct suffix tuple
-rather than per cell.
+stops there: ``CellBlocks.blocks`` later meets in the middle after
+(m - 1) // 2 labels, joining the prefixes of that length, grown from the
+move lists, to per-state suffix tables, built from them too as flat
+lists and bucketed by the dimension they add only at the meeting depth.
+The listing keeps that factored form, one (prefix, suffixes) block per
+prefix and added dimension, and it is generic over the piece a label
+adds: 1-tuples give the labels of w, and the CLI passes each label's
+rendered text, so its blocks arrive as ready text.
 
 Root sets are sets of pairs (i, j) with i < j, standing for the positive
 root that is the sum of the consecutive simple roots i .. j-1.  For a
@@ -42,6 +43,7 @@ from .core import (
     Value,
     conjugate_heights,
     echo_value,
+    require_instance,
     require_int,
     require_iterable,
 )
@@ -120,12 +122,6 @@ class TableauPermutation(Value):
     def __call__(self, k: int) -> int:
         return self.one_line[k - 1]
 
-    def inverse(self) -> "TableauPermutation":
-        inv = [0] * self.size
-        for pos, val in enumerate(self.one_line, start=1):
-            inv[val - 1] = pos
-        return TableauPermutation(tuple(inv))
-
     def cycle_notation(self) -> str:
         """Disjoint cycles, fixed points omitted; identity renders as ()."""
         seen: set[int] = set()
@@ -151,31 +147,105 @@ class TableauPermutation(Value):
 
 
 class CellBlocks:
-    """The listed cells of a paving, factored into (prefix, suffixes) blocks.
+    """The listing of a paving as its counting walk left it: each depth's moves.
 
-    ``by_dim[d]`` holds the blocks of dimension d in prefix order; the cells
-    of dimension d are prefix + s for each block and each s in its suffixes,
-    which is (dimension, w) order.  A suffix tuple is shared by every block
-    whose prefix took as many labels from each row, and a prefix tuple by
-    its blocks in every dimension, so a renderer can work once per distinct
-    suffix tuple and once per prefix.  ``len`` counts the cells from the
-    blocks.
+    ``moves[depth]`` maps each row state reached after ``depth`` labels to
+    its moves (label, next state, added dimension), sorted into label
+    order, and ``len`` is the cell count, known before the walk.  ``blocks`` builds
+    the listing as (prefix, suffixes) blocks per dimension from the pieces
+    each label adds, and ``by_dim`` is that listing with 1-tuple pieces, so
+    its prefixes and suffixes are tuples of labels; it is built on first
+    access and then kept.  A summary holds no moves and lists no cell.
     """
 
-    __slots__ = ("by_dim",)
+    __slots__ = ("moves", "count", "_by_dim")
 
-    def __init__(self, by_dim: tuple[tuple[Block, ...], ...]):
-        self.by_dim = by_dim
+    def __init__(
+        self, moves: tuple[dict[int, list[tuple[int, int, int]]], ...] = (), count: int = 0
+    ) -> None:
+        self.moves = moves
+        self.count = count
+        self._by_dim: tuple[tuple[Block, ...], ...] | None = None
 
     def __len__(self) -> int:
-        return sum(len(suffixes) for blocks in self.by_dim for _, suffixes in blocks)
+        return self.count
+
+    @property
+    def by_dim(self) -> tuple[tuple[Block, ...], ...]:
+        """``by_dim[d]``: the blocks of dimension d, as (prefix tuple, suffix tuples)."""
+        if self._by_dim is None:
+            unit = [()] + [(label,) for label in range(1, len(self.moves) + 1)]
+            self._by_dim = self.blocks(unit, unit)
+        return self._by_dim
+
+    def blocks(self, unit, last) -> tuple[tuple[tuple, ...], ...]:
+        """The cells as (prefix, suffixes) blocks, one tuple of blocks per dimension.
+
+        A cell's text is the piece of each of its labels joined with ``+``:
+        ``unit[label]`` for every label but its last, ``last[label]`` for
+        that one.  ``unit[0]``, which no label uses, is the empty piece that
+        starts each prefix.  The blocks of dimension d come in prefix order,
+        and the cells of dimension d are prefix + s for each block and each
+        s in its suffixes, which is (dimension, w) order.
+
+        Prefixes meet suffixes after (m - 1) // 2 labels, which gives an
+        even m fewer, longer blocks than a half-length prefix would, so the
+        renderers do less work per cell.  Past that split each state keeps its suffixes as two parallel flat
+        lists in lexicographic order, the dimension each adds and the
+        suffix itself; a move extends both with one ``map`` over its next
+        state's lists.  At the split one stable pass buckets each state's
+        suffixes by added dimension, and each bucket becomes one tuple
+        shared by every prefix that reaches the state.  The prefixes, grown
+        breadth first in lexicographic order from the shallower move lists,
+        join the buckets with no sort and no cell built.
+        """
+        moves = self.moves
+        if not moves:
+            return ()
+        split = (len(moves) - 1) // 2
+        # The deepest moves end each cell; then each shallower state's suffixes.
+        tables = {
+            state: ([added for _, _, added in out], [last[label] for label, _, _ in out])
+            for state, out in moves[-1].items()
+        }
+        for depth in range(len(moves) - 2, split - 1, -1):
+            level_tables = {}
+            for state, out in moves[depth].items():
+                dims: list[int] = []
+                suffixes: list = []
+                for label, after, added in out:
+                    sub_dims, sub_suffixes = tables[after]
+                    dims.extend(map(added.__add__, sub_dims))
+                    suffixes.extend(map(unit[label].__add__, sub_suffixes))
+                level_tables[state] = (dims, suffixes)
+            tables = level_tables
+        # Prefixes of length ``split``, in lexicographic order: (pieces, state, dimension).
+        front = [(unit[0], 0, 0)]
+        for step in moves[:split]:
+            front = [
+                (prefix + unit[label], after, dim + added)
+                for prefix, state, dim in front
+                for label, after, added in step[state]
+            ]
+        buckets = {}
+        for state, (dims, suffixes) in tables.items():
+            sub = [[] for _ in range(max(dims) + 1)]
+            for d, suffix in zip(dims, suffixes):
+                sub[d].append(suffix)
+            buckets[state] = list(map(tuple, sub))
+        by_dim = [[] for _ in range(max(dim + len(buckets[state]) for _, state, dim in front))]
+        for prefix, state, dim in front:
+            for d, suffixes in enumerate(buckets[state], dim):
+                if suffixes:
+                    by_dim[d].append((prefix, suffixes))
+        return tuple(map(tuple, by_dim))
 
 
 class CellPaving(NamedTuple):
     """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d.
 
-    The listing is read block by block, through ``cells.by_dim``; the cells
-    of dimension d are those of ``by_dim[d]``.
+    The listing is read block by block, through ``cells.by_dim`` or
+    ``cells.blocks``; the cells of dimension d are those of ``by_dim[d]``.
     """
 
     cells: CellBlocks
@@ -193,7 +263,7 @@ def labeled_diagrams(
     all three are correct by construction and are built through the
     ``_trusted`` constructor of ``core.Value``.
     """
-    if p.total == 0:
+    if require_instance(p, Partition, "partition").total == 0:
         raise InputError("labelings need a nonempty partition")
     heights = conjugate_heights(p)
     tym_rows = [[0] * row_len for row_len in p.parts]
@@ -220,6 +290,7 @@ def labeled_diagrams(
 
 def pair_matrix(d: LabeledDiagram) -> IntMatrix:
     """0/1 matrix with a one at (i, j) for every pair (i|j) of the labeling."""
+    require_instance(d, LabeledDiagram, "labeled diagram")
     return IntMatrix.from_entries(d.shape.total, {pair: 1 for pair in d.pairs()})
 
 
@@ -231,7 +302,7 @@ def phi_x(p: Partition) -> frozenset[RootPair]:
 
 def phi_w(w: TableauPermutation) -> frozenset[RootPair]:
     """Positive roots inverted by w: pairs (i, j), i < j, with w^-1(i) > w^-1(j)."""
-    return _inversions(w.one_line)[1]
+    return _inversions(require_instance(w, TableauPermutation, "permutation").one_line)[1]
 
 
 def _inversions(one_line: tuple[int, ...]) -> tuple[list[int], frozenset[RootPair]]:
@@ -247,9 +318,10 @@ def _inversions(one_line: tuple[int, ...]) -> tuple[list[int], frozenset[RootPai
 
 def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
     """Roots of phi_w splitting as a phi_w root plus a phi_x root (either order)."""
-    if w.size != p.total:
+    require_instance(w, TableauPermutation, "permutation")
+    if w.size != require_instance(p, Partition, "partition").total:
         raise InputError("permutation size %d does not match |p| = %d" % (w.size, p.total))
-    return _split_roots(phi_w(w), phi_x(p))
+    return _split_roots(_inversions(w.one_line)[1], phi_x(p))
 
 
 def _split_roots(in_w: frozenset[RootPair], in_x: frozenset[RootPair]) -> frozenset[RootPair]:
@@ -273,6 +345,7 @@ def max_cell_dimension(p: Partition) -> int:
     the codimension of the orbit; ``checks.check_dimension_identity``
     compares all three.
     """
+    require_instance(p, Partition, "partition")
     return sum(map(mul, range(len(p.parts)), p.parts))
 
 
@@ -345,38 +418,27 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     ``cells`` the call ends there.
 
     To list cells, the walk also gathers each state's moves, (label, next
-    state, added dimension), and sorts them into label order once.  Down
-    to depth (m - 1) // 2 it keeps the suffixes themselves, per state as
-    two parallel flat lists in lexicographic order: the dimension each
-    suffix adds and the suffix tuple.  A move extends each list with one
-    ``map`` over its next state's lists.  At that depth one stable pass
-    buckets each state's suffixes by added dimension, keeping them
-    lexicographic in each bucket, and the prefixes built breadth first in
-    lexicographic order from the move lists of the shallower states join
-    them.  The join builds no cell: each prefix and each nonempty suffix
-    bucket of its state make one (prefix, suffixes) block of dimension
-    prefix dimension + bucket index, and taking the blocks prefix by
-    prefix leaves each dimension in (dimension, w) order with no sort.
-    The cells come back as those CellBlocks, whose suffix tuples are
-    shared by every prefix reaching the same state, and whose prefix
-    tuples are shared by the blocks of one prefix in every dimension.
-    Meeting after (m - 1) // 2 labels gives an even m fewer, longer blocks
-    than a half-length prefix would, so the renderers do less work per
-    cell.  Nothing recurses, so long rows cannot exhaust the recursion
-    limit.
+    state, added dimension), sorts them into label order once, and returns
+    them per depth as CellBlocks, whose ``len`` is the cell count above;
+    no prefix, suffix or cell is built here.  ``CellBlocks.blocks`` builds
+    the listing from the pieces its caller gives each label, in
+    (prefix, suffixes) blocks that meet after (m - 1) // 2 labels.  Nothing
+    recurses, so long rows cannot exhaust the recursion limit.
 
     Before any work, m must be at most ``bound``, the states at most
     MAX_WALKED_STATES and, with ``cells``, the cells at most
     MAX_LISTED_CELLS; raising ``bound`` lifts neither cap.
     """
-    m = p.total
+    m = require_instance(p, Partition, "partition").total
+    require_int(bound, "bound")
     if m == 0:
         raise InputError("cell enumeration needs a nonempty partition")
     if m > bound:
         raise ResourceBoundError(
             "partition size %s exceeds the enumeration bound %d" % (echo_value(m), bound)
         )
-    width = _check_work(p.parts, cells).bit_length()
+    total = _check_work(p.parts, cells)
+    width = total.bit_length()
     tym, _, _ = labeled_diagrams(p)
     later = _later_masks(tym)
     radices = [len(row) + 1 for row in tym.rows]
@@ -387,16 +449,11 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         for row, stride, radix in zip(tym.rows, strides, radices)
     ]
 
-    split = (m - 1) // 2
-    # One depth: state -> packed suffix counts and, when listing, its suffixes
-    # as two parallel flat lists, added dimensions and suffix tuples, in
-    # lexicographic order.
-    full = strides[-1] - 1
-    counts = {full: 1}
-    tables: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {full: ([0], [()])}
-    # The moves of the states before depth (m - 1) // 2, for the prefix front.
-    front_moves: dict[int, list[tuple[int, int, int]]] = {}
-    for depth in range(m - 1, -1, -1):
+    # One depth: state -> the packed counts of the suffixes that complete it.
+    counts = {strides[-1] - 1: 1}
+    # When listing, per depth: state -> its moves (label, next state, added).
+    listing: list[dict[int, list[tuple[int, int, int]]]] = []
+    for _ in range(m):
         # Each state of the deeper level passes its count back along every
         # move into it.  The move that took label i adds the popcount of
         # placed & later[i]; here ``placed`` is the deeper state's mask,
@@ -419,24 +476,10 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
                 if cells:
                     moves.setdefault(state, []).append((label, after, added))
         counts = earlier
-        if not cells:
-            continue
-        for out in moves.values():
-            out.sort()
-        if depth < split:
-            front_moves.update(moves)
-            continue
-        # Each move extends both flat lists of its state with one map.
-        level_tables = {}
-        for state, out in moves.items():
-            dims: list[int] = []
-            suffixes: list[tuple[int, ...]] = []
-            for label, after, added in out:
-                sub_dims, sub_suffixes = tables[after]
-                dims.extend(map(added.__add__, sub_dims))
-                suffixes.extend(map((label,).__add__, sub_suffixes))
-            level_tables[state] = (dims, suffixes)
-        tables = level_tables
+        if cells:
+            for out in moves.values():
+                out.sort()
+            listing.append(moves)
     # The empty state's fields, lowest first; the top one, the top cells, is nonzero.
     packed = counts[0]
     field = (1 << width) - 1
@@ -446,29 +489,9 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
         packed >>= width
     poincare = tuple(coefficients)
     if not cells:
-        return CellPaving(cells=CellBlocks(()), poincare=poincare)
-    # Prefixes of length (m - 1) // 2, in lexicographic order: (labels, state, dimension).
-    front = [((), 0, 0)]
-    for _ in range(split):
-        front = [
-            (prefix + (label,), after, dim + added)
-            for prefix, state, dim in front
-            for label, after, added in front_moves[state]
-        ]
-    # Each state's suffixes are bucketed by added dimension once, here, in
-    # one stable pass, and each bucket becomes one tuple shared by its blocks.
-    buckets = {}
-    for state, (dims, suffixes) in tables.items():
-        sub = [[] for _ in range(max(dims) + 1)]
-        for d, suffix in zip(dims, suffixes):
-            sub[d].append(suffix)
-        buckets[state] = list(map(tuple, sub))
-    by_dim = [[] for _ in poincare]
-    for prefix, state, dim in front:
-        for d, suffixes in enumerate(buckets[state], dim):
-            if suffixes:
-                by_dim[d].append((prefix, suffixes))
-    return CellPaving(cells=CellBlocks(tuple(map(tuple, by_dim))), poincare=poincare)
+        return CellPaving(cells=CellBlocks(), poincare=poincare)
+    listing.reverse()
+    return CellPaving(cells=CellBlocks(tuple(listing), total), poincare=poincare)
 
 
 def render_root(root: RootPair) -> str:

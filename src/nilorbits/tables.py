@@ -24,7 +24,6 @@ from .core import (
     CheckResult,
     ComponentLabel,
     DataIntegrityError,
-    InputError,
     LieType,
     SubsetJ,
     UnsupportedFamilyError,
@@ -33,8 +32,9 @@ from .core import (
     check_subset_range,
     classify_subdiagram,
     dynkin_diagram,
-    echo_value,
+    require_instance,
     require_iterable,
+    require_str,
 )
 from .orbits import FiniteGroupDescriptor, center_fiber
 
@@ -211,21 +211,15 @@ class OrbitRecord(Value):
         z_orbit: FiniteGroupDescriptor,
         pi1: FiniteGroupDescriptor,
     ) -> None:
+        require_str(bala_carter, "bala_carter")
         j_sets = tuple(
             sorted(map(SubsetJ, require_iterable(j_sets, "J sets")), key=lambda s: s.elements)
         )
         if not j_sets:
             raise DataIntegrityError("record %r carries no J sets" % (bala_carter,))
-        for field, value, kind in (
-            ("base_label", base_label, ComponentLabel),
-            ("z_orbit", z_orbit, FiniteGroupDescriptor),
-            ("pi1", pi1, FiniteGroupDescriptor),
-        ):
-            if not isinstance(value, kind):
-                raise InputError(
-                    "%s must be a %s, got %s %s"
-                    % (field, kind.__name__, type(value).__name__, echo_value(value))
-                )
+        require_instance(base_label, ComponentLabel, "base_label")
+        require_instance(z_orbit, FiniteGroupDescriptor, "z_orbit")
+        require_instance(pi1, FiniteGroupDescriptor, "pi1")
         Value.__init__(self, bala_carter, base_label, j_sets, z_orbit, pi1)
 
     @property

@@ -291,22 +291,11 @@ class TestPavingCommand:
         assert code == EXIT_OK
         assert json.loads(out)["syt_count"] == syt_count(Partition((6, 5, 4, 3, 2, 1)))
 
-    def test_prefix_and_suffix_caches_match_a_per_cell_rendering(self, capsys):
-        # The renderer caches each prefix's and each suffix tuple's entries
-        # by id.  Here one prefix object heads blocks in two dimensions, two
-        # equal prefixes are distinct objects, and one suffix tuple is shared.
-        head = (1, 2)
-        twin, other = tuple([3, 4]), tuple([3, 4])
-        assert twin == other and twin is not other
-        shared = ((5, 6), (6, 5))
-        by_dim = (
-            ((head, shared), (twin, ((5, 6),))),
-            (),
-            ((head, ((6, 5),)), (other, shared)),
-        )
-        cells = CellBlocks(by_dim)
-        listed = [(d, p + s) for d, blocks in enumerate(by_dim) for p, ss in blocks for s in ss]
-        assert len(cells) == len(listed) == 6
+    def test_label_pieces_match_a_per_cell_rendering(self, capsys):
+        # The renderer formats each label once and lets CellBlocks.blocks join
+        # the pieces.  [1] and [1, 1] list their cells with an empty prefix;
+        # in [3, 2, 1] one prefix heads blocks in two dimensions and one
+        # suffix tuple is shared by two prefixes.
         formats = (
             (
                 '    {\n      "dimension": %(d)d,\n      "w": [\n',
@@ -316,15 +305,54 @@ class TestPavingCommand:
             ),
             ("cell: w=[", "%d, ", "] dim=%(d)d", "\n"),
         )
-        for lead, entry, close, sep in formats:
-            _write_cells(cells, lead, entry, close, sep)
-            per_cell = [
-                lead % {"d": d} + (entry * len(w))[:-2] % w + close % {"d": d} for d, w in listed
-            ]
-            assert capsys.readouterr().out == sep.join(per_cell)
-        _write_cells(cells, *formats[0])
-        rendered = json.loads("[%s]" % capsys.readouterr().out)
-        assert rendered == [{"dimension": d, "w": list(w)} for d, w in listed]
+        for parts, count in (((1,), 1), ((1, 1), 2), ((3, 2, 1), 60)):
+            cells = enumerate_cells(Partition(parts)).cells
+            by_dim = cells.by_dim
+            listed = [(d, p + s) for d, blocks in enumerate(by_dim) for p, ss in blocks for s in ss]
+            assert len(cells) == len(listed) == count
+            for lead, entry, close, sep in formats:
+                _write_cells(cells, lead, entry, close, sep)
+                per_cell = [
+                    lead % {"d": d} + (entry * len(w))[:-2] % w + close % {"d": d}
+                    for d, w in listed
+                ]
+                assert capsys.readouterr().out == sep.join(per_cell)
+            _write_cells(cells, *formats[0])
+            rendered = json.loads("[%s]" % capsys.readouterr().out)
+            assert rendered == [{"dimension": d, "w": list(w)} for d, w in listed]
+        heads = [prefix for blocks in by_dim for prefix, _ in blocks]
+        assert len(set(heads)) < len(heads)
+        suffix_ids = [id(suffixes) for blocks in by_dim for _, suffixes in blocks]
+        assert len(set(suffix_ids)) < len(suffix_ids)
+
+    def test_cells_are_written_without_the_tuple_listing(self, capsys, monkeypatch):
+        # `paving --cells` never reads CellBlocks.by_dim, the listing in label
+        # tuples; its bytes still equal a per-cell rendering of that listing,
+        # taken before by_dim is patched to raise.
+        shapes = [(p, 9) for m in range(1, 9) for p in partitions_of(m)]
+        shapes.append((Partition((4, 4, 2)), 10))
+        expected = []
+        for p, bound in shapes:
+            blocks = enumerate_cells(p, bound=bound).cells.by_dim
+            cells = [(d, pre + s) for d, bs in enumerate(blocks) for pre, ss in bs for s in ss]
+            argv = ["paving", "--partition", ",".join(map(str, p.parts)), "--bound", str(bound)]
+            _, head, _ = run(capsys, *argv)
+            payload = json.loads(head)
+            payload["cells"] = [{"dimension": d, "w": list(w)} for d, w in cells]
+            _, summary, _ = run(capsys, *argv, "--format", "text")
+            lines = ["cell: w=[%s] dim=%d\n" % (", ".join(map(str, w)), d) for d, w in cells]
+            as_json = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            expected.append((argv, as_json, summary + "".join(lines)))
+
+        def refuse(self):
+            raise AssertionError("the CLI read the tuple listing")
+
+        monkeypatch.setattr(CellBlocks, "by_dim", property(refuse))
+        for argv, as_json, as_text in expected:
+            assert run(capsys, *argv, "--cells") == (EXIT_OK, as_json, "")
+            assert run(capsys, *argv, "--cells", "--format", "text") == (EXIT_OK, as_text, "")
+        with pytest.raises(AssertionError, match="tuple listing"):
+            enumerate_cells(Partition((2, 1))).cells.by_dim
 
     def test_cells_json_matches_json_dumps(self, capsys):
         # The cell list is rendered block by block; it must match the bytes

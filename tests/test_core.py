@@ -544,6 +544,13 @@ class TestClassifySubdiagram:
             ),
             "pi1 must be a FiniteGroupDescriptor, got int 2",
         ),
+        (
+            lambda: OrbitRecord(
+                None, ComponentLabel(()), ((1,),),
+                FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial(),
+            ),
+            "bala_carter must be a str, got NoneType None",
+        ),
     ],
     ids=[
         "Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of",
@@ -552,7 +559,7 @@ class TestClassifySubdiagram:
         "DynkinDiagram-edge", "OrbitRecord", "FiniteGroupDescriptor",
         "FiniteGroupDescriptor.cyclic", "FiniteGroupDescriptor.elementary_abelian_2",
         "DynkinDiagram-repeated-node", "OrbitRecord-base_label", "OrbitRecord-z_orbit",
-        "OrbitRecord-pi1",
+        "OrbitRecord-pi1", "OrbitRecord-bala_carter",
     ],
 )
 def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):

@@ -40,6 +40,11 @@ def dimensioned(paving):
     ]
 
 
+def inverse(w):
+    """w^-1, read off by listing the positions of w in the order of their values."""
+    return TableauPermutation(tuple(sorted(range(1, w.size + 1), key=w)))
+
+
 def mahonian(m):
     """Coefficients of prod_{i<=m} (1 + q + ... + q^(i-1)): permutations by inversions."""
     poly = [1]
@@ -349,12 +354,20 @@ class TestEnumerateCells:
         ]
 
     def test_listing_cross_check_can_fail(self, monkeypatch):
+        class DroppedSuffix:
+            # The listing with one suffix fewer in the first block of
+            # dimension 0, whose len still reports the walk's count.
+            def __init__(self, cells):
+                (prefix, suffixes), *rest = cells.by_dim[0]
+                self.by_dim = (((prefix, suffixes[1:]), *rest),) + cells.by_dim[1:]
+                self.count = len(cells)
+
+            def __len__(self):
+                return self.count
+
         def drop_one_suffix(p, bound=9):
-            # The first block of dimension 0 loses its first suffix.
             cells, poincare = enumerate_cells(p, bound)
-            (prefix, suffixes), *rest = cells.by_dim[0]
-            by_dim = (((prefix, suffixes[1:]), *rest),) + cells.by_dim[1:]
-            return CellPaving(CellBlocks(by_dim), poincare)
+            return CellPaving(DroppedSuffix(cells), poincare)
 
         monkeypatch.setattr(checks, "enumerate_cells", drop_one_suffix)
         result = checks.check_paving_identities(max_total=5)
@@ -404,6 +417,21 @@ class TestEnumerateCells:
             shared += len({id(suffixes) for suffixes in found})
         assert (cells, blocks, shared) == (95503, 8793, 1755)
 
+    def test_len_is_the_walk_count(self, monkeypatch):
+        # len reads the count the walk started from and builds no block; it
+        # equals the summed block sizes, and a summary lists nothing.
+        def refuse(self, unit, last):
+            raise AssertionError("len built the blocks")
+
+        for m in range(1, 9):
+            for p in partitions_of(m):
+                cells = enumerate_cells(p).cells
+                with monkeypatch.context() as patch:
+                    patch.setattr(CellBlocks, "blocks", refuse)
+                    count = len(cells)
+                assert count == sum(len(ss) for blocks in cells.by_dim for _, ss in blocks)
+                assert len(enumerate_cells(p, cells=False).cells) == 0
+
     def test_later_masks_match_pair_loop(self):
         # later[i]: the labels j > i whose left neighbor, if any, is at most i.
         for total in range(1, 10):
@@ -427,7 +455,7 @@ class TestEnumerateCells:
                 for perm in permutations(range(1, total + 1)):
                     u = TableauPermutation(perm)
                     if all(u(a) < u(b) for a, b in pairs):
-                        survivors.add(u.inverse())
+                        survivors.add(inverse(u))
                 paving = enumerate_cells(p)
                 assert {w for _, w in dimensioned(paving)} == {w.one_line for w in survivors}
                 expected = sorted(
@@ -439,8 +467,9 @@ class TestEnumerateCells:
 class TestTableauPermutation:
     def test_inverse(self):
         w = TableauPermutation((3, 1, 2))
-        assert w.inverse().one_line == (2, 3, 1)
-        assert w.inverse().inverse() == w
+        assert inverse(w).one_line == (2, 3, 1)
+        assert inverse(inverse(w)) == w
+        assert [w(inverse(w)(k)) for k in range(1, 4)] == [1, 2, 3]
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InputError):
@@ -450,7 +479,7 @@ class TestTableauPermutation:
     @settings(max_examples=100)
     def test_phi_w_counts_inversions(self, perm):
         w = TableauPermutation(tuple(perm))
-        u = w.inverse()
+        u = inverse(w)
         inversions = sum(
             1
             for i in range(1, 7)
@@ -458,3 +487,29 @@ class TestTableauPermutation:
             if u(i) > u(j)
         )
         assert len(phi_w(w)) == inversions
+
+
+# Each public paving function that takes a value type, by the argument that gets junk.
+ENTRY_POINTS = {
+    "enumerate_cells": lambda junk: enumerate_cells(junk),
+    "labeled_diagrams": labeled_diagrams,
+    "max_cell_dimension": max_cell_dimension,
+    "pair_matrix": pair_matrix,
+    "phi_w": phi_w,
+    "phi_w_x-p": lambda junk: phi_w_x(TableauPermutation((2, 3, 1)), junk),
+    "phi_w_x-w": lambda junk: phi_w_x(junk, Partition((2, 1))),
+    "phi_x": phi_x,
+}
+
+
+@pytest.mark.parametrize("junk", [None, "3", (3,), 5, 3.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_a_value_of_the_wrong_type(name, junk):
+    with pytest.raises(InputError, match="must be a "):
+        ENTRY_POINTS[name](junk)
+
+
+@pytest.mark.parametrize("bound", ["9", 9.5, True, None], ids=repr)
+def test_enumerate_cells_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(InputError, match="^bound must be an int, got "):
+        enumerate_cells(Partition((2, 1)), bound)
