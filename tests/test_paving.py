@@ -491,7 +491,7 @@ class TestTableauPermutation:
 
 # Each public paving function that takes a value type, by the argument that gets junk.
 ENTRY_POINTS = {
-    "enumerate_cells": lambda junk: enumerate_cells(junk),
+    "enumerate_cells": enumerate_cells,
     "labeled_diagrams": labeled_diagrams,
     "max_cell_dimension": max_cell_dimension,
     "pair_matrix": pair_matrix,
