@@ -24,7 +24,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import SummandRecord, summand_report
-from .jordan import IntMatrix, jordan_partition, rank_sequence, representative_matrix
+from .jordan import IntMatrix, rank_sequence, representative_matrix
 from .orbits import (
     FiniteGroupDescriptor,
     KernelReport,
@@ -85,7 +85,6 @@ __all__ = [
     "enumerate_cells",
     "fundamental_groups",
     "gcd_of_set",
-    "jordan_partition",
     "kernel_check",
     "labeled_diagrams",
     "max_cell_dimension",

@@ -313,13 +313,14 @@ def cmd_paving(args) -> int:
 # One record of a `decompose` answer per format.  In JSON its keys are in
 # sorted order, and each list holds at least one entry, one per line:
 # characters 0..c-1 with c >= 1, and the parts of a partition of n + 1 >= 2.
+# The report claims no multiplicity, so "multiplicity_known" is always false.
 _DECOMPOSE_JSON_ROW = """  {
     "c": %d,
     "characters": [
       %s
     ],
     "fiber_dimension": %d,
-    "multiplicity_known": %s,
+    "multiplicity_known": false,
     "orbit_dimension": %d,
     "partition": [
       %s
@@ -338,7 +339,6 @@ def cmd_decompose(args) -> int:
                 r.c,
                 entries(map(str, r.characters)),
                 r.fiber_dimension,
-                _json(r.multiplicity_known),
                 r.orbit_dimension,
                 entries(map(str, r.partition.parts)),
             )

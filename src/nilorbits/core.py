@@ -279,11 +279,6 @@ class Partition(Value):
         firsts, seconds = self.parts[::2], self.parts[1::2]
         return bool(firsts) and firsts == seconds and all(v % 2 == 0 for v in firsts)
 
-    @property
-    def rather_odd(self) -> bool:
-        """Every odd part occurs exactly once."""
-        return all(m == 1 for v, m in self.multiplicities().items() if v % 2)
-
     def conjugate(self) -> "Partition":
         return Partition(tuple(conjugate_heights(self)))
 
@@ -370,8 +365,8 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
 
 
 def gcd_of_set(values: Iterable[int], extra: int) -> int:
-    """gcd of ``values`` together with ``extra``; equals ``extra`` on an empty set."""
-    if extra < 1:
+    """gcd of ``values`` and ``extra``, an int >= 1; equals ``extra`` on an empty set."""
+    if require_int(extra, "extra") < 1:
         raise InputError("extra must be >= 1, got %s" % echo_value(extra))
     return reduce(math.gcd, values, extra)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .core import (
     InputError,
-    Partition,
     ResourceBoundError,
     Value,
     echo_value,
@@ -31,25 +30,11 @@ class SummandRecord(Value):
     """One orbit of sl_{n+1} with its certified character list.
 
     ``characters`` lists the c character labels 0..c-1 of the cyclic
-    fundamental group.  ``multiplicity_known`` stays False: each character
-    occurs at least once, and nothing more is claimed.
+    fundamental group.  Each occurs at least once; multiplicities are left
+    open, so a JSON answer always writes ``"multiplicity_known": false``.
     """
 
-    __slots__ = ("partition", "orbit_dimension", "fiber_dimension", "c", "characters",
-                 "multiplicity_known")
-
-    def __init__(
-        self,
-        partition: Partition,
-        orbit_dimension: int,
-        fiber_dimension: int,
-        c: int,
-        characters: tuple[int, ...],
-        multiplicity_known: bool = False,
-    ) -> None:
-        Value.__init__(
-            self, partition, orbit_dimension, fiber_dimension, c, characters, multiplicity_known
-        )
+    __slots__ = ("partition", "orbit_dimension", "fiber_dimension", "c", "characters")
 
 
 def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecord]:
@@ -76,7 +61,7 @@ def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecor
         if chars is None:
             chars = characters[c] = tuple(range(c))
         records.append(
-            trusted(p, orbit_dimension_type_a(n, p), max_cell_dimension(p), c, chars, False)
+            trusted(p, orbit_dimension_type_a(n, p), max_cell_dimension(p), c, chars)
         )
     records.sort(key=lambda r: (-r.orbit_dimension, r.partition.parts))
     return records

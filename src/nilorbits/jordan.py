@@ -58,10 +58,6 @@ class IntMatrix(Value):
         return len(self.rows)
 
     @classmethod
-    def zero(cls, dim: int) -> "IntMatrix":
-        return cls([[0] * dim for _ in range(dim)])
-
-    @classmethod
     def from_entries(cls, dim: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
         """Build from 1-indexed (row, col) -> value assignments.
 
@@ -96,9 +92,6 @@ class IntMatrix(Value):
         )
 
     __matmul__ = matmul
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
 
     def is_strictly_upper(self) -> bool:
         return not any(any(row[: i + 1]) for i, row in enumerate(self.rows))
@@ -268,22 +261,13 @@ def _reduce_into(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> Non
                 del row[j]
 
 
-def jordan_partition(m: IntMatrix) -> Partition:
-    """Jordan type of a nilpotent integer matrix from exact ranks of powers.
-
-    With r_k = rank(m^k), the count of Jordan blocks of size >= k is
-    r_{k-1} - r_k; the block sizes assemble into a partition of the
-    dimension.
-    """
-    return partition_from_ranks(rank_sequence(m))
-
-
 def partition_from_ranks(ranks: list[int]) -> Partition:
     """The Jordan type whose powers have the ranks ``ranks``, as ``rank_sequence`` returns them.
 
-    The block sizes are taken from ``range(len(counts), 0, -1)``, so the
-    parts are positive ints in descending order by construction and are
-    wrapped by ``Partition._trusted``.
+    With r_k = rank(m^k), the count of Jordan blocks of size >= k is
+    r_{k-1} - r_k.  The block sizes are taken from ``range(len(counts), 0, -1)``,
+    so the parts are positive ints in descending order by construction and
+    are wrapped by ``Partition._trusted``.
     """
     counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     parts = []

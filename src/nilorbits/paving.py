@@ -73,8 +73,7 @@ class LabeledDiagram(Value):
     __slots__ = ("shape", "rows")
 
     def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]) -> None:
-        if not isinstance(shape, Partition):
-            raise InputError("diagram shape must be a Partition, got %s" % type(shape).__name__)
+        require_instance(shape, Partition, "diagram shape")
         rows = tuple(
             tuple(require_int(v, "diagram label") for v in require_iterable(row, "diagram row"))
             for row in require_iterable(rows, "diagram rows")
@@ -110,10 +109,6 @@ class TableauPermutation(Value):
         if sorted(values) != list(range(1, len(values) + 1)):
             raise InputError("not a permutation of 1..%d: %s" % (len(values), echo_value(values)))
         Value.__init__(self, values)
-
-    @classmethod
-    def identity(cls, m: int) -> "TableauPermutation":
-        return cls(tuple(range(1, m + 1)))
 
     @property
     def size(self) -> int:

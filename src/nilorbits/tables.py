@@ -5,24 +5,22 @@ orbits land in that adjoint orbit, together with the covering-fiber
 group Z(O) and the fundamental group pi1(O).  Prime decorations on a
 label (e.g. (3A_1)'') distinguish different orbits sharing a Levi type;
 they are data keyed by J, not something computable from the sub-diagram
-alone.
+alone.  The label with its parentheses and primes stripped is the base
+label, written as ``ComponentLabel.render`` writes the Levi type.
 
 ``validate_tables`` checks the embedded data four ways in one walk over
 the (record, J) pairs: the J-sets partition the full power set, the Z
 column agrees with the per-family case rule, every J's complement
-sub-diagram classifies to the record's base label, and the
-component-group order divides out consistently.  Any other Lie family,
-a classical one included, raises ``core.UnsupportedFamilyError``.
+sub-diagram classifies to a label that renders as the record's base
+label, and the component-group order divides out consistently.  Any
+other Lie family, a classical one included, raises ``core.UnsupportedFamilyError``.
 """
 
 from __future__ import annotations
 
-import re
-
 from .core import (
     FAMILIES,
     CheckResult,
-    ComponentLabel,
     DataIntegrityError,
     LieType,
     SubsetJ,
@@ -178,35 +176,14 @@ _GROUP_CODES = {
     "S2": FiniteGroupDescriptor.symmetric_2(),
 }
 
-_SUMMAND_RE = re.compile(r"(\d*)([ADE])_(\d+)")
-
-
-def _parse_base_label(text: str) -> ComponentLabel:
-    if text == "Triv.":
-        return ComponentLabel(())
-    body = text.strip()
-    if body.startswith("("):
-        body = body[1 : body.index(")")]
-    body = body.rstrip("'")
-    summands: list[tuple[str, int]] = []
-    for piece in body.split("+"):
-        match = _SUMMAND_RE.fullmatch(piece.strip())
-        if match is None:
-            raise DataIntegrityError("cannot parse label piece %r in %r" % (piece, text))
-        count = int(match.group(1) or "1")
-        summands.extend([(match.group(2), int(match.group(3)))] * count)
-    return ComponentLabel(tuple(summands))
-
-
 class OrbitRecord(Value):
     """One orbit row: label, its J sets, and the two group columns."""
 
-    __slots__ = ("bala_carter", "base_label", "j_sets", "z_orbit", "pi1")
+    __slots__ = ("bala_carter", "j_sets", "z_orbit", "pi1")
 
     def __init__(
         self,
         bala_carter: str,
-        base_label: ComponentLabel,
         j_sets: tuple[SubsetJ, ...],
         z_orbit: FiniteGroupDescriptor,
         pi1: FiniteGroupDescriptor,
@@ -217,10 +194,14 @@ class OrbitRecord(Value):
         )
         if not j_sets:
             raise DataIntegrityError("record %r carries no J sets" % (bala_carter,))
-        require_instance(base_label, ComponentLabel, "base_label")
         require_instance(z_orbit, FiniteGroupDescriptor, "z_orbit")
         require_instance(pi1, FiniteGroupDescriptor, "pi1")
-        Value.__init__(self, bala_carter, base_label, j_sets, z_orbit, pi1)
+        Value.__init__(self, bala_carter, j_sets, z_orbit, pi1)
+
+    @property
+    def base_label(self) -> str:
+        """The Levi type of the orbit: the label without parentheses and primes, e.g. A_5."""
+        return self.bala_carter.strip("()'")
 
     @property
     def a_group(self) -> FiniteGroupDescriptor:
@@ -241,7 +222,6 @@ def _build_records(rows) -> tuple[OrbitRecord, ...]:
         records.append(
             OrbitRecord(
                 bala_carter=label,
-                base_label=_parse_base_label(label),
                 j_sets=[tuple(map(int, text)) for text in j_strings],
                 z_orbit=_GROUP_CODES[z_code],
                 pi1=_GROUP_CODES[pi1_code],
@@ -302,6 +282,8 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
     rank = t.rank
     diagram = dynkin_diagram(t)
     nodes = set(range(1, rank + 1))
+    # Each distinct classified label is rendered once, keyed by its summands.
+    rendered = {}
 
     counts: dict[tuple[int, ...], int] = {j.elements: 0 for j in all_subsets(rank)}
     partition_failures = []
@@ -309,6 +291,7 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
     label_failures = []
     quotient_failures = []
     for record in record_list:
+        base_label = record.base_label
         for j_set in record.j_sets:
             if j_set.elements not in counts:
                 partition_failures.append(
@@ -323,10 +306,13 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
                     % (j_set, expected, record.bala_carter, record.z_orbit.order)
                 )
             derived = classify_subdiagram(diagram, nodes - set(j_set.elements))
-            if derived != record.base_label:
+            text = rendered.get(derived.summands)
+            if text is None:
+                text = rendered[derived.summands] = derived.render()
+            if text != base_label:
                 label_failures.append(
                     "label mismatch at J=%s: complement classifies as %s, record says %r"
-                    % (j_set, derived, record.bala_carter)
+                    % (j_set, text, record.bala_carter)
                 )
         if record.pi1.order % record.z_orbit.order:
             quotient_failures.append(
@@ -379,7 +365,7 @@ def records_as_dicts(t: LieType) -> list[dict]:
         out.append(
             {
                 "bala_carter": record.bala_carter,
-                "base_label": record.base_label.render(),
+                "base_label": record.base_label,
                 "j_sets": [list(j.elements) for j in record.j_sets],
                 "z_orbit": record.z_orbit.as_json(),
                 "pi1": record.pi1.as_json(),

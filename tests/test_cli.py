@@ -440,7 +440,7 @@ class TestDecomposeCommand:
                     "fiber_dimension": r.fiber_dimension,
                     "c": r.c,
                     "characters": list(r.characters),
-                    "multiplicity_known": r.multiplicity_known,
+                    "multiplicity_known": False,
                 }
                 for r in report
             ]

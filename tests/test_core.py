@@ -85,16 +85,6 @@ class TestPartition:
                 )
                 assert p.very_even == expected, p
 
-    def test_rather_odd(self):
-        assert Partition((3, 2, 2)).rather_odd
-        assert not Partition((3, 3, 1, 1)).rather_odd
-        # a very even partition is trivially rather odd
-        assert Partition((4, 4)).rather_odd
-        for total in range(13):
-            for p in partitions_of(total):
-                expected = all(p.parts.count(v) == 1 for v in set(p.parts) if v % 2)
-                assert p.rather_odd == expected, p
-
     def test_multiplicities_count_every_part(self):
         for total in range(13):
             for p in partitions_of(total):
@@ -397,6 +387,7 @@ NON_INT_ARGUMENTS = {
     "summand_report": (summand_report, "rank"),
     "summand_report bound": (lambda bound: summand_report(2, bound=bound), "bound"),
     "subset_of_mask": (subset_of_mask, "subset mask"),
+    "gcd_of_set extra": (lambda extra: gcd_of_set([], extra), "extra"),
 }
 
 
@@ -503,7 +494,7 @@ class TestClassifySubdiagram:
         (lambda: LieType.of(None), "Lie family must be a str, got NoneType None"),
         (lambda: TableauPermutation(5), "permutation must be iterable, got int 5"),
         (lambda: LabeledDiagram(Partition((1,)), 5), "diagram rows must be iterable, got int 5"),
-        (lambda: LabeledDiagram(5, ((1,),)), "diagram shape must be a Partition, got int"),
+        (lambda: LabeledDiagram(5, ((1,),)), "diagram shape must be a Partition, got int 5"),
         (lambda: ComponentLabel(5), "component label must be iterable, got int 5"),
         (lambda: ComponentLabel((("A", "x"),)), "summand rank must be an int, got str x"),
         (lambda: DynkinDiagram(5, frozenset()), "nodes must be iterable, got int 5"),
@@ -514,8 +505,7 @@ class TestClassifySubdiagram:
         ),
         (
             lambda: OrbitRecord(
-                "x", ComponentLabel(()), 5,
-                FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial(),
+                "x", 5, FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial()
             ),
             "J sets must be iterable, got int 5",
         ),
@@ -531,23 +521,16 @@ class TestClassifySubdiagram:
             "diagram nodes must be distinct: (1, 1, 2, 3)",
         ),
         (
-            lambda: OrbitRecord("x", 5, ((1,),), None, None),
-            "base_label must be a ComponentLabel, got int 5",
-        ),
-        (
-            lambda: OrbitRecord("x", ComponentLabel(()), ((1,),), None, None),
+            lambda: OrbitRecord("x", ((1,),), None, None),
             "z_orbit must be a FiniteGroupDescriptor, got NoneType None",
         ),
         (
-            lambda: OrbitRecord(
-                "x", ComponentLabel(()), ((1,),), FiniteGroupDescriptor.trivial(), 2
-            ),
+            lambda: OrbitRecord("x", ((1,),), FiniteGroupDescriptor.trivial(), 2),
             "pi1 must be a FiniteGroupDescriptor, got int 2",
         ),
         (
             lambda: OrbitRecord(
-                None, ComponentLabel(()), ((1,),),
-                FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial(),
+                None, ((1,),), FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial()
             ),
             "bala_carter must be a str, got NoneType None",
         ),
@@ -558,7 +541,7 @@ class TestClassifySubdiagram:
         "ComponentLabel", "ComponentLabel-rank", "DynkinDiagram-nodes", "DynkinDiagram-edges",
         "DynkinDiagram-edge", "OrbitRecord", "FiniteGroupDescriptor",
         "FiniteGroupDescriptor.cyclic", "FiniteGroupDescriptor.elementary_abelian_2",
-        "DynkinDiagram-repeated-node", "OrbitRecord-base_label", "OrbitRecord-z_orbit",
+        "DynkinDiagram-repeated-node", "OrbitRecord-z_orbit",
         "OrbitRecord-pi1", "OrbitRecord-bala_carter",
     ],
 )

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from nilorbits.cli import main
 from nilorbits.core import InputError, ResourceBoundError, partitions_of
 from nilorbits.decomposition import summand_report
 
@@ -54,8 +57,11 @@ class TestSummandReport:
             count = sum(1 for _ in partitions_of(n + 1))
             assert total == count * n * (n + 1)
 
-    def test_multiplicities_never_claimed(self):
-        assert all(not r.multiplicity_known for r in summand_report(4))
+    def test_multiplicities_never_claimed(self, capsys):
+        assert main(["decompose", "--rank", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 7
+        assert all(r["multiplicity_known"] is False for r in payload)
 
     def test_fiber_dimension_halves_codimension(self):
         for record in summand_report(6):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nilorbits.core import InputError, LieType, Partition, SubsetJ, UnsupportedFamilyError
 from nilorbits.jordan import (
     IntMatrix,
-    jordan_partition,
+    partition_from_ranks,
     rank_sequence,
     representative_matrix,
 )
@@ -79,11 +79,11 @@ class TestIntMatrix:
     def test_term_string(self):
         m = IntMatrix.from_entries(6, {(2, 3): 1, (6, 5): -1, (3, 6): 1})
         assert m.term_string() == "E_{2,3} + E_{3,6} - E_{6,5}"
-        assert IntMatrix.zero(3).term_string() == "0"
+        assert IntMatrix([[0] * 3] * 3).term_string() == "0"
 
     def test_matmul(self):
         a = IntMatrix([[0, 1], [0, 0]])
-        assert a.matmul(a).is_zero()
+        assert not any(map(any, a.matmul(a).rows))
 
     def test_strictly_upper(self):
         assert shift_block(4).is_strictly_upper()
@@ -166,28 +166,29 @@ class TestRepresentativeMatrix:
 
 class TestJordanPartition:
     def test_zero_matrix(self):
-        assert jordan_partition(IntMatrix.zero(5)) == Partition((1, 1, 1, 1, 1))
+        zero = IntMatrix([[0] * 5] * 5)
+        assert partition_from_ranks(rank_sequence(zero)) == Partition((1, 1, 1, 1, 1))
 
     def test_empty_matrix(self):
         # The 0x0 matrix is its own zeroth power, so it is nilpotent with
         # ranks [0] and the empty Jordan type.
         empty = IntMatrix([])
         assert rank_sequence(empty) == [0]
-        assert jordan_partition(empty) == Partition(())
+        assert partition_from_ranks(rank_sequence(empty)) == Partition(())
 
     def test_single_block(self):
         for dim in (1, 2, 5, 8):
-            assert jordan_partition(shift_block(dim)) == Partition((dim,))
+            assert partition_from_ranks(rank_sequence(shift_block(dim))) == Partition((dim,))
 
     def test_c3_j1(self):
         m = representative_matrix(LieType("C", 3), SubsetJ((1,)))
         assert rank_sequence(m) == [6, 3, 2, 1, 0]
-        assert jordan_partition(m) == Partition((4, 1, 1))
+        assert partition_from_ranks(rank_sequence(m)) == Partition((4, 1, 1))
 
     def test_non_nilpotent_rejected(self):
         identity = IntMatrix.from_entries(3, {(i, i): 1 for i in range(1, 4)})
         with pytest.raises(InputError):
-            jordan_partition(identity)
+            partition_from_ranks(rank_sequence(identity))
 
     def test_partition_sums_to_dimension(self):
         for rank in range(2, 5):
@@ -196,7 +197,7 @@ class TestJordanPartition:
                     continue
                 t = LieType(family, rank)
                 m = representative_matrix(t, SubsetJ((2,)))
-                assert jordan_partition(m).total == t.matrix_dimension
+                assert partition_from_ranks(rank_sequence(m)).total == t.matrix_dimension
 
 
 def all_subsets(rank):
@@ -336,7 +337,7 @@ class TestFormulaOracleEquivalence:
         t = LieType(family, rank)
         for j in all_subsets(rank):
             formula = orbit_partition(t, j)
-            oracle = jordan_partition(representative_matrix(t, j))
+            oracle = partition_from_ranks(rank_sequence(representative_matrix(t, j)))
             assert formula == oracle, (t, j)
 
     def test_orbit_dimension_oracle_can_fail(self, monkeypatch):
@@ -388,7 +389,7 @@ class TestSharedRankTable:
                 matrix = representative_matrix(t, j)
                 assert ranks == rank_sequence(matrix)
                 assert is_upper == matrix.is_strictly_upper()
-                assert jordan.partition_from_ranks(ranks) == jordan_partition(matrix)
+                assert partition_from_ranks(ranks) == partition_from_ranks(rank_sequence(matrix))
 
     def test_tampered_columns_fail(self):
         t, mask = LieType("B", 2), 0b01  # J = {1}

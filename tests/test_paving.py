@@ -68,7 +68,7 @@ class TestLabeledDiagrams:
     def test_single_row(self):
         tym, std, sigma = labeled_diagrams(Partition((4,)))
         assert tym.rows == std.rows == ((1, 2, 3, 4),)
-        assert sigma == TableauPermutation.identity(4)
+        assert sigma == TableauPermutation(tuple(range(1, 5)))
         assert sigma.cycle_notation() == "()"
 
     def test_single_column(self):
@@ -103,7 +103,7 @@ class TestPairMatrix:
 
     def test_single_column_is_zero(self):
         tym, _, _ = labeled_diagrams(Partition((1, 1, 1, 1)))
-        assert pair_matrix(tym).is_zero()
+        assert not any(map(any, pair_matrix(tym).rows))
 
     def test_conjugation_identity(self):
         for total in range(1, 9):
@@ -133,7 +133,7 @@ class TestRootSets:
         assert phi_w(sigma) == expected
 
     def test_phi_w_identity(self):
-        assert phi_w(TableauPermutation.identity(5)) == frozenset()
+        assert phi_w(TableauPermutation(tuple(range(1, 6)))) == frozenset()
 
     def test_phi_w_reversal(self):
         w = TableauPermutation((5, 4, 3, 2, 1))
@@ -146,7 +146,7 @@ class TestRootSets:
         assert phi_w_x(sigma, p) == expected
 
     def test_phi_w_x_identity_empty(self):
-        assert phi_w_x(TableauPermutation.identity(5), Partition((3, 2))) == frozenset()
+        assert phi_w_x(TableauPermutation(tuple(range(1, 6))), Partition((3, 2))) == frozenset()
 
     def test_phi_w_x_trivial_pairs(self):
         w = TableauPermutation((4, 3, 2, 1))

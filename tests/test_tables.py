@@ -75,7 +75,7 @@ class TestRecordShape:
     def test_base_label_strips_decoration(self):
         record = table_lookup(E7, SubsetJ((1, 3)))
         assert record.bala_carter == "(A_5)''"
-        assert record.base_label.render() == "A_5"
+        assert record.base_label == "A_5"
 
     def test_a_group_derivation(self):
         # Z trivial: A is all of pi1; Z = pi1: A collapses
@@ -116,7 +116,6 @@ class TestValidation:
                 doctored.append(
                     OrbitRecord(
                         bala_carter=record.bala_carter,
-                        base_label=record.base_label,
                         j_sets=kept,
                         z_orbit=record.z_orbit,
                         pi1=record.pi1,
@@ -136,7 +135,6 @@ class TestValidation:
                 doctored.append(
                     OrbitRecord(
                         bala_carter=record.bala_carter,
-                        base_label=record.base_label,
                         j_sets=record.j_sets,
                         z_orbit=FiniteGroupDescriptor.trivial(),
                         pi1=record.pi1,
@@ -155,7 +153,6 @@ class TestValidation:
                 doctored.append(
                     OrbitRecord(
                         bala_carter="A_4",
-                        base_label=table_lookup(E6, SubsetJ((1, 2))).base_label,
                         j_sets=record.j_sets,
                         z_orbit=record.z_orbit,
                         pi1=record.pi1,
@@ -167,6 +164,21 @@ class TestValidation:
         failures = [f for c in report.checks for f in c.failures]
         assert any("label mismatch" in f for f in failures)
 
+    def test_label_text_must_be_canonical(self):
+        # The label is compared as text, so a reordered sum is a mismatch.
+        doctored = [
+            OrbitRecord("A_1 + A_2", r.j_sets, r.z_orbit, r.pi1)
+            if r.bala_carter == "A_2 + A_1" else r
+            for r in records(E6)
+        ]
+        labels = validate_records(E6, doctored).checks[2]
+        assert labels.name == "subdiagram-labels"
+        assert len(labels.failures) == 10
+        assert labels.failures[0] == (
+            "label mismatch at J={1, 2, 4}: complement classifies as A_2 + A_1,"
+            " record says 'A_1 + A_2'"
+        )
+
     def test_out_of_range_subset_is_reported_not_raised(self):
         # The Z rule would refuse J = {7} in rank 6, so that J is skipped by the
         # Z and label checks after the partition check has named it.
@@ -174,7 +186,6 @@ class TestValidation:
         doctored = [
             OrbitRecord(
                 first.bala_carter,
-                first.base_label,
                 first.j_sets + (SubsetJ((7,)),),
                 first.z_orbit,
                 first.pi1,
@@ -194,7 +205,6 @@ class TestValidation:
         with pytest.raises(DataIntegrityError):
             OrbitRecord(
                 bala_carter="A_1",
-                base_label=table_lookup(E6, SubsetJ((1, 2, 3, 4, 5))).base_label,
                 j_sets=(),
                 z_orbit=FiniteGroupDescriptor.trivial(),
                 pi1=FiniteGroupDescriptor.trivial(),

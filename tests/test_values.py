@@ -55,7 +55,7 @@ MAKERS = {
     "TableauPermutation": lambda: TableauPermutation((2, 3, 1)),
     "SummandRecord": lambda: SummandRecord(Partition((2, 2)), 4, 2, 2, (0, 1)),
     "OrbitRecord": lambda: OrbitRecord(
-        "A1", ComponentLabel((("A", 1),)), (SubsetJ((2,)), SubsetJ((1,))),
+        "A1", (SubsetJ((2,)), SubsetJ((1,))),
         FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial"),
     ),
     "TableValidationReport": lambda: TableValidationReport("E6", (CheckResult("x", 1, ()),)),
@@ -112,7 +112,7 @@ def test_positional_and_default_construction():
     assert repr(empty) == "CheckResult(name='empty', checked=0, failures=())"
     assert Partition().parts == () and SubsetJ().elements == ()
     assert FiniteGroupDescriptor("trivial").parameter is None
-    assert SummandRecord(Partition((1,)), 0, 0, 1, (0,)).multiplicity_known is False
+    assert SummandRecord(Partition((1,)), 0, 0, 1, (0,)).characters == (0,)
     # Validation and normalisation still run on construction.
     assert Partition((1, 3, 1)).parts == (3, 1, 1)
     assert SubsetJ((3, 1)).elements == (1, 3)
@@ -185,14 +185,13 @@ CONSTRUCTORS = {
     "LieType": (LieType, [st.sampled_from(FAMILIES), st.integers(1, 8)]),
     "OrbitRecord": (
         OrbitRecord,
-        [st.just("A1"), st.just(ComponentLabel((("A", 1),))), st.just([(1,), (2,)]), _GROUP, _GROUP],
+        [st.just("A1"), st.just([(1,), (2,)]), _GROUP, _GROUP],
     ),
     "Partition": (Partition, [st.just((2, 1, 1))]),
     "SubsetJ": (SubsetJ, [st.just((3, 1))]),
     "SummandRecord": (
         SummandRecord,
-        [st.just(Partition((2, 2))), st.just(4), st.just(2), st.just(2), st.just((0, 1)),
-         st.just(False)],
+        [st.just(Partition((2, 2))), st.just(4), st.just(2), st.just(2), st.just((0, 1))],
     ),
     "TableValidationReport": (TableValidationReport, [st.just("E6"), st.just(())]),
     "TableauPermutation": (TableauPermutation, [st.just((2, 3, 1))]),
