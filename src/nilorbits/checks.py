@@ -27,7 +27,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import summand_report
-from .jordan import partition_from_ranks, rank_sequence, representative_matrix
+from .jordan import _rank_chain, _representative_rows, partition_from_ranks
 from .orbits import (
     center_fiber,
     fundamental_groups,
@@ -139,10 +139,10 @@ def classical_sweep(max_rank: int) -> Sweep:
 
     The types run over A1.., B2.., C2.. and D3.. up to ``max_rank``.  Each
     (type, J) gets its orbit partition, its covering fiber and, up to
-    ORACLE_RANK, its representative matrix computed once, and each distinct
-    (type, partition) its fundamental groups, which also rejects a
-    partition of the wrong total.  J itself is rebuilt from its index for a
-    failure message, so the sweep keeps no SubsetJ alive.
+    ORACLE_RANK, its representative's sparse rows (no matrix) computed
+    once, and each distinct (type, partition) its fundamental groups, which
+    also rejects a partition of the wrong total.  J itself is rebuilt from
+    its index for a failure message, so the sweep keeps no SubsetJ alive.
     """
     sweep: Sweep = {}
     for t in _classical_ranks(max_rank):
@@ -161,9 +161,9 @@ def classical_sweep(max_rank: int) -> Sweep:
             c.pi1_orders.append(entry[1])
             c.a_orders.append(entry[2])
             if oracle:
-                matrix = representative_matrix(t, j)
-                c.ranks.append(rank_sequence(matrix))
-                c.upper.append(matrix.is_strictly_upper())
+                rows = _representative_rows(t, j)
+                c.ranks.append(_rank_chain(rows))
+                c.upper.append(all(col > r for r, row in enumerate(rows) for col, _ in row))
     return sweep
 
 
@@ -531,7 +531,7 @@ def run_all(max_rank: int = 10) -> list[CheckResult]:
     kernel-identity, type-a-exactness, partition-totals, center-divisibility
     and full-subset-zero-orbit) read one ``classical_sweep`` built for this
     run, so each classical (type, J) gets its orbit partition, covering
-    fiber and representative matrix computed once, and each distinct
+    fiber and representative rows computed once, and each distinct
     (type, partition) its fundamental groups.  The sweep is dropped before
     the paving suites, where a run reaches its peak memory.
     """

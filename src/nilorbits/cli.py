@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+
+try:  # json.encoder's own escaper, without importing json's decoder and scanner
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .core import (
     DataIntegrityError,

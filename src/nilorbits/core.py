@@ -86,9 +86,10 @@ def require_str(value, what: str) -> str:
 def require_instance(value, kind: type, what: str):
     """``value`` if it is an instance of ``kind``; anything else raises InputError."""
     if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise InputError(
-            "%s must be a %s, got %s %s"
-            % (what, kind.__name__, type(value).__name__, echo_value(value))
+            "%s must be %s %s, got %s %s"
+            % (what, article, kind.__name__, type(value).__name__, echo_value(value))
         )
     return value
 
@@ -483,7 +484,7 @@ def dynkin_diagram(t: LieType) -> DynkinDiagram:
 
     A_n is the path 1..n.  D_n attaches node n to node n-2 at the end of
     the path 1..n-1.  E_n hangs node 2 off node 4 of the path formed by
-    1-3-4-5-...-n.
+    1-3-4-5-...-n.  Each is a tree with its edges written (low, high), built trusted.
     """
     n = t.rank
     if t.family == "A":
@@ -498,7 +499,7 @@ def dynkin_diagram(t: LieType) -> DynkinDiagram:
         raise UnsupportedFamilyError(
             "family %s is not simply laced; no diagram model here" % t.family
         )
-    return DynkinDiagram(tuple(range(1, n + 1)), frozenset(edges))
+    return DynkinDiagram._trusted(tuple(range(1, n + 1)), frozenset(edges))
 
 
 def _summand_order(summand: tuple[str, int]) -> tuple[int, str]:
@@ -588,8 +589,11 @@ def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> Co
     unknown = kept - set(diagram.nodes)
     if unknown:
         raise InputError("kept nodes %r are not diagram nodes" % (sorted(unknown),))
-    full_adj = diagram.adjacency()
-    adj = {v: [u for u in full_adj[v] if u in kept] for v in kept}
+    adj: dict[int, list[int]] = {v: [] for v in kept}
+    for a, b in diagram.edges:
+        if a in kept and b in kept:
+            adj[a].append(b)
+            adj[b].append(a)
     seen: set[int] = set()
     summands = []
     for start in sorted(kept):

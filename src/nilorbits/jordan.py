@@ -1,9 +1,10 @@
 """Brute-force verification of the orbit-partition formulas.
 
-Builds the simple-root-vector representative of a subset J as an explicit
-integer matrix and reads its Jordan type off the ranks of its powers.
+Builds the simple-root-vector representative of a subset J as sparse
+integer rows and reads its Jordan type off the ranks of its powers;
+``representative_matrix`` and ``rank_sequence`` are the dense views.
 
-``rank_sequence`` never forms a power.  The rows of N^k are the rows of
+The rank chain never forms a power.  The rows of N^k are the rows of
 N^(k-1) times N, so it carries an echelon basis of each row space down a
 chain: the basis rows of row(N^(k-1)) times the sparse rows of N span
 row(N^k), and fraction-free reduction turns them into an echelon basis
@@ -34,6 +35,7 @@ from .core import (
     Value,
     check_subset_range,
     echo_value,
+    require_instance,
     require_int,
     require_iterable,
 )
@@ -92,9 +94,6 @@ class IntMatrix(Value):
         )
 
     __matmul__ = matmul
-
-    def is_strictly_upper(self) -> bool:
-        return not any(any(row[: i + 1]) for i, row in enumerate(self.rows))
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Nonzero entries as sorted 1-indexed (row, col, value) triples."""
@@ -170,65 +169,82 @@ def _simple_root_entries(family: str, n: int, i: int) -> dict[tuple[int, int], i
     raise UnsupportedFamilyError("no root-vector model for family %s" % family)
 
 
-def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
-    """Sum of the simple root vectors whose indices are *not* in J.
+def _representative_rows(t: LieType, j: SubsetJ) -> list[list[tuple[int, int]]]:
+    """The sum of the simple root vectors whose indices are *not* in J, as sparse rows.
 
-    Every entry of a simple root vector is a 1-indexed position inside the
-    defining model's dimension holding 1 or -1, by construction, so the
-    entries go straight into the grid and the rows are wrapped by
-    ``IntMatrix._trusted``.
+    Row k lists its 0-indexed (column, value) pairs in column order; no two
+    simple root vectors share a position.
     """
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "representative matrices exist only for classical families, not %s" % t.family
         )
     check_subset_range(t, j)
-    n = t.rank
-    dim = t.matrix_dimension
-    grid = [[0] * dim for _ in range(dim)]
+    n, skip = t.rank, j.elements
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(t.matrix_dimension)]
     for i in range(1, n + 1):
-        if i in j:
-            continue
-        for (r, c), v in _simple_root_entries(t.family, n, i).items():
-            grid[r - 1][c - 1] = v
-    return IntMatrix._trusted(tuple(map(tuple, grid)))
+        if i not in skip:
+            for (r, c), v in _simple_root_entries(t.family, n, i).items():
+                rows[r - 1].append((c - 1, v))
+    return rows
+
+
+def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
+    """The dense view of ``_representative_rows``, wrapped by ``IntMatrix._trusted``."""
+    require_instance(t, LieType, "Lie type")
+    require_instance(j, SubsetJ, "subset")
+    rows = _representative_rows(t, j)
+    cols, zeros = range(len(rows)), [0] * len(rows)
+    return IntMatrix._trusted(tuple(tuple(map(dict(row).get, cols, zeros)) for row in rows))
 
 
 def rank_sequence(m: IntMatrix) -> list[int]:
     """Ranks of successive powers, starting at rank(m^0) = dim, ending at 0.
 
-    Row i of m^k is row i of m^(k-1) times m, so the row space of m^k is
-    the row space of m^(k-1) times m.  The chain starts from the unit rows
-    of m^0, multiplies the r_(k-1) rows of an echelon basis of each row
-    space by the sparse rows of m, and reduces the products into an
-    echelon basis of the next row space, whose size is r_k.  No power of
-    m is ever formed.  Raises if the matrix is not nilpotent (no power up
-    to the dimension vanishes); the 0x0 matrix is nilpotent, with ranks [0].
+    Raises if m is not nilpotent (no power up to the dimension vanishes);
+    the 0x0 matrix is nilpotent, with ranks [0].
     """
-    dim = m.dim
-    if not dim:
-        return [0]
-    cols = range(dim)
-    # Row k of m as its nonzero (column, value) pairs.
-    m_rows = [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
-    basis = [{i: 1} for i in cols]
-    ranks = [dim]
-    for _ in cols:
+    cols = range(require_instance(m, IntMatrix, "matrix").dim)
+    return _rank_chain([[(j, row[j]) for j in compress(cols, row)] for row in m.rows])
+
+
+def _rank_chain(rows: list[list[tuple[int, int]]]) -> list[int]:
+    """``rank_sequence`` of the matrix m whose row k has the nonzero (column, value) pairs rows[k].
+
+    The chain of the module docstring, from the unit rows of m^0.  A basis
+    row with one entry scales one row of m, and adds nothing if that row
+    is empty; if it has one entry, in a column with no pivot yet, the
+    product joins the basis as the +-1 that ``_reduce_into`` would store.
+    """
+    basis = [{i: 1} for i in range(len(rows))]
+    ranks = [len(basis)]
+    while basis:
+        if len(ranks) > len(rows):
+            raise InputError(
+                "matrix is not nilpotent: rank of the %d-th power is %d" % (len(rows), ranks[-1])
+            )
         echelon: dict[int, dict[int, int]] = {}
         for b in basis:
-            product: dict[int, int] = {}
-            for k, x in b.items():
-                for j, y in m_rows[k]:
-                    product[j] = product.get(j, 0) + x * y
+            if len(b) == 1:
+                [(k, x)] = b.items()
+                row = rows[k]
+                if not row:
+                    continue
+                if len(row) == 1 and row[0][0] not in echelon:
+                    [(col, y)] = row
+                    echelon[col] = {col: 1 if x * y > 0 else -1}
+                    continue
+                product = {col: x * y for col, y in row}
+            else:
+                product = {}
+                for k, x in b.items():
+                    for col, y in rows[k]:
+                        product[col] = product.get(col, 0) + x * y
             if product:
                 _reduce_into(echelon, product)
         basis = list(echelon.values())
         ranks.append(len(basis))
-        if not basis:
-            return ranks
-    raise InputError(
-        "matrix is not nilpotent: rank of the %d-th power is %d" % (dim, ranks[-1])
-    )
+    return ranks
 
 
 def _reduce_into(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> None:

@@ -23,7 +23,7 @@ from nilorbits.core import (
     syt_count,
 )
 from nilorbits.decomposition import summand_report
-from nilorbits.jordan import IntMatrix
+from nilorbits.jordan import IntMatrix, rank_sequence, representative_matrix
 from nilorbits.orbits import FiniteGroupDescriptor
 from nilorbits.paving import LabeledDiagram, TableauPermutation
 from nilorbits.tables import OrbitRecord
@@ -534,6 +534,27 @@ class TestClassifySubdiagram:
             ),
             "bala_carter must be a str, got NoneType None",
         ),
+        (
+            lambda: representative_matrix("A3", SubsetJ(())),
+            "Lie type must be a LieType, got str A3",
+        ),
+        (
+            lambda: representative_matrix(None, SubsetJ(())),
+            "Lie type must be a LieType, got NoneType None",
+        ),
+        (
+            lambda: representative_matrix(LieType("A", 3), (1,)),
+            "subset must be a SubsetJ, got tuple (1,)",
+        ),
+        (
+            lambda: representative_matrix(LieType("A", 3), [1]),
+            "subset must be a SubsetJ, got list [1]",
+        ),
+        (
+            lambda: rank_sequence([[0, 1], [0, 0]]),
+            "matrix must be an IntMatrix, got list [[0, 1], [0, 0]]",
+        ),
+        (lambda: rank_sequence(5), "matrix must be an IntMatrix, got int 5"),
     ],
     ids=[
         "Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of",
@@ -543,6 +564,9 @@ class TestClassifySubdiagram:
         "FiniteGroupDescriptor.cyclic", "FiniteGroupDescriptor.elementary_abelian_2",
         "DynkinDiagram-repeated-node", "OrbitRecord-z_orbit",
         "OrbitRecord-pi1", "OrbitRecord-bala_carter",
+        "representative_matrix-str", "representative_matrix-None",
+        "representative_matrix-tuple", "representative_matrix-list",
+        "rank_sequence-list", "rank_sequence-int",
     ],
 )
 def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):

@@ -5,11 +5,13 @@ import importlib
 import os
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 
 import nilorbits
+from nilorbits import cli
 
 PACKAGE = Path(nilorbits.__file__).parent
 TESTS = Path(__file__).parent
@@ -252,18 +254,26 @@ def test_json_answers_are_written_by_the_cli_writer_only():
                 json_imports += [
                     (path.name, a.name, None) for a in node.names if a.name.split(".")[0] == "json"
                 ]
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in (
+                "json", "_json"
+            ):
                 json_imports += [(path.name, node.module, a.name) for a in node.names]
     assert dumps_calls == []
-    assert json_imports == [("cli.py", "json.encoder", "encode_basestring_ascii")]
+    # The C escaper itself, and json.encoder's binding of it where _json is missing.
+    assert json_imports == [
+        ("cli.py", "_json", "encode_basestring_ascii"),
+        ("cli.py", "json.encoder", "encode_basestring_ascii"),
+    ]
+    assert cli.encode_basestring_ascii is encode_basestring_ascii
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
     # Deterministic stand-in for the cold-start time of one CLI call; only
-    # build_parser, for help and malformed vectors, imports argparse.
+    # build_parser, for help and malformed vectors, imports argparse, and
+    # the JSON writer takes its escaper from _json, not from the json package.
     code = "import sys, nilorbits.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    modules = ["dataclasses", "inspect", "nilorbits.checks", "argparse", "gettext"]
+    modules = ["dataclasses", "inspect", "nilorbits.checks", "argparse", "gettext", "json"]
     out = subprocess.run(
         [sys.executable, "-c", code, *modules],
         env=env, capture_output=True, text=True, check=True, timeout=60,

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nilorbits.core import InputError, LieType, Partition, SubsetJ, UnsupportedFamilyError
 from nilorbits.jordan import (
     IntMatrix,
+    _rank_chain,
+    _representative_rows,
     partition_from_ranks,
     rank_sequence,
     representative_matrix,
@@ -41,6 +43,11 @@ def fraction_rank(rows):
                 m[r][c] -= factor * m[rank][c]
         rank += 1
     return rank
+
+
+def strictly_upper(rows):
+    """Whether every entry on or below the diagonal of the dense ``rows`` is zero."""
+    return not any(any(row[: i + 1]) for i, row in enumerate(rows))
 
 
 def shift_block(dim):
@@ -86,8 +93,8 @@ class TestIntMatrix:
         assert not any(map(any, a.matmul(a).rows))
 
     def test_strictly_upper(self):
-        assert shift_block(4).is_strictly_upper()
-        assert not IntMatrix.from_entries(3, {(2, 1): 1}).is_strictly_upper()
+        assert strictly_upper(shift_block(4).rows)
+        assert not strictly_upper(IntMatrix.from_entries(3, {(2, 1): 1}).rows)
 
     @given(
         st.integers(min_value=1, max_value=5).flatmap(
@@ -325,6 +332,7 @@ class TestFormulaOracleEquivalence:
                     ranks = rank_sequence(m)
                     assert ranks == dense_power_ranks(rows), (t, j)
                     assert power_ranks(m) == ranks, (t, j)
+                    assert _rank_chain(_representative_rows(t, j)) == ranks, (t, j)
 
     @pytest.mark.parametrize(
         "family,rank",
@@ -366,7 +374,7 @@ class TestFormulaOracleEquivalence:
         for rank in range(1, 7):
             for j in all_subsets(rank):
                 m = representative_matrix(LieType("A", rank), j)
-                assert m.is_strictly_upper()
+                assert strictly_upper(m.rows)
 
 
 def classical_types(max_rank):
@@ -381,15 +389,23 @@ class TestSharedRankTable:
     """The oracle columns of ``checks.classical_sweep``."""
 
     def test_columns_match_representatives(self):
+        # The sweep reads sparse rows; the references read the dense matrix.
         sweep = checks.classical_sweep(4)
         assert list(sweep) == classical_types(4)
+        uppers = Counter()
         for t, c in sweep.items():
             assert len(c.ranks) == len(c.upper) == 1 << t.rank
             for j, ranks, is_upper in zip(all_subsets(t.rank), c.ranks, c.upper):
-                matrix = representative_matrix(t, j)
-                assert ranks == rank_sequence(matrix)
-                assert is_upper == matrix.is_strictly_upper()
-                assert partition_from_ranks(ranks) == partition_from_ranks(rank_sequence(matrix))
+                rows = representative_matrix(t, j).rows
+                assert ranks == dense_power_ranks(rows), (t, j)
+                assert is_upper is strictly_upper(rows), (t, j)
+                uppers[t.family, is_upper] += 1
+        # Every type-A root vector is upper; in B, C and D each one has an
+        # entry below the diagonal, except the last root of C and of D.
+        assert uppers == {
+            ("A", True): 30, ("B", True): 3, ("B", False): 25,
+            ("C", True): 6, ("C", False): 22, ("D", True): 4, ("D", False): 20,
+        }
 
     def test_tampered_columns_fail(self):
         t, mask = LieType("B", 2), 0b01  # J = {1}
@@ -409,3 +425,37 @@ class TestSharedRankTable:
         profile = checks.check_oracle_rank_profile(sweep)
         assert "A2 J={2}: representative not strictly upper" in profile.failures
         assert profile.checked == checked
+
+
+class TestOracleMutants:
+    """A wrong root-vector model in ``jordan`` fails the suites that read the sweep."""
+
+    @staticmethod
+    def patch_last_root(monkeypatch, family, entries):
+        original = jordan._simple_root_entries
+
+        def mutant(fam, n, i):
+            return entries(n) if fam == family and i == n else original(fam, n, i)
+
+        monkeypatch.setattr(jordan, "_simple_root_entries", mutant)
+
+    def test_moved_type_d_root_fails_formula_oracle(self, monkeypatch):
+        # E_{n-1,2n} - E_{n,2n-1} moved to E_{n-1,2n-1} - E_{n,2n}.
+        self.patch_last_root(monkeypatch, "D", lambda n: {(n - 1, 2 * n - 1): 1, (n, 2 * n): -1})
+        failures = checks.check_formula_oracle(checks.classical_sweep(5)).failures
+        assert "D3 J={}: formula [5, 1] vs oracle [6]" in failures
+        assert len(failures) == 21 and all(f.startswith("D") for f in failures)
+
+    def test_lower_type_a_entry_fails_the_rank_profile(self, monkeypatch):
+        # The last root vector of A_n written E_{n+1,n}: in A_1 the Jordan type
+        # stays [2], so only the triangle test sees it.
+        self.patch_last_root(monkeypatch, "A", lambda n: {(n + 1, n): 1})
+        profile = checks.check_oracle_rank_profile(checks.classical_sweep(5))
+        expected = [
+            "A%d J=%s: representative not strictly upper" % (n, j)
+            for n in range(1, 6)
+            for j in all_subsets(n)
+            if n not in j
+        ]
+        assert sorted(profile.failures) == sorted(expected)
+        assert len(expected) == 31 and profile.checked == 238

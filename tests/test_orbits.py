@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from nilorbits import checks
+from nilorbits import checks, jordan
 from nilorbits.cli import EXIT_OK, main
 from nilorbits.core import (
     InputError,
@@ -434,7 +434,7 @@ class TestSharedJTable:
     def test_run_all_builds_one_sweep(self, monkeypatch):
         # One sweep feeds the seven classical suites, and over the whole run
         # each classical (type, J) gets its partition, its fiber and its
-        # representative matrix computed once; no other representative is built.
+        # representative's rows computed once; no dense representative is built.
         calls, sweeps = Counter(), []
 
         def counted(tag, fn):
@@ -452,9 +452,11 @@ class TestSharedJTable:
 
             return wrapper
 
-        counted_names = {"P": "orbit_partition", "Z": "center_fiber", "M": "representative_matrix"}
+        counted_names = {"P": "orbit_partition", "Z": "center_fiber", "M": "_representative_rows"}
         for tag, name in counted_names.items():
             monkeypatch.setattr(checks, name, counted(tag, getattr(checks, name)))
+        dense = counted("D", jordan.representative_matrix)
+        monkeypatch.setattr(jordan, "representative_matrix", dense)
         monkeypatch.setattr(checks, "classical_sweep", traced(checks.classical_sweep, True))
         for suite in SWEEP_SUITES:
             monkeypatch.setattr(checks, suite.__name__, traced(suite, False))
@@ -467,3 +469,4 @@ class TestSharedJTable:
             per_pair = {(t, j): n for (g, t, j), n in calls.items() if g == tag and t.is_classical}
             assert per_pair == dict.fromkeys(pairs, 1), counted_names[tag]
         assert sum(n for (g, _, _), n in calls.items() if g == "M") == len(pairs)
+        assert not any(g == "D" for g, _, _ in calls)

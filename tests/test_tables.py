@@ -4,6 +4,7 @@ import pytest
 
 from nilorbits.core import (
     DataIntegrityError,
+    DynkinDiagram,
     InputError,
     LieType,
     SubsetJ,
@@ -107,6 +108,20 @@ class TestValidation:
         report = validate_tables(E7)
         assert report.ok
         assert [c.checked for c in report.checks] == [128, 128, 128, 32]
+
+    def test_validation_builds_no_adjacency(self, monkeypatch):
+        # Each J's induced subgraph comes from the diagram's edges; the one
+        # diagram is built trusted, so no adjacency map is built at all.
+        calls = []
+        adjacency = DynkinDiagram.adjacency
+
+        def counted(diagram):
+            calls.append(diagram)
+            return adjacency(diagram)
+
+        monkeypatch.setattr(DynkinDiagram, "adjacency", counted)
+        assert validate_tables(E7).ok
+        assert calls == []
 
     def test_missing_subset_is_named(self):
         doctored = []

@@ -27,6 +27,7 @@ from nilorbits.core import (
 from nilorbits.decomposition import SummandRecord
 from nilorbits.jordan import (
     IntMatrix,
+    _representative_rows,
     _simple_root_entries,
     partition_from_ranks,
     representative_matrix,
@@ -40,6 +41,7 @@ from nilorbits.orbits import (
 )
 from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
 from nilorbits.tables import OrbitRecord, TableValidationReport
+from test_jordan import strictly_upper
 
 # Each builds a fresh instance per call, positionally as the library and tests do.
 MAKERS = {
@@ -327,7 +329,9 @@ def test_representative_matrix_equals_the_validated_build():
                 assert m == expected and m.dim == expected.dim
                 assert all(type(row) is tuple for row in m.rows)
                 upper = all(m.rows[r][c] == 0 for r in range(m.dim) for c in range(r + 1))
-                assert m.is_strictly_upper() is upper
+                assert strictly_upper(m.rows) is upper
+                sparse = [[(c, v) for c, v in enumerate(row) if v] for row in expected.rows]
+                assert _representative_rows(t, j) == sparse
                 checked += 1
     assert checked == 2**7 - 2 + 2 * (2**7 - 4) + 2**7 - 8
 
@@ -354,6 +358,15 @@ def test_shared_center_fibers_equal_fresh_builds():
             z.kind = "cyclic"
         with pytest.raises(AttributeError):
             z.parameter = 5
+
+
+def test_dynkin_diagrams_equal_the_validated_build():
+    types = [LieType("A", r) for r in range(1, 9)] + [LieType("D", r) for r in range(3, 9)]
+    for t in types + [LieType.of(f) for f in ("E6", "E7", "E8")]:
+        diagram = dynkin_diagram(t)
+        rebuilt = DynkinDiagram(diagram.nodes, diagram.edges)
+        assert diagram == rebuilt and hash(diagram) == hash(rebuilt)
+        assert diagram.nodes == rebuilt.nodes and diagram.edges == rebuilt.edges
 
 
 def test_classified_labels_equal_the_validated_build():
