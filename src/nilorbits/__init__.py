@@ -41,7 +41,6 @@ from .paving import (
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
-    pair_matrix,
     phi_w,
     phi_w_x,
     phi_x,
@@ -90,7 +89,6 @@ __all__ = [
     "max_cell_dimension",
     "orbit_dimension_type_a",
     "orbit_partition",
-    "pair_matrix",
     "partitions_of",
     "phi_w",
     "phi_w_x",

@@ -40,7 +40,6 @@ from .paving import (
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
-    pair_matrix,
     phi_w,
 )
 from .tables import records, validate_tables
@@ -401,7 +400,8 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
     """Root-set structure: non-overlap, matrix conjugation, nonempty cells.
 
     Non-overlap: no root of phi_x nests inside another.  Conjugation: the
-    Tym pair matrix is the Std pair matrix relabelled through sigma.  For
+    Tym pairs are the Std pairs relabelled through sigma, which for their
+    0/1 pair matrices is the statement M^Tym = sigma M^Std sigma^-1.  For
     every enumerated cell w, read off the blocks of ``enumerate_cells`` as
     prefix + suffix under the dimension they are listed at, relabelling the
     Tym matrix through w^-1 is strictly upper triangular, and that
@@ -418,15 +418,7 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
                 for (k, l) in roots:
                     if (i, j) != (k, l) and i <= k < l <= j:
                         failures.append("%s: roots (%d,%d) and (%d,%d) overlap" % (p, i, j, k, l))
-            m_tym = pair_matrix(tym)
-            m_std = pair_matrix(std)
-            size = p.total
-            mismatch = any(
-                m_tym.entry(sigma(k), sigma(l)) != m_std.entry(k, l)
-                for k in range(1, size + 1)
-                for l in range(1, size + 1)
-            )
-            if mismatch:
+            if {(sigma(k), sigma(l)) for k, l in std.pairs()} != roots:
                 failures.append("%s: conjugation identity fails" % p)
     for total in range(1, max_total_cells + 1):
         for p in partitions_of(total):

@@ -36,7 +36,6 @@ from .paving import (
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
-    pair_matrix,
     phi_w,
     render_root_set,
 )
@@ -296,8 +295,8 @@ def cmd_paving(args) -> int:
         "Y^Tym rows: %s" % tym.render_rows(),
         "Y^Std rows: %s" % std.render_rows(),
         "sigma: %s" % sigma.cycle_notation(),
-        "M^Std: %s" % pair_matrix(std).term_string(),
-        "M^Tym: %s" % pair_matrix(tym).term_string(),
+        "M^Std: %s" % std.render_matrix(),
+        "M^Tym: %s" % tym.render_matrix(),
         "Phi_x: %s" % render_root_set(in_x),
         "Phi_sigma: %s" % render_root_set(in_sigma),
         "Phi_sigma_x: %s" % render_root_set(_split_roots(in_sigma, in_x)),

@@ -37,20 +37,22 @@ class SummandRecord(Value):
     __slots__ = ("partition", "orbit_dimension", "fiber_dimension", "c", "characters")
 
 
-def summand_report(n: int, bound: int = DEFAULT_RANK_BOUND) -> list[SummandRecord]:
+def summand_report(n: int) -> list[SummandRecord]:
     """One record per partition of n+1, sorted by orbit dimension descending.
 
     Ties break on the partition tuple, so output order is deterministic.
-    A non-int ``n`` or ``bound`` (a bool too) raises InputError before
-    any work.  Each record is correct by construction and is built by
+    A non-int ``n`` (a bool too) raises InputError before any work, and
+    an ``n`` above ``DEFAULT_RANK_BOUND`` raises ResourceBoundError.
+    Each record is correct by construction and is built by
     ``SummandRecord._trusted``.
     """
     require_int(n, "rank")
-    require_int(bound, "bound")
     if n < 1:
         raise InputError("rank must be >= 1, got %s" % echo_value(n))
-    if n > bound:
-        raise ResourceBoundError("rank %s exceeds the report bound %d" % (echo_value(n), bound))
+    if n > DEFAULT_RANK_BOUND:
+        raise ResourceBoundError(
+            "rank %s exceeds the report bound %d" % (echo_value(n), DEFAULT_RANK_BOUND)
+        )
     trusted = SummandRecord._trusted
     # c -> the characters 0..c-1, one tuple shared by every record with that c.
     characters: dict[int, tuple[int, ...]] = {}

@@ -34,7 +34,6 @@ from .core import (
     UnsupportedFamilyError,
     Value,
     check_subset_range,
-    echo_value,
     require_instance,
     require_int,
     require_iterable,
@@ -59,32 +58,6 @@ class IntMatrix(Value):
     def dim(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def from_entries(cls, dim: int, entries: dict[tuple[int, int], int]) -> "IntMatrix":
-        """Build from 1-indexed (row, col) -> value assignments.
-
-        ``dim``, each position and each value must be ints (not bools);
-        a negative ``dim`` is refused.
-        """
-        require_int(dim, "matrix dimension")
-        if dim < 0:
-            raise InputError("matrix dimension must be >= 0, got %s" % echo_value(dim))
-        grid = [[0] * dim for _ in range(dim)]
-        for (i, j), v in entries.items():
-            require_int(i, "entry row")
-            require_int(j, "entry column")
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise InputError(
-                    "entry position (%s, %s) outside dimension %d"
-                    % (echo_value(i), echo_value(j), dim)
-                )
-            grid[i - 1][j - 1] = require_int(v, "matrix entry")
-        return cls._trusted(tuple(map(tuple, grid)))
-
-    def entry(self, i: int, j: int) -> int:
-        """1-indexed entry access."""
-        return self.rows[i - 1][j - 1]
-
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise InputError("dimension mismatch in matrix product")
@@ -94,31 +67,6 @@ class IntMatrix(Value):
         )
 
     __matmul__ = matmul
-
-    def terms(self) -> list[tuple[int, int, int]]:
-        """Nonzero entries as sorted 1-indexed (row, col, value) triples."""
-        return [
-            (i + 1, j + 1, v)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if v
-        ]
-
-    def term_string(self) -> str:
-        """Render as a signed sum of elementary matrices, e.g. E_{1,2} + E_{3,4}."""
-        terms = self.terms()
-        if not terms:
-            return "0"
-        pieces = []
-        for i, j, v in terms:
-            unit = "E_{%d,%d}" % (i, j)
-            if abs(v) != 1:
-                unit = "%d*%s" % (abs(v), unit)
-            if not pieces:
-                pieces.append(unit if v > 0 else "-" + unit)
-            else:
-                pieces.append(("+ " if v > 0 else "- ") + unit)
-        return " ".join(pieces)
 
     def rank(self) -> int:
         """Exact rank by textbook fraction-free (Bareiss) elimination.

@@ -98,25 +98,27 @@ class FiniteGroupDescriptor(Value):
     def trivial(cls) -> "FiniteGroupDescriptor":
         return cls("trivial")
 
+    # The three factories below check their int, then build unchecked;
+    # order 1 and exponent 0 give the shared trivial group.
     @classmethod
     def cyclic(cls, c: int) -> "FiniteGroupDescriptor":
         if require_int(c, "cyclic order") < 1:
             raise InputError("cyclic order must be >= 1, got %s" % echo_value(c))
-        if c == 1:
-            return cls("trivial")
-        return cls("cyclic", c)
+        return _TRIVIAL if c == 1 else cls._trusted("cyclic", c)
 
     @classmethod
     def elementary_abelian_2(cls, k: int) -> "FiniteGroupDescriptor":
         if require_int(k, "exponent") < 0:
             raise InputError("exponent must be >= 0, got %s" % echo_value(k))
-        if k == 0:
-            return cls("trivial")
-        return cls("elementary_abelian_2", k)
+        return _TRIVIAL if k == 0 else cls._trusted("elementary_abelian_2", k)
 
     @classmethod
     def central_extension_2(cls, k: int) -> "FiniteGroupDescriptor":
-        return cls("central_extension_2", k)
+        if k is None:
+            raise InputError("kind central_extension_2 needs a parameter")
+        if require_int(k, "central_extension_2 parameter") < 0:
+            raise InputError("exponent must be >= 0")
+        return cls._trusted("central_extension_2", k)
 
     @classmethod
     def klein_four(cls) -> "FiniteGroupDescriptor":
@@ -143,20 +145,6 @@ _Z4 = FiniteGroupDescriptor.cyclic(4)
 _KLEIN_FOUR = FiniteGroupDescriptor.klein_four()
 
 
-# Unchecked twins of the factories, for an order or exponent that the caller
-# derived in range: c >= 1, k >= 0.  Order 1 is the shared trivial group.
-def _cyclic(c: int) -> FiniteGroupDescriptor:
-    return _TRIVIAL if c == 1 else FiniteGroupDescriptor._trusted("cyclic", c)
-
-
-def _elementary_abelian_2(k: int) -> FiniteGroupDescriptor:
-    return _TRIVIAL if k == 0 else FiniteGroupDescriptor._trusted("elementary_abelian_2", k)
-
-
-def _central_extension_2(k: int) -> FiniteGroupDescriptor:
-    return FiniteGroupDescriptor._trusted("central_extension_2", k)
-
-
 def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     """Covering-fiber group over the torus orbit indexed by J.
 
@@ -165,14 +153,14 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     gcd({n+1}) = n+1).  E8, F4 and G2 have trivial center, hence a
     trivial fiber for every J.  Outside type A the group is one of 1,
     Z/2, Z/3, Z/4 and Z/2 x Z/2, returned as a shared module-level
-    descriptor that was validated once at import; type A builds Z/c
-    unchecked, c being a gcd with n + 1 >= 2.
+    descriptor that was built once at import; type A builds Z/c through
+    ``FiniteGroupDescriptor.cyclic``, c being a gcd with n + 1 >= 2.
     """
     check_subset_range(t, j)
     fam, n = t.family, t.rank
     elems = j.elements
     if fam == "A":
-        return _cyclic(gcd_of_set(elems, n + 1))
+        return FiniteGroupDescriptor.cyclic(gcd_of_set(elems, n + 1))
     if fam == "B":
         return _Z2 if all(v % 2 == 0 for v in elems) else _TRIVIAL
     if fam == "C":
@@ -325,26 +313,27 @@ def fundamental_groups(
     # The checked partition is not empty, and an odd total (type B) has an
     # odd part, so each order and exponent below is in range.
     if fam == "A":
-        return _cyclic(p.gcd()), _TRIVIAL
+        return FiniteGroupDescriptor.cyclic(p.gcd()), _TRIVIAL
+    elementary = FiniteGroupDescriptor.elementary_abelian_2
     if fam == "C":
         even_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2 == 0)
         # An even part of odd multiplicity makes b >= 1.
-        return _elementary_abelian_2(b), _elementary_abelian_2(b if even_ok else b - 1)
+        return elementary(b), elementary(b if even_ok else b - 1)
     # Rather odd (every odd part occurs exactly once), read off the same count.
     rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
     if fam == "B":
         if rather_odd:
-            pi1 = _central_extension_2(a - 1)
+            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
         else:
-            pi1 = _elementary_abelian_2(a - 1)
-        return pi1, _elementary_abelian_2(a - 1)
+            pi1 = elementary(a - 1)
+        return pi1, elementary(a - 1)
     k = max(0, a - 1)
     if rather_odd:
-        pi1 = _central_extension_2(k)
+        pi1 = FiniteGroupDescriptor.central_extension_2(k)
     else:
-        pi1 = _elementary_abelian_2(k)
+        pi1 = elementary(k)
     odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
-    a_group = _elementary_abelian_2(k if odd_ok else max(0, a - 2))
+    a_group = elementary(k if odd_ok else max(0, a - 2))
     return pi1, a_group
 
 

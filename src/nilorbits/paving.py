@@ -47,7 +47,6 @@ from .core import (
     require_int,
     require_iterable,
 )
-from .jordan import IntMatrix
 
 DEFAULT_CELL_BOUND = 9
 # Caps that the ``bound`` argument cannot lift.  A listing holds at most as
@@ -92,6 +91,10 @@ class LabeledDiagram(Value):
 
     def render_rows(self) -> str:
         return " ".join("[" + ",".join(map(str, row)) + "]" for row in self.rows)
+
+    def render_matrix(self) -> str:
+        """The pair matrix, a one at (i, j) for each pair (i|j), as E_{i,j} terms in (i, j) order."""
+        return " + ".join("E_{%d,%d}" % pair for pair in sorted(self.pairs())) or "0"
 
 
 class TableauPermutation(Value):
@@ -281,12 +284,6 @@ def labeled_diagrams(
         LabeledDiagram._trusted(p, tuple(map(tuple, std_rows))),
         TableauPermutation._trusted(tuple(sigma)),
     )
-
-
-def pair_matrix(d: LabeledDiagram) -> IntMatrix:
-    """0/1 matrix with a one at (i, j) for every pair (i|j) of the labeling."""
-    require_instance(d, LabeledDiagram, "labeled diagram")
-    return IntMatrix.from_entries(d.shape.total, {pair: 1 for pair in d.pairs()})
 
 
 def phi_x(p: Partition) -> frozenset[RootPair]:

@@ -25,7 +25,6 @@ from nilorbits.paving import (
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
-    pair_matrix,
     phi_w,
     phi_w_x,
     phi_x,
@@ -63,8 +62,8 @@ def test_criterion_1_staircase_labelings():
         assert tym.rows == ((3, 5), (2, 4), (1,))
         assert std.rows == ((1, 2), (3, 4), (5,))
         assert sigma.cycle_notation() == "(1 3 2 5)"
-        assert pair_matrix(std).terms() == [(1, 2, 1), (3, 4, 1)]
-        assert pair_matrix(tym).terms() == [(2, 4, 1), (3, 5, 1)]
+        assert std.render_matrix() == "E_{1,2} + E_{3,4}"
+        assert tym.render_matrix() == "E_{2,4} + E_{3,5}"
 
 
 def test_criterion_2_root_sets_and_dimensions():

@@ -23,7 +23,6 @@ from nilorbits.paving import (
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
-    pair_matrix,
     phi_w,
     phi_w_x,
     phi_x,
@@ -92,27 +91,70 @@ class TestLabeledDiagrams:
                 assert all(a < b for a, b in tym.pairs())
 
 
+def dense_terms(d):
+    """The 0/1 pair matrix of ``d`` built densely, read back as sorted (row, col, value) triples."""
+    size = d.shape.total
+    grid = [[0] * size for _ in range(size)]
+    for i, j in d.pairs():
+        grid[i - 1][j - 1] = 1
+    return [(i + 1, j + 1, v) for i, row in enumerate(grid) for j, v in enumerate(row) if v]
+
+
 class TestPairMatrix:
+    # The pair matrix M of a labeling has a one at (i, j) for each pair (i|j) and
+    # zeros elsewhere, so the labeling's pairs describe it.
     def test_std_staircase(self):
         _, std, _ = labeled_diagrams(Partition((2, 2, 1)))
-        assert pair_matrix(std).terms() == [(1, 2, 1), (3, 4, 1)]
+        assert dense_terms(std) == [(1, 2, 1), (3, 4, 1)]
 
     def test_tym_staircase(self):
         tym, _, _ = labeled_diagrams(Partition((2, 2, 1)))
-        assert pair_matrix(tym).terms() == [(2, 4, 1), (3, 5, 1)]
+        assert dense_terms(tym) == [(2, 4, 1), (3, 5, 1)]
 
     def test_single_column_is_zero(self):
         tym, _, _ = labeled_diagrams(Partition((1, 1, 1, 1)))
-        assert not any(map(any, pair_matrix(tym).rows))
+        assert tym.pairs() == () and dense_terms(tym) == []
 
     def test_conjugation_identity(self):
+        # M^Tym[sigma(k), sigma(l)] == M^Std[k, l] for every k, l, read entry by entry.
         for total in range(1, 9):
             for p in partitions_of(total):
                 tym, std, sigma = labeled_diagrams(p)
-                m_tym, m_std = pair_matrix(tym), pair_matrix(std)
+                ones_tym, ones_std = set(tym.pairs()), set(std.pairs())
                 for k in range(1, total + 1):
                     for l in range(1, total + 1):
-                        assert m_tym.entry(sigma(k), sigma(l)) == m_std.entry(k, l)
+                        assert ((sigma(k), sigma(l)) in ones_tym) == ((k, l) in ones_std)
+
+    def test_render_matrix(self):
+        d = LabeledDiagram(Partition((3, 2)), ((2, 4, 5), (1, 3)))
+        assert d.pairs() == ((2, 4), (4, 5), (1, 3))
+        assert d.render_matrix() == "E_{1,3} + E_{2,4} + E_{4,5}"
+        assert LabeledDiagram(Partition((1, 1, 1)), ((3,), (1,), (2,))).render_matrix() == "0"
+        # The text lists the terms of the dense pair matrix in row-major order.
+        for total in range(1, 9):
+            for p in partitions_of(total):
+                for d in labeled_diagrams(p)[:2]:
+                    expected = " + ".join("E_{%d,%d}" % (i, j) for i, j, _ in dense_terms(d))
+                    assert d.render_matrix() == (expected or "0")
+
+    def test_a_wrong_sigma_fails_the_conjugation_identity(self, monkeypatch):
+        # sigma composed with the transposition (1 2) sends the Std pair (1|2)
+        # of a first row of length >= 2 to (sigma(2), sigma(1)), which falls
+        # while every Tym pair rises; a single column has no pair to move.
+        def swapped(p):
+            tym, std, sigma = labeled_diagrams(p)
+            w = sigma.one_line
+            return tym, std, TableauPermutation(w[1::-1] + w[2:])
+
+        monkeypatch.setattr(checks, "labeled_diagrams", swapped)
+        result = checks.check_paving_structure(5, 0)
+        assert result.checked == 18
+        assert list(result.failures) == [
+            "%s: conjugation identity fails" % p
+            for total in range(1, 6)
+            for p in partitions_of(total)
+            if p.parts[0] > 1
+        ]
 
 
 class TestRootSets:
@@ -494,7 +536,6 @@ ENTRY_POINTS = {
     "enumerate_cells": enumerate_cells,
     "labeled_diagrams": labeled_diagrams,
     "max_cell_dimension": max_cell_dimension,
-    "pair_matrix": pair_matrix,
     "phi_w": phi_w,
     "phi_w_x-p": lambda junk: phi_w_x(TableauPermutation((2, 3, 1)), junk),
     "phi_w_x-w": lambda junk: phi_w_x(junk, Partition((2, 1))),

@@ -41,7 +41,7 @@ from nilorbits.orbits import (
 )
 from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
 from nilorbits.tables import OrbitRecord, TableValidationReport
-from test_jordan import strictly_upper
+from test_jordan import matrix, strictly_upper
 
 # Each builds a fresh instance per call, positionally as the library and tests do.
 MAKERS = {
@@ -132,8 +132,8 @@ NON_INT_ENTRIES = {
         lambda: TableauPermutation((2, "1")), "permutation entry must be an int, got str 1"
     ),
     "IntMatrix": (lambda: IntMatrix([[1.9]]), "matrix entry must be an int, got float 1.9"),
-    "IntMatrix.from_entries": (
-        lambda: IntMatrix.from_entries(2, {(1, 2): True}),
+    "IntMatrix bool entry": (
+        lambda: IntMatrix([[0, True], [0, 0]]),
         "matrix entry must be an int, got bool True",
     ),
     "FiniteGroupDescriptor": (
@@ -314,7 +314,8 @@ def test_partition_from_ranks_equals_the_validated_build():
 
 
 def test_representative_matrix_equals_the_validated_build():
-    # The validating route: the entry dictionaries merged in index order, through from_entries.
+    # The validating route: the entry dictionaries merged in index order, built as
+    # dense rows by the validating IntMatrix constructor.
     checked = 0
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for rank in range(lo, 7):
@@ -324,7 +325,7 @@ def test_representative_matrix_equals_the_validated_build():
                 for i in range(1, rank + 1):
                     if i not in j:
                         entries.update(_simple_root_entries(family, rank, i))
-                expected = IntMatrix.from_entries(t.matrix_dimension, entries)
+                expected = matrix(t.matrix_dimension, entries)
                 m = representative_matrix(t, j)
                 assert m == expected and m.dim == expected.dim
                 assert all(type(row) is tuple for row in m.rows)
