@@ -24,7 +24,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import SummandRecord, summand_report
-from .jordan import IntMatrix, rank_sequence, representative_matrix
+from .jordan import IntMatrix, representative_matrix
 from .orbits import (
     FiniteGroupDescriptor,
     KernelReport,
@@ -43,11 +43,9 @@ from .paving import (
     max_cell_dimension,
     phi_w,
     phi_w_x,
-    phi_x,
 )
 from .tables import (
     OrbitRecord,
-    TableValidationReport,
     dump_tsv,
     records,
     records_as_dicts,
@@ -73,7 +71,6 @@ __all__ = [
     "ResourceBoundError",
     "SubsetJ",
     "SummandRecord",
-    "TableValidationReport",
     "TableauPermutation",
     "UnsupportedFamilyError",
     "center_fiber",
@@ -92,8 +89,6 @@ __all__ = [
     "partitions_of",
     "phi_w",
     "phi_w_x",
-    "phi_x",
-    "rank_sequence",
     "records",
     "records_as_dicts",
     "representative_matrix",

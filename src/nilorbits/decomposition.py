@@ -22,8 +22,6 @@ from .orbits import orbit_dimension_type_a
 from .paving import max_cell_dimension
 
 DEFAULT_RANK_BOUND = 20
-# verify sweeps every subset J of each rank up to --max-rank: 2^rank work.
-VERIFY_RANK_BOUND = 14
 
 
 class SummandRecord(Value):

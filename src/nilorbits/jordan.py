@@ -2,7 +2,7 @@
 
 Builds the simple-root-vector representative of a subset J as sparse
 integer rows and reads its Jordan type off the ranks of its powers;
-``representative_matrix`` and ``rank_sequence`` are the dense views.
+``representative_matrix`` is the dense view of those rows.
 
 The rank chain never forms a power.  The rows of N^k are the rows of
 N^(k-1) times N, so it carries an echelon basis of each row space down a
@@ -21,7 +21,6 @@ and the tests build and rank explicit powers with them as a second route.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd
 from operator import mul
 
@@ -71,7 +70,7 @@ class IntMatrix(Value):
     def rank(self) -> int:
         """Exact rank by textbook fraction-free (Bareiss) elimination.
 
-        A plain reference for the tests; ``rank_sequence`` does not call it.
+        A plain reference for the tests; the rank chain does not call it.
         Every update divides by the previous pivot, checked: a nonzero
         remainder would mean lost exactness and raises instead of truncating.
         """
@@ -146,23 +145,15 @@ def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
     return IntMatrix._trusted(tuple(tuple(map(dict(row).get, cols, zeros)) for row in rows))
 
 
-def rank_sequence(m: IntMatrix) -> list[int]:
-    """Ranks of successive powers, starting at rank(m^0) = dim, ending at 0.
-
-    Raises if m is not nilpotent (no power up to the dimension vanishes);
-    the 0x0 matrix is nilpotent, with ranks [0].
-    """
-    cols = range(require_instance(m, IntMatrix, "matrix").dim)
-    return _rank_chain([[(j, row[j]) for j in compress(cols, row)] for row in m.rows])
-
-
 def _rank_chain(rows: list[list[tuple[int, int]]]) -> list[int]:
-    """``rank_sequence`` of the matrix m whose row k has the nonzero (column, value) pairs rows[k].
+    """Ranks of the powers of m, whose row k holds the nonzero (column, value) pairs rows[k].
 
-    The chain of the module docstring, from the unit rows of m^0.  A basis
-    row with one entry scales one row of m, and adds nothing if that row
-    is empty; if it has one entry, in a column with no pivot yet, the
-    product joins the basis as the +-1 that ``_reduce_into`` would store.
+    The ranks run from rank(m^0) = dim down to 0, and the 0x0 matrix has
+    ranks [0]; a non-nilpotent m raises.  This is the chain of the module
+    docstring, from the unit rows of m^0.  A basis row with one entry
+    scales one row of m, and adds nothing if that row is empty; if it has
+    one entry, in a column with no pivot yet, the product joins the basis
+    as the +-1 that ``_reduce_into`` would store.
     """
     basis = [{i: 1} for i in range(len(rows))]
     ranks = [len(basis)]
@@ -226,7 +217,7 @@ def _reduce_into(echelon: dict[int, dict[int, int]], row: dict[int, int]) -> Non
 
 
 def partition_from_ranks(ranks: list[int]) -> Partition:
-    """The Jordan type whose powers have the ranks ``ranks``, as ``rank_sequence`` returns them.
+    """The Jordan type whose powers have the ranks ``ranks``, as ``_rank_chain`` returns them.
 
     With r_k = rank(m^k), the count of Jordan blocks of size >= k is
     r_{k-1} - r_k.  The block sizes are taken from ``range(len(counts), 0, -1)``,

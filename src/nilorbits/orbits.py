@@ -38,35 +38,42 @@ class FiniteGroupDescriptor(Value):
 
     __slots__ = ("kind", "parameter")
 
-    _ORDERS = {
-        "trivial": lambda p: 1,
-        "cyclic": lambda p: p,
-        "elementary_abelian_2": lambda p: 2**p,
-        "central_extension_2": lambda p: 2 ** (p + 1),
-        "klein_four": lambda p: 4,
-        "symmetric_2": lambda p: 2,
+    # kind -> (least parameter, None for a kind that takes none; order; name)
+    _KINDS = {
+        "trivial": (None, lambda p: 1, lambda p: "1"),
+        "cyclic": (2, lambda p: p, lambda p: "Z/%dZ" % p),
+        "elementary_abelian_2": (
+            1, lambda p: 2**p, lambda p: "Z/2Z" if p == 1 else "(Z/2Z)^%d" % p
+        ),
+        "central_extension_2": (
+            0,
+            lambda p: 2 ** (p + 1),
+            lambda p: "central extension of (Z/2Z)^%d by Z/2Z" % p
+            if p
+            else "Z/2Z (central extension type)",
+        ),
+        "klein_four": (None, lambda p: 4, lambda p: "Z/2Z x Z/2Z"),
+        "symmetric_2": (None, lambda p: 2, lambda p: "S_2"),
     }
 
     def __init__(self, kind: str, parameter: int | None = None) -> None:
-        if require_str(kind, "group kind") not in self._ORDERS:
+        if require_str(kind, "group kind") not in self._KINDS:
             raise InputError("unknown group kind %s" % echo_text(kind))
-        if kind in ("cyclic", "elementary_abelian_2", "central_extension_2"):
-            if parameter is None:
-                raise InputError("kind %s needs a parameter" % kind)
-            require_int(parameter, "%s parameter" % kind)
-            if kind == "cyclic" and parameter < 2:
-                raise InputError("cyclic parameter must be >= 2; use trivial() for order 1")
-            if kind != "cyclic" and parameter < 0:
-                raise InputError("exponent must be >= 0")
-            if kind == "elementary_abelian_2" and parameter == 0:
-                raise InputError("elementary_abelian_2(0) is trivial; use trivial()")
-        elif parameter is not None:
-            raise InputError("kind %s takes no parameter" % kind)
+        least = self._KINDS[kind][0]
+        if least is None:
+            if parameter is not None:
+                raise InputError("kind %s takes no parameter" % kind)
+        elif parameter is None:
+            raise InputError("kind %s needs a parameter" % kind)
+        elif require_int(parameter, "%s parameter" % kind) < least:
+            raise InputError(
+                "%s parameter must be >= %d, got %s" % (kind, least, echo_value(parameter))
+            )
         Value.__init__(self, kind, parameter)
 
     @property
     def order(self) -> int:
-        return self._ORDERS[self.kind](self.parameter)
+        return self._KINDS[self.kind][1](self.parameter)
 
     @property
     def label(self) -> str:
@@ -80,19 +87,7 @@ class FiniteGroupDescriptor(Value):
 
     @property
     def math_name(self) -> str:
-        if self.kind == "trivial":
-            return "1"
-        if self.kind == "cyclic":
-            return "Z/%dZ" % self.parameter
-        if self.kind == "elementary_abelian_2":
-            return "Z/2Z" if self.parameter == 1 else "(Z/2Z)^%d" % self.parameter
-        if self.kind == "central_extension_2":
-            if self.parameter == 0:
-                return "Z/2Z (central extension type)"
-            return "central extension of (Z/2Z)^%d by Z/2Z" % self.parameter
-        if self.kind == "klein_four":
-            return "Z/2Z x Z/2Z"
-        return "S_2"
+        return self._KINDS[self.kind][2](self.parameter)
 
     @classmethod
     def trivial(cls) -> "FiniteGroupDescriptor":
@@ -117,7 +112,7 @@ class FiniteGroupDescriptor(Value):
         if k is None:
             raise InputError("kind central_extension_2 needs a parameter")
         if require_int(k, "central_extension_2 parameter") < 0:
-            raise InputError("exponent must be >= 0")
+            raise InputError("exponent must be >= 0, got %s" % echo_value(k))
         return cls._trusted("central_extension_2", k)
 
     @classmethod

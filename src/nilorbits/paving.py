@@ -152,18 +152,17 @@ class CellBlocks:
     order, and ``len`` is the cell count, known before the walk.  ``blocks`` builds
     the listing as (prefix, suffixes) blocks per dimension from the pieces
     each label adds, and ``by_dim`` is that listing with 1-tuple pieces, so
-    its prefixes and suffixes are tuples of labels; it is built on first
-    access and then kept.  A summary holds no moves and lists no cell.
+    its prefixes and suffixes are tuples of labels; it is built on each
+    access.  A summary holds no moves and lists no cell.
     """
 
-    __slots__ = ("moves", "count", "_by_dim")
+    __slots__ = ("moves", "count")
 
     def __init__(
         self, moves: tuple[dict[int, list[tuple[int, int, int]]], ...] = (), count: int = 0
     ) -> None:
         self.moves = moves
         self.count = count
-        self._by_dim: tuple[tuple[Block, ...], ...] | None = None
 
     def __len__(self) -> int:
         return self.count
@@ -171,10 +170,8 @@ class CellBlocks:
     @property
     def by_dim(self) -> tuple[tuple[Block, ...], ...]:
         """``by_dim[d]``: the blocks of dimension d, as (prefix tuple, suffix tuples)."""
-        if self._by_dim is None:
-            unit = [()] + [(label,) for label in range(1, len(self.moves) + 1)]
-            self._by_dim = self.blocks(unit, unit)
-        return self._by_dim
+        unit = [()] + [(label,) for label in range(1, len(self.moves) + 1)]
+        return self.blocks(unit, unit)
 
     def blocks(self, unit, last) -> tuple[tuple[tuple, ...], ...]:
         """The cells as (prefix, suffixes) blocks, one tuple of blocks per dimension.
@@ -286,12 +283,6 @@ def labeled_diagrams(
     )
 
 
-def phi_x(p: Partition) -> frozenset[RootPair]:
-    """Roots contributed by the horizontally adjacent pairs of the Tym labeling."""
-    tym, _, _ = labeled_diagrams(p)
-    return frozenset(tym.pairs())
-
-
 def phi_w(w: TableauPermutation) -> frozenset[RootPair]:
     """Positive roots inverted by w: pairs (i, j), i < j, with w^-1(i) > w^-1(j)."""
     return _inversions(require_instance(w, TableauPermutation, "permutation").one_line)[1]
@@ -313,7 +304,7 @@ def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
     require_instance(w, TableauPermutation, "permutation")
     if w.size != require_instance(p, Partition, "partition").total:
         raise InputError("permutation size %d does not match |p| = %d" % (w.size, p.total))
-    return _split_roots(_inversions(w.one_line)[1], phi_x(p))
+    return _split_roots(_inversions(w.one_line)[1], frozenset(labeled_diagrams(p)[0].pairs()))
 
 
 def _split_roots(in_w: frozenset[RootPair], in_x: frozenset[RootPair]) -> frozenset[RootPair]:

@@ -264,21 +264,13 @@ def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
     )
 
 
-class TableValidationReport(Value):
-    __slots__ = ("family", "checks")
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def validate_records(t: LieType, record_list) -> TableValidationReport:
+def validate_records(t: LieType, record_list) -> tuple[CheckResult, ...]:
     """Run the four table checks against an explicit record list, each (record, J) pair once.
 
     A J outside 1..rank fails the power-set partition and skips the Z and
     label checks, so their counts take only the J sets they checked.
     """
-    family = _require_table_family(t.family)
+    _require_table_family(t.family)
     rank = t.rank
     diagram = dynkin_diagram(t)
     nodes = set(range(1, rank + 1))
@@ -330,17 +322,16 @@ def validate_records(t: LieType, record_list) -> TableValidationReport:
             )
 
     in_range = sum(counts.values())
-    checks = (
+    return (
         CheckResult("power-set-partition", len(counts), tuple(partition_failures)),
         CheckResult("z-column-agreement", in_range, tuple(z_failures)),
         CheckResult("subdiagram-labels", in_range, tuple(label_failures)),
         CheckResult("component-group-quotient", len(record_list), tuple(quotient_failures)),
     )
-    return TableValidationReport(family, checks)
 
 
-def validate_tables(t: LieType) -> TableValidationReport:
-    """Cross-validate the embedded table for E6 or E7."""
+def validate_tables(t: LieType) -> tuple[CheckResult, ...]:
+    """Cross-validate the embedded table for E6 or E7: the four checks of ``validate_records``."""
     return validate_records(t, records(t))
 
 

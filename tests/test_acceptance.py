@@ -27,7 +27,6 @@ from nilorbits.paving import (
     max_cell_dimension,
     phi_w,
     phi_w_x,
-    phi_x,
 )
 from nilorbits.tables import records, validate_tables
 
@@ -68,10 +67,10 @@ def test_criterion_1_staircase_labelings():
 
 def test_criterion_2_root_sets_and_dimensions():
     p = Partition((3, 3, 1))
-    phi_x(p)  # warm-up
+    labeled_diagrams(p)  # warm-up
     with criterion(2, "root sets and dimensions for [3,3,1]", 10.0):
-        _, _, sigma = labeled_diagrams(p)
-        assert phi_x(p) == frozenset({(2, 4), (3, 5), (4, 6), (5, 7)})
+        tym, _, sigma = labeled_diagrams(p)
+        assert frozenset(tym.pairs()) == frozenset({(2, 4), (3, 5), (4, 6), (5, 7)})
         expected_sigma = frozenset(
             {
                 (1, 2),
@@ -137,12 +136,12 @@ def test_criterion_6_exceptional_tables():
     validate_tables(LieType.of("E6"))  # warm-up
     with criterion(6, "E6/E7 table validation", 100.0):
         e6 = validate_tables(LieType.of("E6"))
-        assert e6.ok
-        assert e6.checks[0].checked == 64
+        assert all(c.ok for c in e6)
+        assert e6[0].checked == 64
         assert len(records(LieType.of("E6"))) == 17
         e7 = validate_tables(LieType.of("E7"))
-        assert e7.ok
-        assert e7.checks[0].checked == 128
+        assert all(c.ok for c in e7)
+        assert e7[0].checked == 128
 
 
 def test_criterion_7_decomposition_report():

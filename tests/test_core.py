@@ -23,7 +23,7 @@ from nilorbits.core import (
     syt_count,
 )
 from nilorbits.decomposition import summand_report
-from nilorbits.jordan import IntMatrix, rank_sequence, representative_matrix
+from nilorbits.jordan import IntMatrix, representative_matrix
 from nilorbits.orbits import FiniteGroupDescriptor
 from nilorbits.paving import LabeledDiagram, TableauPermutation
 from nilorbits.tables import OrbitRecord
@@ -268,6 +268,8 @@ def test_library_messages_cut_a_huge_value():
         lambda: gcd_of_set((), huge),
         lambda: FiniteGroupDescriptor.cyclic(huge),
         lambda: FiniteGroupDescriptor.elementary_abelian_2(huge),
+        lambda: FiniteGroupDescriptor.central_extension_2(huge),
+        lambda: FiniteGroupDescriptor("cyclic", huge),
         lambda: IntMatrix(huge),
         lambda: SubsetJ((5,) * 20000),
         lambda: TableauPermutation(tuple(range(2, 20002))),
@@ -549,11 +551,6 @@ class TestClassifySubdiagram:
             lambda: representative_matrix(LieType("A", 3), [1]),
             "subset must be a SubsetJ, got list [1]",
         ),
-        (
-            lambda: rank_sequence([[0, 1], [0, 0]]),
-            "matrix must be an IntMatrix, got list [[0, 1], [0, 0]]",
-        ),
-        (lambda: rank_sequence(5), "matrix must be an IntMatrix, got int 5"),
     ],
     ids=[
         "Partition", "SubsetJ", "IntMatrix", "LieType", "LieType.of",
@@ -565,10 +562,38 @@ class TestClassifySubdiagram:
         "OrbitRecord-pi1", "OrbitRecord-bala_carter",
         "representative_matrix-str", "representative_matrix-None",
         "representative_matrix-tuple", "representative_matrix-list",
-        "rank_sequence-list", "rank_sequence-int",
     ],
 )
 def test_constructors_refuse_a_value_of_the_wrong_kind(build, message):
+    with pytest.raises(InputError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FiniteGroupDescriptor.cyclic(0), "cyclic order must be >= 1, got 0"),
+        (lambda: FiniteGroupDescriptor.elementary_abelian_2(-1), "exponent must be >= 0, got -1"),
+        (lambda: FiniteGroupDescriptor.central_extension_2(-1), "exponent must be >= 0, got -1"),
+        (lambda: FiniteGroupDescriptor("cyclic", 1), "cyclic parameter must be >= 2, got 1"),
+        (
+            lambda: FiniteGroupDescriptor("elementary_abelian_2", 0),
+            "elementary_abelian_2 parameter must be >= 1, got 0",
+        ),
+        (
+            lambda: FiniteGroupDescriptor("central_extension_2", -1),
+            "central_extension_2 parameter must be >= 0, got -1",
+        ),
+        (lambda: FiniteGroupDescriptor("cyclic"), "kind cyclic needs a parameter"),
+        (lambda: FiniteGroupDescriptor("klein_four", 2), "kind klein_four takes no parameter"),
+    ],
+    ids=[
+        "cyclic", "elementary_abelian_2", "central_extension_2", "cyclic-kind",
+        "elementary_abelian_2-kind", "central_extension_2-kind", "missing", "extra",
+    ],
+)
+def test_group_descriptors_name_a_parameter_out_of_range(build, message):
     with pytest.raises(InputError) as caught:
         build()
     assert str(caught.value) == message

@@ -272,3 +272,14 @@ def test_error_messages_show_a_short_number_whole(argv, code, message):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         assert main(argv) == code
     assert err.getvalue() == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("text", ["2,,1", ",3", "3,"])
+@pytest.mark.parametrize("command", [["paving"], ["orbit", "--type", "A", "--rank", "2"]])
+def test_an_empty_partition_entry_is_refused(command, text):
+    # An empty entry is malformed, as in --j, rather than dropped.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main([*command, "--partition", text]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: partition entries must be integers: '%s'\n" % text

@@ -12,7 +12,6 @@ from nilorbits.jordan import (
     _rank_chain,
     _representative_rows,
     partition_from_ranks,
-    rank_sequence,
     representative_matrix,
 )
 from nilorbits import checks, jordan
@@ -54,6 +53,11 @@ def matrix(dim, entries):
     """The validated ``IntMatrix`` of size ``dim`` with 1-indexed (row, col) -> value ``entries``."""
     cols = range(1, dim + 1)
     return IntMatrix([[entries.get((r, c), 0) for c in cols] for r in cols])
+
+
+def chain_ranks(m):
+    """The ranks of the powers of ``m``: ``_rank_chain`` over each row's nonzero entries."""
+    return _rank_chain([[(j, x) for j, x in enumerate(row) if x] for row in m.rows])
 
 
 def terms(m):
@@ -157,28 +161,28 @@ class TestRepresentativeMatrix:
 class TestJordanPartition:
     def test_zero_matrix(self):
         zero = IntMatrix([[0] * 5] * 5)
-        assert partition_from_ranks(rank_sequence(zero)) == Partition((1, 1, 1, 1, 1))
+        assert partition_from_ranks(chain_ranks(zero)) == Partition((1, 1, 1, 1, 1))
 
     def test_empty_matrix(self):
         # The 0x0 matrix is its own zeroth power, so it is nilpotent with
         # ranks [0] and the empty Jordan type.
         empty = IntMatrix([])
-        assert rank_sequence(empty) == [0]
-        assert partition_from_ranks(rank_sequence(empty)) == Partition(())
+        assert chain_ranks(empty) == [0]
+        assert partition_from_ranks(chain_ranks(empty)) == Partition(())
 
     def test_single_block(self):
         for dim in (1, 2, 5, 8):
-            assert partition_from_ranks(rank_sequence(shift_block(dim))) == Partition((dim,))
+            assert partition_from_ranks(chain_ranks(shift_block(dim))) == Partition((dim,))
 
     def test_c3_j1(self):
         m = representative_matrix(LieType("C", 3), SubsetJ((1,)))
-        assert rank_sequence(m) == [6, 3, 2, 1, 0]
-        assert partition_from_ranks(rank_sequence(m)) == Partition((4, 1, 1))
+        assert chain_ranks(m) == [6, 3, 2, 1, 0]
+        assert partition_from_ranks(chain_ranks(m)) == Partition((4, 1, 1))
 
     def test_non_nilpotent_rejected(self):
         identity = matrix(3, {(i, i): 1 for i in range(1, 4)})
         with pytest.raises(InputError):
-            partition_from_ranks(rank_sequence(identity))
+            partition_from_ranks(chain_ranks(identity))
 
     def test_partition_sums_to_dimension(self):
         for rank in range(2, 5):
@@ -187,7 +191,7 @@ class TestJordanPartition:
                     continue
                 t = LieType(family, rank)
                 m = representative_matrix(t, SubsetJ((2,)))
-                assert partition_from_ranks(rank_sequence(m)).total == t.matrix_dimension
+                assert partition_from_ranks(chain_ranks(m)).total == t.matrix_dimension
 
 
 def all_subsets(rank):
@@ -249,7 +253,7 @@ class TestRowSpaceChain:
         for _ in range(400):
             dim = rng.randint(1, 8)
             rows = random_nilpotent(rng, dim)
-            ranks = rank_sequence(IntMatrix(rows))
+            ranks = chain_ranks(IntMatrix(rows))
             assert ranks == power_ranks(IntMatrix(rows)), rows
             assert ranks == dense_power_ranks(rows), rows
         assert any(g > 1 for g in divisors)
@@ -265,7 +269,7 @@ class TestRowSpaceChain:
         m = matrix(dim, entries)
         text = "matrix is not nilpotent: rank of the %d-th power is %d" % (dim, rank)
         with pytest.raises(InputError) as exc:
-            rank_sequence(m)
+            chain_ranks(m)
         assert str(exc.value) == text
         power = m
         for _ in range(dim - 1):
@@ -312,7 +316,7 @@ class TestFormulaOracleEquivalence:
                 for j in all_subsets(rank):
                     m = representative_matrix(t, j)
                     rows = [list(row) for row in m.rows]
-                    ranks = rank_sequence(m)
+                    ranks = chain_ranks(m)
                     assert ranks == dense_power_ranks(rows), (t, j)
                     assert power_ranks(m) == ranks, (t, j)
                     assert _rank_chain(_representative_rows(t, j)) == ranks, (t, j)
@@ -328,7 +332,7 @@ class TestFormulaOracleEquivalence:
         t = LieType(family, rank)
         for j in all_subsets(rank):
             formula = orbit_partition(t, j)
-            oracle = partition_from_ranks(rank_sequence(representative_matrix(t, j)))
+            oracle = partition_from_ranks(chain_ranks(representative_matrix(t, j)))
             assert formula == oracle, (t, j)
 
     def test_orbit_dimension_oracle_can_fail(self, monkeypatch):
@@ -348,7 +352,7 @@ class TestFormulaOracleEquivalence:
         for family, rank in (("B", 4), ("C", 4), ("D", 4)):
             t = LieType(family, rank)
             for j in all_subsets(rank):
-                ranks = rank_sequence(representative_matrix(t, j))
+                ranks = chain_ranks(representative_matrix(t, j))
                 drops = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
                 assert all(d >= 1 for d in drops)
                 assert all(drops[i] >= drops[i + 1] for i in range(len(drops) - 1))

@@ -25,8 +25,12 @@ from nilorbits.paving import (
     max_cell_dimension,
     phi_w,
     phi_w_x,
-    phi_x,
 )
+
+
+def tym_pairs(p):
+    """Phi_x: the horizontally adjacent label pairs of the Tym labeling of ``p``."""
+    return frozenset(labeled_diagrams(p)[0].pairs())
 
 
 def dimensioned(paving):
@@ -159,13 +163,13 @@ class TestPairMatrix:
 
 class TestRootSets:
     def test_phi_x_for_331(self):
-        assert phi_x(Partition((3, 3, 1))) == frozenset({(2, 4), (3, 5), (4, 6), (5, 7)})
+        assert tym_pairs(Partition((3, 3, 1))) == frozenset({(2, 4), (3, 5), (4, 6), (5, 7)})
 
     def test_phi_x_single_row(self):
-        assert phi_x(Partition((5,))) == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
+        assert tym_pairs(Partition((5,))) == frozenset({(1, 2), (2, 3), (3, 4), (4, 5)})
 
     def test_phi_x_single_column_empty(self):
-        assert phi_x(Partition((1, 1, 1, 1))) == frozenset()
+        assert tym_pairs(Partition((1, 1, 1, 1))) == frozenset()
 
     def test_phi_sigma_for_331(self):
         _, _, sigma = labeled_diagrams(Partition((3, 3, 1)))
@@ -204,7 +208,7 @@ class TestRootSets:
     def test_phi_x_non_overlapping(self):
         for total in range(1, 11):
             for p in partitions_of(total):
-                roots = phi_x(p)
+                roots = tym_pairs(p)
                 for (i, j) in roots:
                     for (k, l) in roots:
                         if (i, j) != (k, l):
@@ -539,7 +543,6 @@ ENTRY_POINTS = {
     "phi_w": phi_w,
     "phi_w_x-p": lambda junk: phi_w_x(TableauPermutation((2, 3, 1)), junk),
     "phi_w_x-w": lambda junk: phi_w_x(junk, Partition((2, 1))),
-    "phi_x": phi_x,
 }
 
 

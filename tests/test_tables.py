@@ -94,20 +94,20 @@ class TestRecordShape:
 
 class TestValidation:
     def test_e6_all_pass(self):
-        report = validate_tables(E6)
-        assert report.ok
-        assert [c.name for c in report.checks] == [
+        checks = validate_tables(E6)
+        assert all(c.ok for c in checks)
+        assert [c.name for c in checks] == [
             "power-set-partition",
             "z-column-agreement",
             "subdiagram-labels",
             "component-group-quotient",
         ]
-        assert [c.checked for c in report.checks] == [64, 64, 64, 17]
+        assert [c.checked for c in checks] == [64, 64, 64, 17]
 
     def test_e7_all_pass(self):
-        report = validate_tables(E7)
-        assert report.ok
-        assert [c.checked for c in report.checks] == [128, 128, 128, 32]
+        checks = validate_tables(E7)
+        assert all(c.ok for c in checks)
+        assert [c.checked for c in checks] == [128, 128, 128, 32]
 
     def test_validation_builds_no_adjacency(self, monkeypatch):
         # Each J's induced subgraph comes from the diagram's edges; the one
@@ -120,7 +120,7 @@ class TestValidation:
             return adjacency(diagram)
 
         monkeypatch.setattr(DynkinDiagram, "adjacency", counted)
-        assert validate_tables(E7).ok
+        assert all(c.ok for c in validate_tables(E7))
         assert calls == []
 
     def test_missing_subset_is_named(self):
@@ -138,9 +138,9 @@ class TestValidation:
                 )
             else:
                 doctored.append(record)
-        report = validate_records(E6, doctored)
-        assert not report.ok
-        partition_check = report.checks[0]
+        checks = validate_records(E6, doctored)
+        assert not all(c.ok for c in checks)
+        partition_check = checks[0]
         assert any("{1,2} missing" in f for f in partition_check.failures)
 
     def test_corrupted_z_column_detected(self):
@@ -157,8 +157,8 @@ class TestValidation:
                 )
             else:
                 doctored.append(record)
-        report = validate_records(E6, doctored)
-        failures = [f for c in report.checks for f in c.failures]
+        checks = validate_records(E6, doctored)
+        failures = [f for c in checks for f in c.failures]
         assert any("Z mismatch" in f for f in failures)
 
     def test_corrupted_label_detected(self):
@@ -175,8 +175,8 @@ class TestValidation:
                 )
             else:
                 doctored.append(record)
-        report = validate_records(E6, doctored)
-        failures = [f for c in report.checks for f in c.failures]
+        checks = validate_records(E6, doctored)
+        failures = [f for c in checks for f in c.failures]
         assert any("label mismatch" in f for f in failures)
 
     def test_label_text_must_be_canonical(self):
@@ -186,7 +186,7 @@ class TestValidation:
             if r.bala_carter == "A_2 + A_1" else r
             for r in records(E6)
         ]
-        labels = validate_records(E6, doctored).checks[2]
+        labels = validate_records(E6, doctored)[2]
         assert labels.name == "subdiagram-labels"
         assert len(labels.failures) == 10
         assert labels.failures[0] == (
@@ -207,9 +207,9 @@ class TestValidation:
             ),
             *rest,
         ]
-        report = validate_records(E6, doctored)
-        assert not report.ok
-        assert [(c.name, c.checked, c.failures) for c in report.checks] == [
+        checks = validate_records(E6, doctored)
+        assert not all(c.ok for c in checks)
+        assert [(c.name, c.checked, c.failures) for c in checks] == [
             ("power-set-partition", 64, ("subset {7} is out of range for rank 6",)),
             ("z-column-agreement", 64, ()),
             ("subdiagram-labels", 64, ()),

@@ -40,7 +40,7 @@ from nilorbits.orbits import (
     orbit_partition,
 )
 from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
-from nilorbits.tables import OrbitRecord, TableValidationReport
+from nilorbits.tables import OrbitRecord
 from test_jordan import matrix, strictly_upper
 
 # Each builds a fresh instance per call, positionally as the library and tests do.
@@ -60,7 +60,6 @@ MAKERS = {
         "A1", (SubsetJ((2,)), SubsetJ((1,))),
         FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial"),
     ),
-    "TableValidationReport": lambda: TableValidationReport("E6", (CheckResult("x", 1, ()),)),
     "IntMatrix": lambda: IntMatrix([[0, 1], [0, 0]]),
 }
 
@@ -195,7 +194,6 @@ CONSTRUCTORS = {
         SummandRecord,
         [st.just(Partition((2, 2))), st.just(4), st.just(2), st.just(2), st.just((0, 1))],
     ),
-    "TableValidationReport": (TableValidationReport, [st.just("E6"), st.just(())]),
     "TableauPermutation": (TableauPermutation, [st.just((2, 3, 1))]),
     "FiniteGroupDescriptor.cyclic": (FiniteGroupDescriptor.cyclic, [st.integers(1, 4)]),
     "FiniteGroupDescriptor.elementary_abelian_2": (
