@@ -27,7 +27,7 @@ from .core import (
     syt_count,
 )
 from .decomposition import summand_report
-from .jordan import _rank_chain, _representative_rows, partition_from_ranks
+from .jordan import _rank_chain, _root_sum_rows, _root_vectors, partition_from_ranks
 from .orbits import (
     center_fiber,
     fundamental_groups,
@@ -139,28 +139,31 @@ def classical_sweep(max_rank: int) -> Sweep:
     The types run over A1.., B2.., C2.. and D3.. up to ``max_rank``.  Each
     (type, J) gets its orbit partition, its covering fiber and, up to
     ORACLE_RANK, its representative's sparse rows (no matrix) computed
-    once, and each distinct (type, partition) its fundamental groups, which
-    also rejects a partition of the wrong total.  J itself is rebuilt from
-    its index for a failure message, so the sweep keeps no SubsetJ alive.
+    once, summed from the type's simple root vectors, which are built once
+    per type.  Each distinct (type, partition) gets its fundamental groups,
+    which also rejects a partition of the wrong total.  J itself is rebuilt
+    from its index for a failure message, so the sweep keeps no SubsetJ alive.
     """
     sweep: Sweep = {}
     for t in _classical_ranks(max_rank):
         c = sweep[t] = Columns()
-        # The group orders depend on the partition alone, and many J share one.
-        seen: dict[Partition, tuple[Partition, int, int]] = {}
+        # The group orders depend on the partition alone, and many J share
+        # one; the parts tuple keys them, hashed and compared in C.
+        seen: dict[tuple[int, ...], tuple[Partition, int, int]] = {}
         oracle = t.rank <= ORACLE_RANK
+        roots = _root_vectors(t) if oracle else []
         for j in all_subsets(t.rank):
             p = orbit_partition(t, j)
-            entry = seen.get(p)
+            entry = seen.get(p.parts)
             if entry is None:
                 pi1, a_group = fundamental_groups(t, p)
-                entry = seen[p] = (p, pi1.order, a_group.order)
+                entry = seen[p.parts] = (p, pi1.order, a_group.order)
             c.partitions.append(entry[0])
             c.zj_orders.append(center_fiber(t, j).order)
             c.pi1_orders.append(entry[1])
             c.a_orders.append(entry[2])
             if oracle:
-                rows = _representative_rows(t, j)
+                rows = _root_sum_rows(t, j, roots)
                 c.ranks.append(_rank_chain(rows))
                 c.upper.append(all(col > r for r, row in enumerate(rows) for col, _ in row))
     return sweep
@@ -424,12 +427,13 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
         for p in partitions_of(total):
             checked += 1
             tym, _, _ = labeled_diagrams(p)
-            pairs = tym.pairs()
-            in_x = frozenset(pairs)
+            in_x = frozenset(tym.pairs())
             for dim, blocks in enumerate(enumerate_cells(p).cells.by_dim):
                 for w in (prefix + s for prefix, suffixes in blocks for s in suffixes):
-                    u, in_w = _inversions(w)
-                    if any(u[a] >= u[b] for a, b in pairs):
+                    in_w = _inversions(w)
+                    # A Tym pair (a|b), a < b, keeps its order under w^-1
+                    # exactly when w does not invert it.
+                    if not in_x.isdisjoint(in_w):
                         failures.append(
                             "%s w=%s: relabelled matrix not strictly upper" % (p, list(w))
                         )

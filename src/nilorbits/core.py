@@ -111,6 +111,8 @@ class Value:
     a validating subclass checks its arguments, then calls it.  Assigning or
     deleting an attribute afterwards raises AttributeError.  Values are equal
     when they have the same class and equal fields, and equal values hash alike.
+    A one-field type gets its own ``_trusted``, one ``object.__new__`` and
+    one slot set, since inner loops build those by the thousand.
     """
 
     __slots__ = ()
@@ -119,6 +121,15 @@ class Value:
         super().__init_subclass__(**kwargs)
         cls._field_values = attrgetter(*cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if len(cls._setters) == 1:
+            [set_field], new = cls._setters, object.__new__
+
+            def trusted(cls, field):
+                value = new(cls)
+                set_field(value, field)
+                return value
+
+            cls._trusted = classmethod(trusted)
 
     def __init__(self, *values) -> None:
         setters = self._setters
@@ -281,7 +292,8 @@ class Partition(Value):
         return bool(firsts) and firsts == seconds and all(v % 2 == 0 for v in firsts)
 
     def conjugate(self) -> "Partition":
-        return Partition(tuple(conjugate_heights(self)))
+        """The column heights as a partition; they are positive and descending, so built trusted."""
+        return Partition._trusted(tuple(conjugate_heights(self)))
 
     def gcd(self) -> int:
         return math.gcd(*self.parts)

@@ -116,24 +116,39 @@ def _simple_root_entries(family: str, n: int, i: int) -> dict[tuple[int, int], i
     raise UnsupportedFamilyError("no root-vector model for family %s" % family)
 
 
-def _representative_rows(t: LieType, j: SubsetJ) -> list[list[tuple[int, int]]]:
-    """The sum of the simple root vectors whose indices are *not* in J, as sparse rows.
+def _root_vectors(t: LieType) -> list[list[tuple[int, int, int]]]:
+    """Entry i - 1: the i-th simple root vector of t as 0-indexed (row, column, value) triples."""
+    n = t.rank
+    return [
+        [(r - 1, c - 1, v) for (r, c), v in _simple_root_entries(t.family, n, i).items()]
+        for i in range(1, n + 1)
+    ]
+
+
+def _root_sum_rows(t: LieType, j: SubsetJ, roots) -> list[list[tuple[int, int]]]:
+    """The sum of the ``roots`` of t whose indices are *not* in J, as sparse rows.
 
     Row k lists its 0-indexed (column, value) pairs in column order; no two
-    simple root vectors share a position.
+    simple root vectors share a position.  ``roots`` is ``_root_vectors(t)``,
+    built once per type by a caller that sums it for many J.
     """
+    skip = j.elements
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(t.matrix_dimension)]
+    for i, entries in enumerate(roots, 1):
+        if i not in skip:
+            for r, c, v in entries:
+                rows[r].append((c, v))
+    return rows
+
+
+def _representative_rows(t: LieType, j: SubsetJ) -> list[list[tuple[int, int]]]:
+    """The representative's sparse rows for one (t, J), checked: ``_root_sum_rows`` of t's roots."""
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "representative matrices exist only for classical families, not %s" % t.family
         )
     check_subset_range(t, j)
-    n, skip = t.rank, j.elements
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(t.matrix_dimension)]
-    for i in range(1, n + 1):
-        if i not in skip:
-            for (r, c), v in _simple_root_entries(t.family, n, i).items():
-                rows[r - 1].append((c - 1, v))
-    return rows
+    return _root_sum_rows(t, j, _root_vectors(t))
 
 
 def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
@@ -150,39 +165,37 @@ def _rank_chain(rows: list[list[tuple[int, int]]]) -> list[int]:
 
     The ranks run from rank(m^0) = dim down to 0, and the 0x0 matrix has
     ranks [0]; a non-nilpotent m raises.  This is the chain of the module
-    docstring, from the unit rows of m^0.  A basis row with one entry
-    scales one row of m, and adds nothing if that row is empty; if it has
-    one entry, in a column with no pivot yet, the product joins the basis
-    as the +-1 that ``_reduce_into`` would store.
+    docstring, from the unit rows of m^0.  When no row of m has two
+    entries, e_c * m is empty or a multiple of the unit row at its one
+    column, so the basis stays unit rows and one set step maps their
+    columns to the next ones.  Otherwise (in the classical models, only
+    type D with n-1 and n not in J) the echelon loop runs.
     """
-    basis = [{i: 1} for i in range(len(rows))]
-    ranks = [len(basis)]
-    while basis:
-        if len(ranks) > len(rows):
-            raise InputError(
-                "matrix is not nilpotent: rank of the %d-th power is %d" % (len(rows), ranks[-1])
-            )
-        echelon: dict[int, dict[int, int]] = {}
-        for b in basis:
-            if len(b) == 1:
-                [(k, x)] = b.items()
-                row = rows[k]
-                if not row:
-                    continue
-                if len(row) == 1 and row[0][0] not in echelon:
-                    [(col, y)] = row
-                    echelon[col] = {col: 1 if x * y > 0 else -1}
-                    continue
-                product = {col: x * y for col, y in row}
-            else:
-                product = {}
+    ranks = [len(rows)]
+    if all(len(row) < 2 for row in rows):
+        column = [row[0][0] if row else None for row in rows]
+        basis = set(range(len(rows)))
+        while basis and len(ranks) <= len(rows):
+            basis = {column[c] for c in basis}
+            basis.discard(None)
+            ranks.append(len(basis))
+    else:
+        basis = [{i: 1} for i in range(len(rows))]
+        while basis and len(ranks) <= len(rows):
+            echelon: dict[int, dict[int, int]] = {}
+            for b in basis:
+                product: dict[int, int] = {}
                 for k, x in b.items():
                     for col, y in rows[k]:
                         product[col] = product.get(col, 0) + x * y
-            if product:
-                _reduce_into(echelon, product)
-        basis = list(echelon.values())
-        ranks.append(len(basis))
+                if product:
+                    _reduce_into(echelon, product)
+            basis = list(echelon.values())
+            ranks.append(len(basis))
+    if basis:
+        raise InputError(
+            "matrix is not nilpotent: rank of the %d-th power is %d" % (len(rows), ranks[-1])
+        )
     return ranks
 
 

@@ -8,7 +8,7 @@ consistency report |Z(J)| * |A(O)| = |pi1(O)|.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import mul, sub
 
 from .core import (
     InputError,
@@ -184,33 +184,16 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     return _TRIVIAL
 
 
-def _gaps(elements: tuple[int, ...]) -> list[int]:
-    """Successive differences d_i - d_{i-1} with d_0 = 0, largest gap first."""
-    out = []
-    prev = 0
-    for v in elements:
-        out.append(v - prev)
-        prev = v
-    out.reverse()
-    return out
-
-
-def _doubled(values: list[int]) -> list[int]:
-    out = []
-    for v in values:
-        out.extend((v, v))
-    return out
-
-
 def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
     """Partition of the adjoint orbit containing the torus orbit of J.
 
     Type A lays the gaps between consecutive elements of J (and the ends
     0 and n+1) out as parts.  Types B, C and D double each gap and add a
     family-specific closing part; D splits into three cases according to
-    how J meets {n-1, n}.  Parts are sorted descending here; a zero
-    leading part (type C with n in J) is dropped.  A very even partition in
-    family D labels two distinct orbits; the partition does not pick one.
+    how J meets {n-1, n}.  Parts are sorted descending here, so the doubled
+    gaps may follow each other in any order; zero parts (type C with n in
+    J) are dropped.  A very even partition in family D labels two distinct
+    orbits; the partition does not pick one.
     """
     if not t.is_classical:
         raise UnsupportedFamilyError(
@@ -220,26 +203,26 @@ def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
     fam, n = t.family, t.rank
     elems = j.elements
     last = elems[-1] if elems else 0
+    gaps = list(map(sub, elems, (0,) + elems))
     if fam == "A":
-        raw = [n + 1 - last] + _gaps(elems)
-    elif fam == "B":
-        raw = [2 * (n - last) + 1] + _doubled(_gaps(elems))
-    elif fam == "C":
-        raw = [2 * (n - last)] + _doubled(_gaps(elems))
+        gaps.append(n + 1 - last)
     else:
-        top = n in j
-        second = (n - 1) in j
-        if not top and not second:
-            raw = [2 * (n - last) - 1] + _doubled(_gaps(elems)) + [1]
-        elif top and second:
-            raw = _doubled(_gaps(elems))
-        else:
-            # exactly one of n-1, n present: it is the largest element and
-            # gets replaced by n itself in the gap sequence
-            raw = _doubled(_gaps(elems[:-1] + (n,)))
-    # Every entry of raw is a nonnegative int, so sorting and dropping the
-    # zeros leaves exactly what Partition's checks would accept.
-    return Partition._trusted(tuple(sorted((v for v in raw if v), reverse=True)))
+        if fam == "D":
+            top, second = n in elems, n - 1 in elems
+            if top != second:
+                # The one of n-1, n present is the largest element and is
+                # replaced by n itself in the gap sequence.
+                gaps[-1] += n - last
+        gaps += gaps
+        if fam == "B":
+            gaps.append(2 * (n - last) + 1)
+        elif fam == "C":
+            gaps.append(2 * (n - last))
+        elif not top and not second:
+            gaps += (2 * (n - last) - 1, 1)
+    # Every gap is a nonnegative int, so sorting and dropping the zeros
+    # leaves exactly what Partition's checks would accept.
+    return Partition._trusted(tuple(sorted(filter(None, gaps), reverse=True)))
 
 
 def orbit_dimension_type_a(n: int, p: Partition) -> int:

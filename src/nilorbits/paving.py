@@ -285,18 +285,12 @@ def labeled_diagrams(
 
 def phi_w(w: TableauPermutation) -> frozenset[RootPair]:
     """Positive roots inverted by w: pairs (i, j), i < j, with w^-1(i) > w^-1(j)."""
-    return _inversions(require_instance(w, TableauPermutation, "permutation").one_line)[1]
+    return _inversions(require_instance(w, TableauPermutation, "permutation").one_line)
 
 
-def _inversions(one_line: tuple[int, ...]) -> tuple[list[int], frozenset[RootPair]]:
-    """w^-1 as a list indexed by value (entry 0 unused) and phi_w, for a tuple permuting 1..m."""
-    m = len(one_line)
-    inv = [0] * (m + 1)
-    for pos, val in enumerate(one_line, 1):
-        inv[val] = pos
-    return inv, frozenset(
-        (i, j) for i in range(1, m) for j in range(i + 1, m + 1) if inv[i] > inv[j]
-    )
+def _inversions(one_line: tuple[int, ...]) -> frozenset[RootPair]:
+    """phi_w for a tuple permuting 1..m: (y, x) for each x written before a smaller y."""
+    return frozenset((y, x) for p, x in enumerate(one_line) for y in one_line[p + 1 :] if y < x)
 
 
 def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
@@ -304,19 +298,25 @@ def phi_w_x(w: TableauPermutation, p: Partition) -> frozenset[RootPair]:
     require_instance(w, TableauPermutation, "permutation")
     if w.size != require_instance(p, Partition, "partition").total:
         raise InputError("permutation size %d does not match |p| = %d" % (w.size, p.total))
-    return _split_roots(_inversions(w.one_line)[1], frozenset(labeled_diagrams(p)[0].pairs()))
+    return _split_roots(_inversions(w.one_line), frozenset(labeled_diagrams(p)[0].pairs()))
 
 
 def _split_roots(in_w: frozenset[RootPair], in_x: frozenset[RootPair]) -> frozenset[RootPair]:
-    """phi_w_x from phi_w and phi_x, for callers that already hold both root sets."""
-    out = set()
-    for i, j in in_w:
-        for k in range(i + 1, j):
-            left, right = (i, k), (k, j)
-            if (left in in_w and right in in_x) or (left in in_x and right in in_w):
-                out.add((i, j))
-                break
-    return frozenset(out)
+    """phi_w_x from phi_w and phi_x, for callers that already hold both root sets.
+
+    A join on the shared endpoint: phi_x, indexed by both ends of each
+    root (a, b), meets every phi_w root once.  A sum (i, b) of (i, a) in
+    phi_w and (a, b), or (a, j) of (a, b) and (b, j) in phi_w, that lies
+    in phi_w splits.
+    """
+    after: dict[int, list[int]] = {}
+    before: dict[int, list[int]] = {}
+    for a, b in in_x:
+        after.setdefault(a, []).append(b)
+        before.setdefault(b, []).append(a)
+    sums = {(i, b) for i, a in in_w if a in after for b in after[a]}
+    sums.update((a, j) for b, j in in_w if b in before for a in before[b])
+    return in_w.intersection(sums)
 
 
 def max_cell_dimension(p: Partition) -> int:

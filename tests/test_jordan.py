@@ -60,6 +60,54 @@ def chain_ranks(m):
     return _rank_chain([[(j, x) for j, x in enumerate(row) if x] for row in m.rows])
 
 
+def echelon_chain(rows):
+    """The rank chain as one echelon loop from the first power, with no unit-row phase."""
+    basis = [{i: 1} for i in range(len(rows))]
+    ranks = [len(basis)]
+    while basis:
+        if len(ranks) > len(rows):
+            raise InputError(
+                "matrix is not nilpotent: rank of the %d-th power is %d" % (len(rows), ranks[-1])
+            )
+        echelon = {}
+        for b in basis:
+            if len(b) == 1:
+                [(k, x)] = b.items()
+                row = rows[k]
+                if not row:
+                    continue
+                if len(row) == 1 and row[0][0] not in echelon:
+                    [(col, y)] = row
+                    echelon[col] = {col: 1 if x * y > 0 else -1}
+                    continue
+                product = {col: x * y for col, y in row}
+            else:
+                product = {}
+                for k, x in b.items():
+                    for col, y in rows[k]:
+                        product[col] = product.get(col, 0) + x * y
+            if product:
+                jordan._reduce_into(echelon, product)
+        basis = list(echelon.values())
+        ranks.append(len(basis))
+    return ranks
+
+
+def random_sparse_rows(rng, dim, nilpotent):
+    """Sparse rows with entries of -3..3, at most 1 or 3 per row; nilpotent ones point
+    forward in a shuffled order."""
+    order = list(range(dim))
+    rng.shuffle(order)
+    place = {v: k for k, v in enumerate(order)}
+    most = rng.choice((1, 3))
+    rows = []
+    for r in range(dim):
+        cols = [c for c in range(dim) if place[c] > place[r]] if nilpotent else list(range(dim))
+        picked = sorted(rng.sample(cols, min(len(cols), rng.randint(0, most))))
+        rows.append([(c, rng.choice((-3, -2, -1, 1, 2, 3))) for c in picked])
+    return rows
+
+
 def terms(m):
     """The nonzero entries of ``m`` as sorted 1-indexed (row, col, value) triples."""
     return [(i + 1, j + 1, v) for i, row in enumerate(m.rows) for j, v in enumerate(row) if v]
@@ -258,6 +306,34 @@ class TestRowSpaceChain:
             assert ranks == dense_power_ranks(rows), rows
         assert any(g > 1 for g in divisors)
 
+    def test_equals_the_echelon_chain_on_random_sparse_rows(self):
+        # Half the row sets have no row with two entries and take the unit-row
+        # phase; both routes give the loop's ranks, or its non-nilpotent message.
+        rng = random.Random(32)
+        outcomes = Counter()
+        for trial in range(3000):
+            rows = random_sparse_rows(rng, rng.randint(0, 9), trial % 2 == 0)
+            try:
+                expected = echelon_chain(rows)
+            except InputError as exc:
+                with pytest.raises(InputError) as got:
+                    _rank_chain(rows)
+                assert str(got.value) == str(exc), rows
+                outcomes["raised"] += 1
+            else:
+                assert _rank_chain(rows) == expected, rows
+                outcomes["ranked"] += 1
+        assert outcomes["raised"] > 500 and outcomes["ranked"] > 1500
+
+    def test_equals_the_echelon_chain_on_classical_representatives(self):
+        checked = 0
+        for t in classical_types(9):
+            for j in all_subsets(t.rank):
+                rows = _representative_rows(t, j)
+                assert _rank_chain(rows) == echelon_chain(rows), (t, j)
+                checked += 1
+        assert checked == 4078
+
     @pytest.mark.parametrize(
         "entries,dim,rank",
         [
@@ -393,6 +469,24 @@ class TestSharedRankTable:
             ("A", True): 30, ("B", True): 3, ("B", False): 25,
             ("C", True): 6, ("C", False): 22, ("D", True): 4, ("D", False): 20,
         }
+
+    def test_sweep_builds_each_root_vector_once(self, monkeypatch):
+        # A work counter: the oracle types' simple root vectors are built once
+        # per sweep, one per root, so the count is the sum of their ranks
+        # whatever the number of J; types above ORACLE_RANK build none.
+        calls = Counter()
+        original = jordan._simple_root_entries
+
+        def counted(family, n, i):
+            calls[family] += 1
+            return original(family, n, i)
+
+        monkeypatch.setattr(jordan, "_simple_root_entries", counted)
+        for max_rank in (7, 10):
+            calls.clear()
+            checks.classical_sweep(max_rank)
+            assert calls == {"A": 28, "B": 27, "C": 27, "D": 25}, max_rank
+            assert sum(calls.values()) == sum(t.rank for t in classical_types(7)) == 107
 
     def test_tampered_columns_fail(self):
         t, mask = LieType("B", 2), 0b01  # J = {1}

@@ -33,6 +33,46 @@ def all_subsets(rank):
         yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
 
 
+def gaps(elements):
+    """Successive differences d_i - d_{i-1} with d_0 = 0, largest gap first."""
+    out = []
+    prev = 0
+    for v in elements:
+        out.append(v - prev)
+        prev = v
+    out.reverse()
+    return out
+
+
+def doubled(values):
+    out = []
+    for v in values:
+        out.extend((v, v))
+    return out
+
+
+def gap_rule_partition(t, j):
+    """The orbit partition by the case rules spelled out one list per case."""
+    fam, n = t.family, t.rank
+    elems = j.elements
+    last = elems[-1] if elems else 0
+    if fam == "A":
+        raw = [n + 1 - last] + gaps(elems)
+    elif fam == "B":
+        raw = [2 * (n - last) + 1] + doubled(gaps(elems))
+    elif fam == "C":
+        raw = [2 * (n - last)] + doubled(gaps(elems))
+    elif n not in j and n - 1 not in j:
+        raw = [2 * (n - last) - 1] + doubled(gaps(elems)) + [1]
+    elif n in j and n - 1 in j:
+        raw = doubled(gaps(elems))
+    else:
+        # exactly one of n-1, n present: it is the largest element and
+        # gets replaced by n itself in the gap sequence
+        raw = doubled(gaps(elems[:-1] + (n,)))
+    return Partition(v for v in raw if v)
+
+
 def label_ambiguous(capsys, family, rank, j):
     """The ``orbit`` command's orbit_label_ambiguous flag for (family, rank, J)."""
     assert main(["orbit", "--type", family, "--rank", str(rank), "--j", j]) == EXIT_OK
@@ -166,6 +206,14 @@ class TestOrbitPartition:
     def test_rejects_exceptional(self):
         with pytest.raises(UnsupportedFamilyError):
             orbit_partition(LieType.of("E6"), SubsetJ((2, 4)))
+
+    def test_equals_the_gap_rule_up_to_rank_11(self):
+        checked = 0
+        for t in classical_types(11):
+            for j in core_all_subsets(t.rank):
+                assert orbit_partition(t, j) == gap_rule_partition(t, j), (t, j)
+                checked += 1
+        assert checked == 2**12 - 2 + 2 * (2**12 - 4) + 2**12 - 8 == 16366
 
 
 class TestOrbitDimension:
@@ -438,9 +486,9 @@ class TestSharedJTable:
         calls, sweeps = Counter(), []
 
         def counted(tag, fn):
-            def wrapper(t, j):
+            def wrapper(t, j, *rest):
                 calls[tag, t, j] += 1
-                return fn(t, j)
+                return fn(t, j, *rest)
 
             return wrapper
 
@@ -452,7 +500,7 @@ class TestSharedJTable:
 
             return wrapper
 
-        counted_names = {"P": "orbit_partition", "Z": "center_fiber", "M": "_representative_rows"}
+        counted_names = {"P": "orbit_partition", "Z": "center_fiber", "M": "_root_sum_rows"}
         for tag, name in counted_names.items():
             monkeypatch.setattr(checks, name, counted(tag, getattr(checks, name)))
         dense = counted("D", jordan.representative_matrix)

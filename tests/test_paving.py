@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -19,7 +20,9 @@ from nilorbits.paving import (
     CellPaving,
     LabeledDiagram,
     TableauPermutation,
+    _inversions,
     _later_masks,
+    _split_roots,
     enumerate_cells,
     labeled_diagrams,
     max_cell_dimension,
@@ -46,6 +49,29 @@ def dimensioned(paving):
 def inverse(w):
     """w^-1, read off by listing the positions of w in the order of their values."""
     return TableauPermutation(tuple(sorted(range(1, w.size + 1), key=w)))
+
+
+def indexed_inversions(one_line):
+    """w^-1 as a list indexed by value (entry 0 unused) and phi_w, read off w^-1 pair by pair."""
+    m = len(one_line)
+    inv = [0] * (m + 1)
+    for pos, val in enumerate(one_line, 1):
+        inv[val] = pos
+    return inv, frozenset(
+        (i, j) for i in range(1, m) for j in range(i + 1, m + 1) if inv[i] > inv[j]
+    )
+
+
+def span_scan(in_w, in_x):
+    """phi_w_x by the definition: each root of phi_w tried at every split point of its span."""
+    out = set()
+    for i, j in in_w:
+        for k in range(i + 1, j):
+            left, right = (i, k), (k, j)
+            if (left in in_w and right in in_x) or (left in in_x and right in in_w):
+                out.add((i, j))
+                break
+    return frozenset(out)
 
 
 def mahonian(m):
@@ -197,6 +223,45 @@ class TestRootSets:
     def test_phi_w_x_trivial_pairs(self):
         w = TableauPermutation((4, 3, 2, 1))
         assert phi_w_x(w, Partition((1, 1, 1, 1))) == frozenset()
+
+    def test_root_sets_equal_the_definitions_on_every_cell(self):
+        cells = 0
+        for m in range(1, 8):
+            for p in partitions_of(m):
+                in_x = tym_pairs(p)
+                for _, w in dimensioned(enumerate_cells(p)):
+                    in_w = indexed_inversions(w)[1]
+                    assert _inversions(w) == in_w, w
+                    assert _split_roots(in_w, in_x) == span_scan(in_w, in_x), (p, w)
+                    cells += 1
+        assert cells == 1909 + 11481  # m <= 6, then m = 7
+
+    def test_disjoint_root_sets_mean_the_tym_pairs_keep_their_order(self):
+        # paving-structure reads "w^-1 keeps every Tym pair (a|b) in order" as
+        # phi_x and phi_w being disjoint; the two agree on every permutation.
+        kept = 0
+        for m in range(1, 7):
+            perms = list(permutations(range(1, m + 1)))
+            for p in partitions_of(m):
+                in_x = tym_pairs(p)
+                for w in perms:
+                    u, in_w = indexed_inversions(w)
+                    ordered = all(u[a] < u[b] for a, b in in_x)
+                    assert in_x.isdisjoint(_inversions(w)) is ordered, (p, w)
+                    kept += ordered
+        assert kept == 1909
+
+    def test_split_roots_equals_the_span_scan_on_random_root_sets(self):
+        rng = random.Random(32)
+        split = 0
+        for _ in range(3000):
+            m = rng.randint(1, 9)
+            roots = [(i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
+            in_w, in_x = (frozenset(r for r in roots if rng.random() < 0.4) for _ in "wx")
+            got = _split_roots(in_w, in_x)
+            assert got == span_scan(in_w, in_x), (in_w, in_x)
+            split += bool(got)
+        assert split > 1000
 
     def test_phi_w_x_subset_of_phi_w(self):
         for total in range(1, 7):

@@ -20,6 +20,7 @@ from nilorbits.core import (
     SubsetJ,
     all_subsets,
     classify_subdiagram,
+    conjugate_heights,
     dynkin_diagram,
     partitions_of,
     subset_of_mask,
@@ -285,6 +286,25 @@ def test_partitions_of_equals_the_validated_build():
         for p in partitions_of(m):
             assert p == Partition(p.parts) and hash(p) == hash(Partition(p.parts))
             assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
+
+
+def test_conjugate_equals_the_validated_build(monkeypatch):
+    for m in range(13):
+        for p in partitions_of(m):
+            q = p.conjugate()
+            assert q == Partition(conjugate_heights(p)) and hash(q) == hash(Partition(q.parts))
+            assert type(q.parts) is tuple and all(type(v) is int for v in q.parts)
+    # The two suites that conjugate every partition build no validated one.
+    validated = []
+    original = Partition.__post_init__
+
+    def counted(self, parts):
+        validated.append(parts)
+        original(self, parts)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    assert checks.check_conjugate_involution(10).ok and checks.check_syt_symmetry(10).ok
+    assert validated == []
 
 
 def test_labeled_diagrams_equal_the_validated_build():
