@@ -19,7 +19,6 @@ from .core import (
     classify_subdiagram,
     conjugate_heights,
     dynkin_diagram,
-    gcd_of_set,
     partitions_of,
     syt_count,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "dynkin_diagram",
     "enumerate_cells",
     "fundamental_groups",
-    "gcd_of_set",
     "kernel_check",
     "labeled_diagrams",
     "max_cell_dimension",

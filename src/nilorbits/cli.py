@@ -30,7 +30,6 @@ from .core import (
 from .decomposition import summand_report
 from .orbits import center_fiber, fundamental_groups, orbit_dimension_type_a, orbit_partition
 from .paving import (
-    DEFAULT_CELL_BOUND,
     CellBlocks,
     _split_roots,
     enumerate_cells,
@@ -58,6 +57,8 @@ EXIT_RESOURCE = 3
 ORBIT_RANK_BOUND = 100_000_000
 # verify sweeps every subset J of each rank up to --max-rank: 2^rank work.
 VERIFY_RANK_BOUND = 14
+# paving refuses a partition of more than --bound boxes, by default this many.
+DEFAULT_CELL_BOUND = 9
 
 
 def _parse_partition(text: str) -> Partition:
@@ -257,7 +258,11 @@ def cmd_paving(args) -> int:
     if args.bound < 1:
         raise InputError("--bound must be >= 1, got %s" % echo_value(args.bound))
     p = _parse_partition(args.partition)
-    paving = enumerate_cells(p, bound=args.bound, cells=args.cells)
+    if p.total > args.bound:
+        raise ResourceBoundError(
+            "partition size %s exceeds the enumeration bound %d" % (echo_value(p.total), args.bound)
+        )
+    paving = enumerate_cells(p, cells=args.cells)
     poincare = paving.poincare
     d_x = max_cell_dimension(p)
     top = poincare[d_x]

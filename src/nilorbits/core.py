@@ -1,16 +1,15 @@
 """Foundational value types and pure combinatorics.
 
-Partitions, Young-diagram column heights, hook-length counts, gcds over
-index sets, and classification of induced sub-diagrams of simply laced
-Dynkin diagrams.  Everything is exact integer arithmetic on immutable
-values; nothing here touches floating point.
+Partitions, Young-diagram column heights, hook-length counts, and
+classification of induced sub-diagrams of simply laced Dynkin diagrams.
+Everything is exact integer arithmetic on immutable values; nothing here
+touches floating point.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -298,12 +297,6 @@ class Partition(Value):
     def gcd(self) -> int:
         return math.gcd(*self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return "[" + ", ".join(map(str, self.parts)) + "]"
 
@@ -328,9 +321,6 @@ class SubsetJ(Value):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self.elements)) + "}"
@@ -375,13 +365,6 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
                 raise InputError(
                     "subset element %s out of range [1, %d]" % (echo_value(v), t.rank)
                 )
-
-
-def gcd_of_set(values: Iterable[int], extra: int) -> int:
-    """gcd of ``values`` and ``extra``, an int >= 1; equals ``extra`` on an empty set."""
-    if require_int(extra, "extra") < 1:
-        raise InputError("extra must be >= 1, got %s" % echo_value(extra))
-    return reduce(math.gcd, values, extra)
 
 
 def conjugate_heights(p: Partition) -> list[int]:
@@ -447,7 +430,7 @@ def _descending_partitions(total: int) -> Iterator[Partition]:
 
 
 class DynkinDiagram(Value):
-    """A tree on integer nodes with degrees at most 3 (simply laced adjacency)."""
+    """A tree on integer nodes whose shape is a simply laced Dynkin diagram: A_n, D_n or E_6,7,8."""
 
     __slots__ = ("nodes", "edges")
 
@@ -466,29 +449,14 @@ class DynkinDiagram(Value):
         if len(edges) != len(nodes) - 1:
             raise InputError("diagram must be a tree")
         Value.__init__(self, nodes, edges)
-        adj = self.adjacency()
-        if any(len(nbrs) > 3 for nbrs in adj.values()):
-            raise InputError("diagram node degree exceeds 3")
-        # connectivity: a tree on len(nodes) vertices with n-1 edges is
-        # connected iff a walk from any node reaches all of them
-        if nodes:
-            seen = {nodes[0]}
-            stack = [nodes[0]]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if len(seen) != len(nodes):
-                raise InputError("diagram must be connected")
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        # With n - 1 edges the graph is a tree exactly when it is one
+        # component; the classifier refuses a component outside A, D and E.
+        try:
+            components = classify_subdiagram(self, nodes).summands
+        except DataIntegrityError:
+            raise InputError("diagram is not of type A, D or E") from None
+        if len(components) != 1:
+            raise InputError("diagram must be connected")
 
 
 def dynkin_diagram(t: LieType) -> DynkinDiagram:
@@ -548,9 +516,6 @@ class ComponentLabel(Value):
             "%s%s_%d" % (count if count > 1 else "", fam, rank)
             for (fam, rank), count in Counter(self.summands).items()
         )
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _arm_length(adj: dict[int, list[int]], center: int, first: int) -> int:

@@ -141,21 +141,16 @@ def _root_sum_rows(t: LieType, j: SubsetJ, roots) -> list[list[tuple[int, int]]]
     return rows
 
 
-def _representative_rows(t: LieType, j: SubsetJ) -> list[list[tuple[int, int]]]:
-    """The representative's sparse rows for one (t, J), checked: ``_root_sum_rows`` of t's roots."""
+def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
+    """The representative's sparse rows as a dense matrix, wrapped by ``IntMatrix._trusted``."""
+    require_instance(t, LieType, "Lie type")
+    require_instance(j, SubsetJ, "subset")
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "representative matrices exist only for classical families, not %s" % t.family
         )
     check_subset_range(t, j)
-    return _root_sum_rows(t, j, _root_vectors(t))
-
-
-def representative_matrix(t: LieType, j: SubsetJ) -> IntMatrix:
-    """The dense view of ``_representative_rows``, wrapped by ``IntMatrix._trusted``."""
-    require_instance(t, LieType, "Lie type")
-    require_instance(j, SubsetJ, "subset")
-    rows = _representative_rows(t, j)
+    rows = _root_sum_rows(t, j, _root_vectors(t))
     cols, zeros = range(len(rows)), [0] * len(rows)
     return IntMatrix._trusted(tuple(tuple(map(dict(row).get, cols, zeros)) for row in rows))
 

@@ -8,6 +8,7 @@ consistency report |Z(J)| * |A(O)| = |pi1(O)|.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul, sub
 
 from .core import (
@@ -20,7 +21,6 @@ from .core import (
     check_subset_range,
     echo_text,
     echo_value,
-    gcd_of_set,
     require_int,
     require_str,
 )
@@ -89,10 +89,6 @@ class FiniteGroupDescriptor(Value):
     def math_name(self) -> str:
         return self._KINDS[self.kind][2](self.parameter)
 
-    @classmethod
-    def trivial(cls) -> "FiniteGroupDescriptor":
-        return cls("trivial")
-
     # The three factories below check their int, then build unchecked;
     # order 1 and exponent 0 give the shared trivial group.
     @classmethod
@@ -115,17 +111,6 @@ class FiniteGroupDescriptor(Value):
             raise InputError("exponent must be >= 0, got %s" % echo_value(k))
         return cls._trusted("central_extension_2", k)
 
-    @classmethod
-    def klein_four(cls) -> "FiniteGroupDescriptor":
-        return cls("klein_four")
-
-    @classmethod
-    def symmetric_2(cls) -> "FiniteGroupDescriptor":
-        return cls("symmetric_2")
-
-    def __str__(self) -> str:
-        return self.label
-
 
 class KernelReport(Value):
     __slots__ = ("zj_order", "pi1_order", "a_order", "holds")
@@ -133,11 +118,11 @@ class KernelReport(Value):
 
 # The fixed groups that center_fiber returns outside type A, built once and
 # shared; values are immutable, so sharing one is safe.
-_TRIVIAL = FiniteGroupDescriptor.trivial()
+_TRIVIAL = FiniteGroupDescriptor("trivial")
 _Z2 = FiniteGroupDescriptor.cyclic(2)
 _Z3 = FiniteGroupDescriptor.cyclic(3)
 _Z4 = FiniteGroupDescriptor.cyclic(4)
-_KLEIN_FOUR = FiniteGroupDescriptor.klein_four()
+_KLEIN_FOUR = FiniteGroupDescriptor("klein_four")
 
 
 def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
@@ -155,7 +140,7 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     fam, n = t.family, t.rank
     elems = j.elements
     if fam == "A":
-        return FiniteGroupDescriptor.cyclic(gcd_of_set(elems, n + 1))
+        return FiniteGroupDescriptor.cyclic(gcd(n + 1, *elems))
     if fam == "B":
         return _Z2 if all(v % 2 == 0 for v in elems) else _TRIVIAL
     if fam == "C":
@@ -168,12 +153,7 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
                 # full center of the spin group: Z/2 x Z/2 for n even, Z/4 for n odd
                 return _KLEIN_FOUR if n % 2 == 0 else _Z4
             return _Z2
-        if (
-            top != second
-            and all(v % 2 == 0 for v in elems if v < n - 1)
-            and n % 2 == 0
-            and n >= 4
-        ):
+        if top != second and all(v % 2 == 0 for v in elems if v < n - 1) and n % 2 == 0:
             return _Z2
         return _TRIVIAL
     if fam == "E6":
@@ -299,17 +279,11 @@ def fundamental_groups(
         return elementary(b), elementary(b if even_ok else b - 1)
     # Rather odd (every odd part occurs exactly once), read off the same count.
     rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
-    if fam == "B":
-        if rather_odd:
-            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
-        else:
-            pi1 = elementary(a - 1)
-        return pi1, elementary(a - 1)
+    # Type B has an odd part, so there k = a - 1.
     k = max(0, a - 1)
-    if rather_odd:
-        pi1 = FiniteGroupDescriptor.central_extension_2(k)
-    else:
-        pi1 = elementary(k)
+    pi1 = (FiniteGroupDescriptor.central_extension_2 if rather_odd else elementary)(k)
+    if fam == "B":
+        return pi1, elementary(k)
     odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
     a_group = elementary(k if odd_ok else max(0, a - 2))
     return pi1, a_group

@@ -48,12 +48,11 @@ from .core import (
     require_iterable,
 )
 
-DEFAULT_CELL_BOUND = 9
-# Caps that the ``bound`` argument cannot lift.  A listing holds at most as
-# many cells as the default bound allows, 9! for [1^9]; a walk visits at
-# most this many row states, prod(row + 1), which admits the staircase
-# [6,5,4,3,2,1] (5040 states) and stops [1^14] (16384).
-MAX_LISTED_CELLS = math.factorial(DEFAULT_CELL_BOUND)
+# The only bounds on the work, checked before any.  A listing holds at most
+# 9! cells, those of [1^9]; a walk visits at most this many row states,
+# prod(row + 1), which admits the staircase [6,5,4,3,2,1] (5040 states) and
+# stops [1^14] (16384).
+MAX_LISTED_CELLS = math.factorial(9)
 MAX_WALKED_STATES = 10_000
 
 RootPair = tuple[int, int]
@@ -139,9 +138,6 @@ class TableauPermutation(Value):
         if not cycles:
             return "()"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(map(str, self.one_line)) + "]"
 
 
 class CellBlocks:
@@ -369,7 +365,7 @@ def _check_work(parts: tuple[int, ...], cells: bool) -> int:
     return total
 
 
-def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool = True) -> CellPaving:
+def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
     """The Poincare vector of the paving and, if ``cells``, its nonempty cells.
 
     A permutation w gives a nonempty cell exactly when u = w^-1 keeps every
@@ -408,18 +404,12 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     (prefix, suffixes) blocks that meet after (m - 1) // 2 labels.  Nothing
     recurses, so long rows cannot exhaust the recursion limit.
 
-    Before any work, m must be at most ``bound``, the states at most
-    MAX_WALKED_STATES and, with ``cells``, the cells at most
-    MAX_LISTED_CELLS; raising ``bound`` lifts neither cap.
+    Before any work, the states must be at most MAX_WALKED_STATES and,
+    with ``cells``, the cells at most MAX_LISTED_CELLS.
     """
     m = require_instance(p, Partition, "partition").total
-    require_int(bound, "bound")
     if m == 0:
         raise InputError("cell enumeration needs a nonempty partition")
-    if m > bound:
-        raise ResourceBoundError(
-            "partition size %s exceeds the enumeration bound %d" % (echo_value(m), bound)
-        )
     total = _check_work(p.parts, cells)
     width = total.bit_length()
     tym, _, _ = labeled_diagrams(p)
@@ -477,11 +467,5 @@ def enumerate_cells(p: Partition, bound: int = DEFAULT_CELL_BOUND, cells: bool =
     return CellPaving(cells=CellBlocks(tuple(listing), total), poincare=poincare)
 
 
-def render_root(root: RootPair) -> str:
-    return "α_{%d,%d}" % root
-
-
 def render_root_set(roots: frozenset[RootPair]) -> str:
-    if not roots:
-        return "{}"
-    return "{" + ", ".join(render_root(r) for r in sorted(roots)) + "}"
+    return "{" + ", ".join("α_{%d,%d}" % r for r in sorted(roots)) + "}"

@@ -170,10 +170,10 @@ _E7_ROWS = (
 )
 
 _GROUP_CODES = {
-    "1": FiniteGroupDescriptor.trivial(),
+    "1": FiniteGroupDescriptor("trivial"),
     "2": FiniteGroupDescriptor.cyclic(2),
     "3": FiniteGroupDescriptor.cyclic(3),
-    "S2": FiniteGroupDescriptor.symmetric_2(),
+    "S2": FiniteGroupDescriptor("symmetric_2"),
 }
 
 class OrbitRecord(Value):
@@ -209,7 +209,7 @@ class OrbitRecord(Value):
         if self.z_orbit.order == 1:
             return self.pi1
         if self.z_orbit.order == self.pi1.order:
-            return FiniteGroupDescriptor.trivial()
+            return _GROUP_CODES["1"]
         raise DataIntegrityError(
             "cannot derive A(O) for %r: |Z| = %d, |pi1| = %d"
             % (self.bala_carter, self.z_orbit.order, self.pi1.order)
@@ -247,13 +247,13 @@ def _require_table_family(family: str) -> str:
 
 def records(t: LieType) -> tuple[OrbitRecord, ...]:
     """All records for E6 or E7, in embedded (dimension-descending) order."""
-    return _RECORDS[_require_table_family(t.family)]
+    return _RECORDS[_require_table_family(require_instance(t, LieType, "Lie type").family)]
 
 
 def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
     """The unique record whose J sets contain ``j``."""
-    family = _require_table_family(t.family)
-    check_subset_range(t, j)
+    family = _require_table_family(require_instance(t, LieType, "Lie type").family)
+    check_subset_range(t, require_instance(j, SubsetJ, "subset"))
     target = j.elements
     for record in _RECORDS[family]:
         for j_set in record.j_sets:

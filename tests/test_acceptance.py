@@ -179,9 +179,9 @@ def test_criterion_9_summaries_of_twelve():
     # Packed counts, one shift and add per move: about 0.16 s on a 2-vCPU
     # Xeon under Python 3.11, where a list of ints per state took 0.75-0.81 s.
     shapes = list(partitions_of(12))
-    enumerate_cells(shapes[0], bound=12, cells=False)  # warm-up
+    enumerate_cells(shapes[0], cells=False)  # warm-up
     with criterion(9, "summaries of all 77 partitions of 12", 500.0):
-        total = sum(sum(enumerate_cells(p, bound=12, cells=False).poincare) for p in shapes)
+        total = sum(sum(enumerate_cells(p, cells=False).poincare) for p in shapes)
         assert len(shapes) == 77
         assert total == sum(
             math.factorial(12) // math.prod(map(math.factorial, p.parts)) for p in shapes

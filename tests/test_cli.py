@@ -333,7 +333,7 @@ class TestPavingCommand:
         shapes.append((Partition((4, 4, 2)), 10))
         expected = []
         for p, bound in shapes:
-            blocks = enumerate_cells(p, bound=bound).cells.by_dim
+            blocks = enumerate_cells(p).cells.by_dim
             cells = [(d, pre + s) for d, bs in enumerate(blocks) for pre, ss in bs for s in ss]
             argv = ["paving", "--partition", ",".join(map(str, p.parts)), "--bound", str(bound)]
             _, head, _ = run(capsys, *argv)
@@ -366,7 +366,7 @@ class TestPavingCommand:
         shapes += [(Partition((5, 5)), 10), (Partition((4, 4, 2)), 10)]
         shapes += [(Partition((12, 1)), 13), (Partition((1000,)), 1000)]
         for p, bound in shapes:
-            paving = enumerate_cells(p, bound=bound)
+            paving = enumerate_cells(p)
             dims = [d for d, count in enumerate(paving.poincare) for _ in range(count)]
             listed = [
                 prefix + s

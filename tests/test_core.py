@@ -17,7 +17,6 @@ from nilorbits.core import (
     classify_subdiagram,
     conjugate_heights,
     dynkin_diagram,
-    gcd_of_set,
     partitions_of,
     subset_of_mask,
     syt_count,
@@ -248,24 +247,12 @@ def test_center_order_is_the_cartan_determinant(t):
     assert t.center_order == determinant(cartan_matrix(t))
 
 
-class TestGcdOfSet:
-    def test_examples(self):
-        assert gcd_of_set({2, 4}, 6) == 2
-        assert gcd_of_set(set(), 7) == 7
-        assert gcd_of_set({2, 4}, 5) == 1
-
-    def test_rejects_bad_extra(self):
-        with pytest.raises(InputError):
-            gcd_of_set({2}, 0)
-
-
 def test_library_messages_cut_a_huge_value():
     # A value too long to print whole, or to convert to str at all, still
     # gives an InputError with a short message.
     huge = -(10**5000)
     for build in (
         lambda: Partition((huge,)),
-        lambda: gcd_of_set((), huge),
         lambda: FiniteGroupDescriptor.cyclic(huge),
         lambda: FiniteGroupDescriptor.elementary_abelian_2(huge),
         lambda: FiniteGroupDescriptor.central_extension_2(huge),
@@ -388,7 +375,6 @@ NON_INT_ARGUMENTS = {
     "all_subsets": (all_subsets, "rank"),
     "summand_report": (summand_report, "rank"),
     "subset_of_mask": (subset_of_mask, "subset mask"),
-    "gcd_of_set extra": (lambda extra: gcd_of_set([], extra), "extra"),
 }
 
 
@@ -425,6 +411,25 @@ class TestDynkinDiagram:
     def test_rejects_disconnected(self):
         with pytest.raises(InputError):
             DynkinDiagram((1, 2, 3, 4), frozenset({(1, 2), (3, 4), (1, 2)}))
+        # Three edges on four nodes, as a tree has, but a triangle and a lone node.
+        with pytest.raises(InputError, match="must be connected"):
+            DynkinDiagram((1, 2, 3, 4), frozenset({(1, 2), (2, 3), (1, 3)}))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)},
+            {(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (5, 7)},
+            {(1, 2), (1, 3), (1, 4), (1, 5)},
+        ],
+        ids=["arms-2-2-2", "two-branch-nodes", "degree-4"],
+    )
+    def test_rejects_a_tree_outside_ade(self, edges):
+        # Trees that no classification fits: a caller's bad diagram is an
+        # InputError, and the classifier's DataIntegrityError stays for corrupt data.
+        nodes = sorted({v for e in edges for v in e})
+        with pytest.raises(InputError, match="^diagram is not of type A, D or E$"):
+            DynkinDiagram(nodes, frozenset(edges))
 
 
 class TestComponentLabel:
@@ -506,7 +511,7 @@ class TestClassifySubdiagram:
         ),
         (
             lambda: OrbitRecord(
-                "x", 5, FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial()
+                "x", 5, FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial")
             ),
             "J sets must be iterable, got int 5",
         ),
@@ -526,12 +531,12 @@ class TestClassifySubdiagram:
             "z_orbit must be a FiniteGroupDescriptor, got NoneType None",
         ),
         (
-            lambda: OrbitRecord("x", ((1,),), FiniteGroupDescriptor.trivial(), 2),
+            lambda: OrbitRecord("x", ((1,),), FiniteGroupDescriptor("trivial"), 2),
             "pi1 must be a FiniteGroupDescriptor, got int 2",
         ),
         (
             lambda: OrbitRecord(
-                None, ((1,),), FiniteGroupDescriptor.trivial(), FiniteGroupDescriptor.trivial()
+                None, ((1,),), FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial")
             ),
             "bala_carter must be a str, got NoneType None",
         ),

@@ -265,6 +265,8 @@ def test_error_messages_cut_a_huge_number(argv, code):
         (["decompose", "--rank", "21"], 3, "rank 21 exceeds the report bound 20"),
         (ORBIT_A4 + ["--partition", "3,1"], 2, "partition [3, 1] sums to 4, expected 5 for A4"),
         (["tables", "--type", "Q"], 2, "unknown Lie family 'Q'"),
+        # One cell and 11 row states, refused by the default --bound alone.
+        (["paving", "--partition", "10"], 3, "partition size 10 exceeds the enumeration bound 9"),
     ],
 )
 def test_error_messages_show_a_short_number_whole(argv, code, message):

@@ -10,7 +10,8 @@ from nilorbits.core import InputError, LieType, Partition, SubsetJ, UnsupportedF
 from nilorbits.jordan import (
     IntMatrix,
     _rank_chain,
-    _representative_rows,
+    _root_sum_rows,
+    _root_vectors,
     partition_from_ranks,
     representative_matrix,
 )
@@ -329,7 +330,7 @@ class TestRowSpaceChain:
         checked = 0
         for t in classical_types(9):
             for j in all_subsets(t.rank):
-                rows = _representative_rows(t, j)
+                rows = _root_sum_rows(t, j, _root_vectors(t))
                 assert _rank_chain(rows) == echelon_chain(rows), (t, j)
                 checked += 1
         assert checked == 4078
@@ -395,7 +396,7 @@ class TestFormulaOracleEquivalence:
                     ranks = chain_ranks(m)
                     assert ranks == dense_power_ranks(rows), (t, j)
                     assert power_ranks(m) == ranks, (t, j)
-                    assert _rank_chain(_representative_rows(t, j)) == ranks, (t, j)
+                    assert _rank_chain(_root_sum_rows(t, j, _root_vectors(t))) == ranks, (t, j)
 
     @pytest.mark.parametrize(
         "family,rank",

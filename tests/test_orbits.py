@@ -81,13 +81,13 @@ def label_ambiguous(capsys, family, rank, j):
 
 class TestFiniteGroupDescriptor:
     def test_orders(self):
-        assert FiniteGroupDescriptor.trivial().order == 1
+        assert FiniteGroupDescriptor("trivial").order == 1
         assert FiniteGroupDescriptor.cyclic(5).order == 5
         assert FiniteGroupDescriptor.elementary_abelian_2(3).order == 8
         assert FiniteGroupDescriptor.central_extension_2(0).order == 2
         assert FiniteGroupDescriptor.central_extension_2(2).order == 8
-        assert FiniteGroupDescriptor.klein_four().order == 4
-        assert FiniteGroupDescriptor.symmetric_2().order == 2
+        assert FiniteGroupDescriptor("klein_four").order == 4
+        assert FiniteGroupDescriptor("symmetric_2").order == 2
 
     def test_order_one_normalizes_to_trivial(self):
         assert FiniteGroupDescriptor.cyclic(1).kind == "trivial"
@@ -95,7 +95,7 @@ class TestFiniteGroupDescriptor:
 
     def test_labels(self):
         assert FiniteGroupDescriptor.cyclic(3).label == "cyclic(3)"
-        assert FiniteGroupDescriptor.klein_four().label == "klein_four"
+        assert FiniteGroupDescriptor("klein_four").label == "klein_four"
 
     def test_rejects_denormalized_construction(self):
         with pytest.raises(InputError):
@@ -114,7 +114,7 @@ class TestCenterFiber:
         assert center_fiber(LieType.of("E6"), SubsetJ((2, 4))) == FiniteGroupDescriptor.cyclic(3)
 
     def test_d4_full_center(self):
-        assert center_fiber(LieType("D", 4), SubsetJ((2,))) == FiniteGroupDescriptor.klein_four()
+        assert center_fiber(LieType("D", 4), SubsetJ((2,))) == FiniteGroupDescriptor("klein_four")
 
     def test_d5_full_center_is_cyclic_4(self):
         assert center_fiber(LieType("D", 5), SubsetJ((2,))) == FiniteGroupDescriptor.cyclic(4)
@@ -261,18 +261,18 @@ class TestFundamentalGroups:
     def test_type_a(self):
         pi1, a = fundamental_groups(LieType("A", 5), Partition((3, 3)))
         assert pi1 == FiniteGroupDescriptor.cyclic(3)
-        assert a == FiniteGroupDescriptor.trivial()
+        assert a == FiniteGroupDescriptor("trivial")
 
     def test_type_c(self):
         pi1, a = fundamental_groups(LieType("C", 3), Partition((4, 1, 1)))
         assert pi1 == FiniteGroupDescriptor.elementary_abelian_2(1)
-        assert a == FiniteGroupDescriptor.trivial()
+        assert a == FiniteGroupDescriptor("trivial")
 
     def test_type_b_rather_odd(self):
         pi1, a = fundamental_groups(LieType("B", 3), Partition((3, 2, 2)))
         assert pi1 == FiniteGroupDescriptor.central_extension_2(0)
         assert pi1.order == 2
-        assert a == FiniteGroupDescriptor.trivial()
+        assert a == FiniteGroupDescriptor("trivial")
 
     def test_type_d_not_rather_odd(self):
         pi1, a = fundamental_groups(LieType("D", 4), Partition((3, 3, 1, 1)))
@@ -282,7 +282,7 @@ class TestFundamentalGroups:
     def test_type_d_very_even(self):
         pi1, a = fundamental_groups(LieType("D", 4), Partition((4, 4)))
         assert pi1.order == 2
-        assert a == FiniteGroupDescriptor.trivial()
+        assert a == FiniteGroupDescriptor("trivial")
 
     def test_rejects_bad_multiplicity_b(self):
         with pytest.raises(InputError, match="even part .* odd multiplicity"):
@@ -518,3 +518,88 @@ class TestSharedJTable:
             assert per_pair == dict.fromkeys(pairs, 1), counted_names[tag]
         assert sum(n for (g, _, _), n in calls.items() if g == "M") == len(pairs)
         assert not any(g == "D" for g, _, _ in calls)
+
+
+# The B and D branches of fundamental_groups and the classical rules of
+# center_fiber as they read before the B/D rule was merged, before type A
+# took math.gcd and before type D dropped "n >= 4": references for the
+# shorter forms.  None stands for a refused partition.
+def separate_b_d_groups(t, p):
+    counts = Counter(p.parts)
+    if any(v % 2 == 0 and m % 2 for v, m in counts.items()):
+        return None
+    a = sum(v % 2 for v in counts)
+    elementary = FiniteGroupDescriptor.elementary_abelian_2
+    rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
+    if t.family == "B":
+        if rather_odd:
+            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
+        else:
+            pi1 = elementary(a - 1)
+        return pi1, elementary(a - 1)
+    k = max(0, a - 1)
+    if rather_odd:
+        pi1 = FiniteGroupDescriptor.central_extension_2(k)
+    else:
+        pi1 = elementary(k)
+    odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
+    return pi1, elementary(k if odd_ok else max(0, a - 2))
+
+
+def separate_center_fiber(t, j):
+    fam, n = t.family, t.rank
+    elems = j.elements
+    trivial, z2 = FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor.cyclic(2)
+    if fam == "A":
+        c = n + 1
+        for v in elems:
+            c = math.gcd(c, v)
+        return FiniteGroupDescriptor.cyclic(c)
+    if fam == "B":
+        return z2 if all(v % 2 == 0 for v in elems) else trivial
+    if fam == "C":
+        return trivial if n in j else z2
+    top, second = n in j, (n - 1) in j
+    if not top and not second:
+        if all(v % 2 == 0 for v in elems):
+            if n % 2 == 0:
+                return FiniteGroupDescriptor("klein_four")
+            return FiniteGroupDescriptor.cyclic(4)
+        return z2
+    if (
+        top != second
+        and all(v % 2 == 0 for v in elems if v < n - 1)
+        and n % 2 == 0
+        and n >= 4
+    ):
+        return z2
+    return trivial
+
+
+def test_merged_b_d_rule_equals_the_separate_rules():
+    checked = refused = 0
+    for family, lo, size in (("B", 2, lambda n: 2 * n + 1), ("D", 3, lambda n: 2 * n)):
+        for n in range(lo, 13):
+            t = LieType(family, n)
+            for p in partitions_of(size(n)):
+                expected = separate_b_d_groups(t, p)
+                if expected is None:
+                    with pytest.raises(InputError, match="odd multiplicity"):
+                        fundamental_groups(t, p)
+                    refused += 1
+                    continue
+                got = fundamental_groups(t, p)
+                assert [(g.kind, g.parameter) for g in got] == [
+                    (g.kind, g.parameter) for g in expected
+                ], (t, p)
+                checked += 1
+    assert (checked, refused) == (2278, 7006)
+
+
+def test_center_fiber_equals_the_separate_rules():
+    checked = 0
+    for t in classical_types(10):
+        for j in core_all_subsets(t.rank):
+            assert center_fiber(t, j) == separate_center_fiber(t, j), (t, j)
+            checked += 1
+    assert checked == sum(2**t.rank for t in classical_types(10))

@@ -318,8 +318,8 @@ class TestEnumerateCells:
 
     def test_single_row(self):
         # (2500,) walks half its depth, 1250 levels, past the recursion limit.
-        for parts, bound in (((5,), 9), ((1000,), 1000), ((2500,), 2500)):
-            paving = enumerate_cells(Partition(parts), bound=bound)
+        for parts in ((5,), (1000,), (2500,)):
+            paving = enumerate_cells(Partition(parts))
             assert len(paving.cells) == 1
             assert dimensioned(paving)[0][0] == 0
             assert paving.poincare == (1,)
@@ -331,7 +331,7 @@ class TestEnumerateCells:
         # [1^13] is the widest column under the state cap; its middle
         # coefficients fill the most bits of the packed count fields.
         for m in range(1, 14):
-            paving = enumerate_cells(Partition((1,) * m), bound=m, cells=False)
+            paving = enumerate_cells(Partition((1,) * m), cells=False)
             assert list(paving.poincare) == mahonian(m)
 
     def test_summary_at_the_state_cap_stays_small(self):
@@ -339,10 +339,10 @@ class TestEnumerateCells:
         # states) peaked at 585,232 bytes under tracemalloc when each
         # state's counts were a list of ints, and 237,300 packed.
         staircase = Partition((6, 5, 4, 3, 2, 1))
-        enumerate_cells(staircase, bound=21, cells=False)  # warm-up
+        enumerate_cells(staircase, cells=False)  # warm-up
         tracemalloc.start()
         try:
-            enumerate_cells(staircase, bound=21, cells=False)
+            enumerate_cells(staircase, cells=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,19 +353,19 @@ class TestEnumerateCells:
         _, poincare = enumerate_cells(Partition((2, 1)))
         assert list(poincare) == [1, 2]
         # [12, 1]: a chain of 12 lines, each meeting the next in a point
-        cells, poincare = enumerate_cells(Partition((12, 1)), bound=13)
+        cells, poincare = enumerate_cells(Partition((12, 1)))
         assert len(cells) == 13
         assert poincare == (1, 12)
 
-    def test_bound_error_names_bound(self):
-        with pytest.raises(ResourceBoundError, match="bound 9"):
-            enumerate_cells(Partition((5, 5)))
-
-    def test_bound_override(self):
-        cells, _ = enumerate_cells(Partition((2, 1)), bound=3)
-        assert len(cells) == 3
-        with pytest.raises(ResourceBoundError):
-            enumerate_cells(Partition((2, 2)), bound=3)
+    def test_size_alone_is_no_bound(self):
+        # Past the CLI's default --bound of 9: [10] walks 11 row states and
+        # [5, 5] 36, so both answer; [1^10] walks 1024 but lists 10! > 9! cells.
+        assert enumerate_cells(Partition((10,)), cells=False).poincare == (1,)
+        expected = checks.poincare_by_row_removal((5, 5), {})
+        assert enumerate_cells(Partition((5, 5)), cells=False).poincare == expected
+        assert sum(expected) == math.comb(10, 5)
+        with pytest.raises(ResourceBoundError, match="cells, the fixed bound for a listing"):
+            enumerate_cells(Partition((1,) * 10))
 
     def test_fixed_caps_hold_for_any_bound(self):
         huge = 10**20
@@ -376,9 +376,9 @@ class TestEnumerateCells:
             ((1,) * 14, False, "row states"),
         ):
             with pytest.raises(ResourceBoundError, match=reason):
-                enumerate_cells(Partition(parts), bound=3 * huge, cells=cells)
+                enumerate_cells(Partition(parts), cells=cells)
         # [1^13], 8192 states, is the widest column under the state cap.
-        assert enumerate_cells(Partition((1,) * 13), bound=13, cells=False).poincare[-1] == 1
+        assert enumerate_cells(Partition((1,) * 13), cells=False).poincare[-1] == 1
 
     def test_deterministic_order(self):
         first = enumerate_cells(Partition((3, 2)))
@@ -443,10 +443,10 @@ class TestEnumerateCells:
                 assert enumerate_cells(p).poincare == expected
 
     def test_row_removal_oracle_can_fail(self, monkeypatch):
-        def shift_first_cell(p, bound=9):
+        def shift_first_cell(p):
             # One cell of mass moves from dimension 0 to dimension 1; the
             # listed blocks stay as they are.
-            paving = enumerate_cells(p, bound)
+            paving = enumerate_cells(p)
             counts = list(paving.poincare) + [0] * (2 - len(paving.poincare))
             counts[0] -= 1
             counts[1] += 1
@@ -476,8 +476,8 @@ class TestEnumerateCells:
             def __len__(self):
                 return self.count
 
-        def drop_one_suffix(p, bound=9):
-            cells, poincare = enumerate_cells(p, bound)
+        def drop_one_suffix(p):
+            cells, poincare = enumerate_cells(p)
             return CellPaving(DroppedSuffix(cells), poincare)
 
         monkeypatch.setattr(checks, "enumerate_cells", drop_one_suffix)
@@ -498,11 +498,11 @@ class TestEnumerateCells:
     def test_count_matches_row_removal(self):
         # Counting builds no cell, so it reaches sizes the listing cannot.
         memo = {}
-        shapes = [(p, 12) for m in range(1, 13) for p in partitions_of(m)]
+        shapes = [p for m in range(1, 13) for p in partitions_of(m)]
         assert len(shapes) == 271
-        for p, bound in shapes + [(Partition((6, 5, 4, 3, 2, 1)), 21)]:
+        for p in shapes + [Partition((6, 5, 4, 3, 2, 1))]:
             expected = checks.poincare_by_row_removal(p.parts, memo)
-            paving = enumerate_cells(p, bound, cells=False)
+            paving = enumerate_cells(p, cells=False)
             assert paving.poincare == expected
             assert paving.cells.by_dim == ()
 
@@ -616,9 +616,3 @@ ENTRY_POINTS = {
 def test_entry_points_refuse_a_value_of_the_wrong_type(name, junk):
     with pytest.raises(InputError, match="must be a "):
         ENTRY_POINTS[name](junk)
-
-
-@pytest.mark.parametrize("bound", ["9", 9.5, True, None], ids=repr)
-def test_enumerate_cells_refuses_a_bound_that_is_not_an_int(bound):
-    with pytest.raises(InputError, match="^bound must be an int, got "):
-        enumerate_cells(Partition((2, 1)), bound)

@@ -81,10 +81,10 @@ class TestRecordShape:
     def test_a_group_derivation(self):
         # Z trivial: A is all of pi1; Z = pi1: A collapses
         s2_record = table_lookup(E7, SubsetJ((1, 5)))
-        assert s2_record.pi1 == FiniteGroupDescriptor.symmetric_2()
-        assert s2_record.a_group == FiniteGroupDescriptor.symmetric_2()
+        assert s2_record.pi1 == FiniteGroupDescriptor("symmetric_2")
+        assert s2_record.a_group == FiniteGroupDescriptor("symmetric_2")
         z2_record = table_lookup(E7, SubsetJ((4,)))
-        assert z2_record.a_group == FiniteGroupDescriptor.trivial()
+        assert z2_record.a_group == FiniteGroupDescriptor("trivial")
 
     def test_z_divides_pi1(self):
         for t in (E6, E7):
@@ -111,15 +111,16 @@ class TestValidation:
 
     def test_validation_builds_no_adjacency(self, monkeypatch):
         # Each J's induced subgraph comes from the diagram's edges; the one
-        # diagram is built trusted, so no adjacency map is built at all.
+        # diagram is built trusted, so the validating build, which classifies
+        # the whole tree, never runs.
         calls = []
-        adjacency = DynkinDiagram.adjacency
+        validated = DynkinDiagram.__init__
 
-        def counted(diagram):
-            calls.append(diagram)
-            return adjacency(diagram)
+        def counted(diagram, *args):
+            calls.append(args)
+            validated(diagram, *args)
 
-        monkeypatch.setattr(DynkinDiagram, "adjacency", counted)
+        monkeypatch.setattr(DynkinDiagram, "__init__", counted)
         assert all(c.ok for c in validate_tables(E7))
         assert calls == []
 
@@ -151,7 +152,7 @@ class TestValidation:
                     OrbitRecord(
                         bala_carter=record.bala_carter,
                         j_sets=record.j_sets,
-                        z_orbit=FiniteGroupDescriptor.trivial(),
+                        z_orbit=FiniteGroupDescriptor("trivial"),
                         pi1=record.pi1,
                     )
                 )
@@ -221,8 +222,8 @@ class TestValidation:
             OrbitRecord(
                 bala_carter="A_1",
                 j_sets=(),
-                z_orbit=FiniteGroupDescriptor.trivial(),
-                pi1=FiniteGroupDescriptor.trivial(),
+                z_orbit=FiniteGroupDescriptor("trivial"),
+                pi1=FiniteGroupDescriptor("trivial"),
             )
 
 
@@ -248,3 +249,26 @@ class TestDump:
     def test_dump_deterministic(self):
         assert dump_tsv(E7) == dump_tsv(E7)
         assert records_as_dicts(E6) == records_as_dicts(E6)
+
+
+# The five table entry points; all but table_lookup go through records.
+TABLE_ENTRY_POINTS = {
+    "records": records,
+    "records_as_dicts": records_as_dicts,
+    "dump_tsv": dump_tsv,
+    "validate_tables": validate_tables,
+    "table_lookup": lambda t: table_lookup(t, SubsetJ(())),
+}
+
+
+@pytest.mark.parametrize("junk", ["E6", None], ids=repr)
+@pytest.mark.parametrize("name", sorted(TABLE_ENTRY_POINTS))
+def test_table_entry_points_refuse_a_lie_type_of_the_wrong_type(name, junk):
+    with pytest.raises(InputError, match="^Lie type must be a LieType, got "):
+        TABLE_ENTRY_POINTS[name](junk)
+
+
+@pytest.mark.parametrize("junk", [(2, 4), None], ids=repr)
+def test_table_lookup_refuses_a_subset_of_the_wrong_type(junk):
+    with pytest.raises(InputError, match="^subset must be a SubsetJ, got "):
+        table_lookup(E6, junk)
