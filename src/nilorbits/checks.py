@@ -49,12 +49,6 @@ def _result(name: str, checked: int, failures: list[str]) -> CheckResult:
     return CheckResult(name, checked, tuple(failures))
 
 
-def _classical_ranks(max_rank: int):
-    for family, lo in _MIN_RANK.items():
-        for rank in range(lo, max_rank + 1):
-            yield LieType(family, rank)
-
-
 def check_conjugate_involution(max_total: int = 10) -> CheckResult:
     """Conjugation preserves the total and is an involution."""
     failures = []
@@ -145,7 +139,7 @@ def classical_sweep(max_rank: int) -> Sweep:
     from its index for a failure message, so the sweep keeps no SubsetJ alive.
     """
     sweep: Sweep = {}
-    for t in _classical_ranks(max_rank):
+    for t in (LieType(f, r) for f, lo in _MIN_RANK.items() for r in range(lo, max_rank + 1)):
         c = sweep[t] = Columns()
         # The group orders depend on the partition alone, and many J share
         # one; the parts tuple keys them, hashed and compared in C.

@@ -73,15 +73,6 @@ def require_int(value, what: str) -> int:
     return value
 
 
-def require_str(value, what: str) -> str:
-    """``value`` if its type is str; anything else raises InputError."""
-    if type(value) is not str:
-        raise InputError(
-            "%s must be a str, got %s %s" % (what, type(value).__name__, echo_value(value))
-        )
-    return value
-
-
 def require_instance(value, kind: type, what: str):
     """``value`` if it is an instance of ``kind``; anything else raises InputError."""
     if not isinstance(value, kind):
@@ -188,7 +179,7 @@ class LieType(Value):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
-        if require_str(family, "Lie family") not in FAMILIES:
+        if require_instance(family, str, "Lie family") not in FAMILIES:
             raise InputError("unknown Lie family %s" % echo_text(family))
         require_int(rank, "rank")
         if family in EXCEPTIONAL_RANKS:
@@ -205,7 +196,7 @@ class LieType(Value):
     @classmethod
     def of(cls, family: str, rank: int | None = None) -> "LieType":
         """The type named ``family``, in any case; an exceptional family may leave out its rank."""
-        family = require_str(family, "Lie family").upper()
+        family = require_instance(family, str, "Lie family").upper()
         if rank is None:
             if family in CLASSICAL_FAMILIES:
                 raise InputError("family %s requires an explicit rank" % family)
@@ -369,13 +360,17 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
 
 def conjugate_heights(p: Partition) -> list[int]:
     """Column heights of the Young diagram: entry j counts parts >= j+1."""
-    if not p.parts:
+    parts = require_instance(p, Partition, "partition").parts
+    if not parts:
         return []
-    return [sum(1 for v in p.parts if v >= j) for j in range(1, p.parts[0] + 1)]
+    return [sum(1 for v in parts if v >= j) for j in range(1, parts[0] + 1)]
 
 
 def syt_count(p: Partition) -> int:
-    """Number of standard fillings of the diagram, by the hook-length product."""
+    """Number of standard fillings of the diagram, by the hook-length product.
+
+    A ``p`` that is not a Partition raises InputError in ``conjugate_heights``.
+    """
     heights = conjugate_heights(p)
     product = 1
     for r, row_len in enumerate(p.parts):
@@ -466,7 +461,7 @@ def dynkin_diagram(t: LieType) -> DynkinDiagram:
     the path 1..n-1.  E_n hangs node 2 off node 4 of the path formed by
     1-3-4-5-...-n.  Each is a tree with its edges written (low, high), built trusted.
     """
-    n = t.rank
+    n = require_instance(t, LieType, "Lie type").rank
     if t.family == "A":
         edges = {(i, i + 1) for i in range(1, n)}
     elif t.family == "D":
@@ -562,10 +557,11 @@ def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> Co
     "E", rank >= 1) by construction, so the label is built by
     ``ComponentLabel._trusted`` from the summands in its canonical order.
     """
-    kept = set(kept_nodes)
-    unknown = kept - set(diagram.nodes)
+    require_instance(diagram, DynkinDiagram, "diagram")
+    kept = set(require_iterable(kept_nodes, "kept nodes"))
+    unknown = kept.difference(diagram.nodes)
     if unknown:
-        raise InputError("kept nodes %r are not diagram nodes" % (sorted(unknown),))
+        raise InputError("kept nodes %s are not diagram nodes" % echo_value(unknown))
     adj: dict[int, list[int]] = {v: [] for v in kept}
     for a, b in diagram.edges:
         if a in kept and b in kept:

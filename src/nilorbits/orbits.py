@@ -21,8 +21,8 @@ from .core import (
     check_subset_range,
     echo_text,
     echo_value,
+    require_instance,
     require_int,
-    require_str,
 )
 
 
@@ -57,7 +57,7 @@ class FiniteGroupDescriptor(Value):
     }
 
     def __init__(self, kind: str, parameter: int | None = None) -> None:
-        if require_str(kind, "group kind") not in self._KINDS:
+        if require_instance(kind, str, "group kind") not in self._KINDS:
             raise InputError("unknown group kind %s" % echo_text(kind))
         least = self._KINDS[kind][0]
         if least is None:
@@ -219,28 +219,6 @@ def orbit_dimension_type_a(n: int, p: Partition) -> int:
     return (n + 1) ** 2 - sum(map(mul, range(1, 2 * len(p.parts), 2), p.parts))
 
 
-def _check_orbit_partition(t: LieType, p: Partition, counts: dict[int, int]) -> None:
-    """Reject a wrong total, or an so (sp) partition with an even (odd) part of odd
-    multiplicity; ``counts`` is ``p.multiplicities()``."""
-    expected_total = t.matrix_dimension
-    if p.total != expected_total:
-        raise InputError(
-            "partition %s sums to %s, expected %d for %s"
-            % (echo_value(p), echo_value(p.total), expected_total, t)
-        )
-    if t.family == "A":
-        return
-    parity, kind, algebra = (1, "odd", "sp") if t.family == "C" else (0, "even", "so")
-    # set(p.parts) fixes which offending part the message names.
-    for v in set(p.parts):
-        if v % 2 == parity and counts[v] % 2:
-            raise InputError(
-                "%s part %d has odd multiplicity %d; %s_%d orbit partitions need "
-                "%s parts with even multiplicity"
-                % (kind, v, counts[v], algebra, expected_total, kind)
-            )
-
-
 def fundamental_groups(
     t: LieType, p: Partition
 ) -> tuple[FiniteGroupDescriptor, FiniteGroupDescriptor]:
@@ -257,15 +235,31 @@ def fundamental_groups(
                                                     else (Z/2)^(b-1)
       so even:   as so odd with exponent max(0, a-1); A drops to
                  max(0, a-2) unless every odd part has even multiplicity
+
+    A partition of the wrong total is refused first; then an so (sp)
+    partition with an even (odd) part of odd multiplicity.
     """
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "fundamental groups by partition exist only for classical families, not %s"
             % t.family
         )
+    fam, total = t.family, t.matrix_dimension
+    if p.total != total:
+        raise InputError(
+            "partition %s sums to %s, expected %d for %s"
+            % (echo_value(p), echo_value(p.total), total, t)
+        )
     counts = p.multiplicities()
-    _check_orbit_partition(t, p, counts)
-    fam = t.family
+    if fam != "A":
+        parity, kind, algebra = (1, "odd", "sp") if fam == "C" else (0, "even", "so")
+        # set(p.parts) fixes which offending part the message names.
+        for v in set(p.parts):
+            if v % 2 == parity and counts[v] % 2:
+                raise InputError(
+                    "%s part %d has odd multiplicity %d; %s_%d orbit partitions need "
+                    "%s parts with even multiplicity" % (kind, v, counts[v], algebra, total, kind)
+                )
     a = sum(v % 2 for v in counts)
     b = len(counts) - a
     # The checked partition is not empty, and an odd total (type B) has an

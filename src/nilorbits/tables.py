@@ -32,7 +32,6 @@ from .core import (
     dynkin_diagram,
     require_instance,
     require_iterable,
-    require_str,
 )
 from .orbits import FiniteGroupDescriptor, center_fiber
 
@@ -188,7 +187,7 @@ class OrbitRecord(Value):
         z_orbit: FiniteGroupDescriptor,
         pi1: FiniteGroupDescriptor,
     ) -> None:
-        require_str(bala_carter, "bala_carter")
+        require_instance(bala_carter, str, "bala_carter")
         j_sets = tuple(
             sorted(map(SubsetJ, require_iterable(j_sets, "J sets")), key=lambda s: s.elements)
         )
@@ -252,16 +251,14 @@ def records(t: LieType) -> tuple[OrbitRecord, ...]:
 
 def table_lookup(t: LieType, j: SubsetJ) -> OrbitRecord:
     """The unique record whose J sets contain ``j``."""
-    family = _require_table_family(require_instance(t, LieType, "Lie type").family)
+    table = records(t)
     check_subset_range(t, require_instance(j, SubsetJ, "subset"))
     target = j.elements
-    for record in _RECORDS[family]:
+    for record in table:
         for j_set in record.j_sets:
             if j_set.elements == target:
                 return record
-    raise DataIntegrityError(
-        "subset %s missing from every %s record" % (j, family)
-    )
+    raise DataIntegrityError("subset %s missing from every %s record" % (j, t.family))
 
 
 def validate_records(t: LieType, record_list) -> tuple[CheckResult, ...]:
@@ -270,7 +267,7 @@ def validate_records(t: LieType, record_list) -> tuple[CheckResult, ...]:
     A J outside 1..rank fails the power-set partition and skips the Z and
     label checks, so their counts take only the J sets they checked.
     """
-    _require_table_family(t.family)
+    _require_table_family(require_instance(t, LieType, "Lie type").family)
     rank = t.rank
     diagram = dynkin_diagram(t)
     nodes = set(range(1, rank + 1))

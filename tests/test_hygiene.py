@@ -91,6 +91,31 @@ def test_paving_imports_nothing_from_jordan():
     assert modules and "jordan" not in modules
 
 
+# (importer, module, name) for each import of another package module's
+# underscore name.  A new reach into a private helper fails here and has to be argued.
+PRIVATE_IMPORTS = {
+    ("checks", "core", "_MIN_RANK"),
+    ("checks", "jordan", "_rank_chain"),
+    ("checks", "jordan", "_root_sum_rows"),
+    ("checks", "jordan", "_root_vectors"),
+    ("checks", "paving", "_inversions"),
+    ("checks", "paving", "_split_roots"),
+    ("cli", "paving", "_split_roots"),
+    ("cli", "tables", "_require_table_family"),
+}
+
+
+def test_private_names_imported_across_modules_are_pinned():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update(
+                    (path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")
+                )
+    assert found == PRIVATE_IMPORTS
+
+
 def definitions(body, prefix=""):
     """(qualified name, node) for every function, method and class under ``body``, nested too."""
     for node in body:

@@ -251,13 +251,14 @@ class TestDump:
         assert records_as_dicts(E6) == records_as_dicts(E6)
 
 
-# The five table entry points; all but table_lookup go through records.
+# The six table entry points; all but validate_records go through records.
 TABLE_ENTRY_POINTS = {
     "records": records,
     "records_as_dicts": records_as_dicts,
     "dump_tsv": dump_tsv,
     "validate_tables": validate_tables,
     "table_lookup": lambda t: table_lookup(t, SubsetJ(())),
+    "validate_records": lambda t: validate_records(t, ()),
 }
 
 
