@@ -38,13 +38,6 @@ from .paving import (
     phi_w,
     render_root_set,
 )
-from .tables import (
-    _require_table_family,
-    dump_tsv,
-    records_as_dicts,
-    table_lookup,
-    validate_tables,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -162,6 +155,8 @@ def cmd_orbit(args) -> int:
         payload["j_set"] = list(j.elements)
         payload["z_j"] = z.as_json()
         if t.family in ("E6", "E7"):
+            from .tables import table_lookup
+
             record = table_lookup(t, j)
             a_group = record.a_group
             payload["bala_carter"] = record.bala_carter
@@ -365,6 +360,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .tables import _require_table_family, dump_tsv, records_as_dicts, validate_tables
+
     # Only E6 and E7 have tables, so any other family is refused before its rank is asked for.
     t = LieType.of(_require_table_family(args.type.upper()))
     if args.validate:

@@ -558,7 +558,13 @@ def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> Co
     ``ComponentLabel._trusted`` from the summands in its canonical order.
     """
     require_instance(diagram, DynkinDiagram, "diagram")
-    kept = set(require_iterable(kept_nodes, "kept nodes"))
+    try:
+        kept = set(require_iterable(kept_nodes, "kept nodes"))
+    except TypeError:
+        raise InputError(
+            "kept nodes must be hashable, got %s %s"
+            % (type(kept_nodes).__name__, echo_value(kept_nodes))
+        ) from None
     unknown = kept.difference(diagram.nodes)
     if unknown:
         raise InputError("kept nodes %s are not diagram nodes" % echo_value(unknown))

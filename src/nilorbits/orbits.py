@@ -136,7 +136,8 @@ def center_fiber(t: LieType, j: SubsetJ) -> FiniteGroupDescriptor:
     descriptor that was built once at import; type A builds Z/c through
     ``FiniteGroupDescriptor.cyclic``, c being a gcd with n + 1 >= 2.
     """
-    check_subset_range(t, j)
+    require_instance(t, LieType, "Lie type")
+    check_subset_range(t, require_instance(j, SubsetJ, "subset"))
     fam, n = t.family, t.rank
     elems = j.elements
     if fam == "A":
@@ -175,6 +176,8 @@ def orbit_partition(t: LieType, j: SubsetJ) -> Partition:
     J) are dropped.  A very even partition in family D labels two distinct
     orbits; the partition does not pick one.
     """
+    require_instance(t, LieType, "Lie type")
+    require_instance(j, SubsetJ, "subset")
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "no partition classification for family %s; use the orbit tables" % t.family
@@ -211,6 +214,8 @@ def orbit_dimension_type_a(n: int, p: Partition) -> int:
     The sum of the squared column heights is computed over the rows, as
     the sum of (2i - 1) * lambda_i with i counted from 1, in O(#parts) work.
     """
+    require_int(n, "rank")
+    require_instance(p, Partition, "partition")
     if p.total != n + 1:
         raise InputError(
             "partition %s sums to %s, expected n+1 = %d"
@@ -239,6 +244,8 @@ def fundamental_groups(
     A partition of the wrong total is refused first; then an so (sp)
     partition with an even (odd) part of odd multiplicity.
     """
+    require_instance(t, LieType, "Lie type")
+    require_instance(p, Partition, "partition")
     if not t.is_classical:
         raise UnsupportedFamilyError(
             "fundamental groups by partition exist only for classical families, not %s"

@@ -27,7 +27,13 @@ from nilorbits.core import (
 )
 from nilorbits.decomposition import summand_report
 from nilorbits.jordan import IntMatrix, representative_matrix
-from nilorbits.orbits import FiniteGroupDescriptor
+from nilorbits.orbits import (
+    FiniteGroupDescriptor,
+    center_fiber,
+    fundamental_groups,
+    orbit_dimension_type_a,
+    orbit_partition,
+)
 from nilorbits.paving import LabeledDiagram, TableauPermutation
 from nilorbits.tables import OrbitRecord
 
@@ -658,10 +664,28 @@ E6_DIAGRAM = dynkin_diagram(LieType.of("E6"))
             lambda: classify_subdiagram(E6_DIAGRAM, [9]),
             "kept nodes {9} are not diagram nodes",
         ),
+        (
+            lambda: classify_subdiagram(E6_DIAGRAM, [[1]]),
+            "kept nodes must be hashable, got list [[1]]",
+        ),
+        (lambda: center_fiber("A", (1,)), "Lie type must be a LieType, got str A"),
+        (
+            lambda: orbit_partition(LieType("A", 3), (1,)),
+            "subset must be a SubsetJ, got tuple (1,)",
+        ),
+        (
+            lambda: fundamental_groups(LieType("C", 2), [2, 2]),
+            "partition must be a Partition, got list [2, 2]",
+        ),
+        (
+            lambda: orbit_dimension_type_a(3.0, Partition([2, 2])),
+            "rank must be an int, got float 3.0",
+        ),
     ],
     ids=[
         "syt_count", "conjugate_heights", "dynkin_diagram", "classify_subdiagram-diagram",
-        "classify_subdiagram-kept", "classify_subdiagram-unknown",
+        "classify_subdiagram-kept", "classify_subdiagram-unknown", "classify_subdiagram-unhashable",
+        "center_fiber", "orbit_partition", "fundamental_groups", "orbit_dimension_type_a",
     ],
 )
 def test_functions_refuse_an_argument_of_the_wrong_type(call, message):
@@ -680,13 +704,7 @@ def test_unknown_nodes_that_cannot_be_sorted_are_named():
 PROBES = [None, "x", 1.5, True, -1, 5, object(), (1,)]
 
 # Public functions that do not check their argument types yet (ROADMAP item 8).
-NOT_YET_GUARDED = {
-    "center_fiber",
-    "fundamental_groups",
-    "kernel_check",
-    "orbit_dimension_type_a",
-    "orbit_partition",
-}
+NOT_YET_GUARDED = {"kernel_check"}
 
 
 def required_arity(obj) -> int:

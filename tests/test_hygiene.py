@@ -46,9 +46,22 @@ def test_every_import_is_used():
 
 
 def test_all_lists_exactly_the_package_imports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    assert set(nilorbits.__all__) == imported_names(tree)
+    # The package names each export once, in its name -> module table, and
+    # imports the module on first use.
+    exports = nilorbits._EXPORTS
+    assert nilorbits.__all__ == sorted(exports)
     assert len(nilorbits.__all__) == len(set(nilorbits.__all__)) == 39
+    for name, module in exports.items():
+        assert getattr(nilorbits, name) is getattr(importlib.import_module("nilorbits." + module), name)
+    with pytest.raises(AttributeError):
+        nilorbits.no_such_export
+    # A submodule misses the table too, so `from nilorbits import cli` imports it.
+    with pytest.raises(AttributeError):
+        nilorbits.__getattr__("cli")
+    from nilorbits import cli as submodule
+
+    assert submodule is sys.modules["nilorbits.cli"]
+    assert set(nilorbits.__all__) <= set(dir(nilorbits))
 
 
 # Exported though no package code reads them: bench/spans.py wraps each one,
@@ -329,9 +342,38 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
     # the JSON writer takes its escaper from _json, not from the json package.
     code = "import sys, nilorbits.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    modules = ["dataclasses", "inspect", "nilorbits.checks", "argparse", "gettext", "json"]
+    modules = [
+        "dataclasses", "inspect", "nilorbits.checks", "nilorbits.jordan", "nilorbits.tables",
+        "argparse", "gettext", "json",
+    ]
     out = subprocess.run(
         [sys.executable, "-c", code, *modules],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[]\n"
+
+
+# The modules that `import nilorbits.cli` leaves out, and what each plain call loads of them.
+LAZY_MODULES = ("nilorbits.checks", "nilorbits.jordan", "nilorbits.tables")
+FOOTPRINTS = [
+    ("orbit --type D --rank 6 --j 2,4", []),
+    ("paving --partition 3,2,2,1", []),
+    ("decompose --rank 5", []),
+    ("orbit --type E7 --j 1,3", ["nilorbits.tables"]),
+    ("tables --type E6", ["nilorbits.tables"]),
+    ("verify --max-rank 1", list(LAZY_MODULES)),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", FOOTPRINTS, ids=[argv for argv, _ in FOOTPRINTS])
+def test_each_command_loads_only_the_modules_it_reads(argv, loaded):
+    code = (
+        "import sys; from nilorbits import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, sorted(set(%r) & set(sys.modules)))" % (LAZY_MODULES,)
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv.split()],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.splitlines()[-1] == "0 %s" % loaded
