@@ -45,10 +45,6 @@ from .paving import (
 from .tables import records, validate_tables
 
 
-def _result(name: str, checked: int, failures: list[str]) -> CheckResult:
-    return CheckResult(name, checked, tuple(failures))
-
-
 def check_conjugate_involution(max_total: int = 10) -> CheckResult:
     """Conjugation preserves the total and is an involution."""
     failures = []
@@ -63,7 +59,7 @@ def check_conjugate_involution(max_total: int = 10) -> CheckResult:
                 failures.append("double conjugate differs for %s" % p)
             if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
                 failures.append("heights not weakly decreasing for %s" % p)
-    return _result("conjugate-involution", checked, failures)
+    return CheckResult("conjugate-involution", checked, tuple(failures))
 
 
 def check_syt_symmetry(max_total: int = 10) -> CheckResult:
@@ -75,7 +71,7 @@ def check_syt_symmetry(max_total: int = 10) -> CheckResult:
             checked += 1
             if syt_count(p) != syt_count(p.conjugate()):
                 failures.append("syt count differs from conjugate for %s" % p)
-    return _result("syt-conjugate-symmetry", checked, failures)
+    return CheckResult("syt-conjugate-symmetry", checked, tuple(failures))
 
 
 def check_subdiagram_classification() -> CheckResult:
@@ -98,7 +94,7 @@ def check_subdiagram_classification() -> CheckResult:
         got = classify_subdiagram(e7, kept).render()
         if got != expected:
             failures.append("E7 nodes %s classify as %s, expected %s" % (kept, got, expected))
-    return _result("subdiagram-classification", checked, failures)
+    return CheckResult("subdiagram-classification", checked, tuple(failures))
 
 
 # Rank sequences are kept for the types of rank up to ORACLE_RANK, which
@@ -189,7 +185,7 @@ def check_formula_oracle(sweep: Sweep) -> CheckResult:
                         "%s J=%s: orbit dimension %d vs %d from the oracle's column heights"
                         % (t, subset_of_mask(mask), dim, via_oracle)
                     )
-    return _result("formula-oracle", checked, failures)
+    return CheckResult("formula-oracle", checked, tuple(failures))
 
 
 def check_oracle_rank_profile(sweep: Sweep) -> CheckResult:
@@ -212,7 +208,7 @@ def check_oracle_rank_profile(sweep: Sweep) -> CheckResult:
                 failures.append("%s J=%s: rank drops %s not convex" % (t, j, drops))
             if t.family == "A" and not is_upper:
                 failures.append("%s J=%s: representative not strictly upper" % (t, j))
-    return _result("oracle-rank-profile", checked, failures)
+    return CheckResult("oracle-rank-profile", checked, tuple(failures))
 
 
 def check_kernel_identity(sweep: Sweep) -> CheckResult:
@@ -230,7 +226,7 @@ def check_kernel_identity(sweep: Sweep) -> CheckResult:
                 failures.append(
                     "%s J=%s: type A component group not trivial" % (t, subset_of_mask(mask))
                 )
-    return _result("kernel-identity", checked, failures)
+    return CheckResult("kernel-identity", checked, tuple(failures))
 
 
 def check_type_a_exactness(sweep: Sweep) -> CheckResult:
@@ -246,7 +242,7 @@ def check_type_a_exactness(sweep: Sweep) -> CheckResult:
                 failures.append(
                     "A%d J=%s: |Z| = %d but |pi1| = %d" % (t.rank, subset_of_mask(mask), zj, pi1)
                 )
-    return _result("type-a-exactness", checked, failures)
+    return CheckResult("type-a-exactness", checked, tuple(failures))
 
 
 def check_partition_totals(sweep: Sweep) -> CheckResult:
@@ -261,7 +257,7 @@ def check_partition_totals(sweep: Sweep) -> CheckResult:
                     "%s J=%s: total %d != %d"
                     % (t, subset_of_mask(mask), p.total, t.matrix_dimension)
                 )
-    return _result("partition-totals", checked, failures)
+    return CheckResult("partition-totals", checked, tuple(failures))
 
 
 def check_center_divisibility(sweep: Sweep) -> CheckResult:
@@ -284,7 +280,7 @@ def check_center_divisibility(sweep: Sweep) -> CheckResult:
                     "%s J=%s: |Z(J)| = %d does not divide center order %d"
                     % (t, subset_of_mask(mask), order, t.center_order)
                 )
-    return _result("center-divisibility", checked, failures)
+    return CheckResult("center-divisibility", checked, tuple(failures))
 
 
 def check_full_subset_zero_orbit(sweep: Sweep) -> CheckResult:
@@ -296,7 +292,7 @@ def check_full_subset_zero_orbit(sweep: Sweep) -> CheckResult:
         p = c.partitions[-1]  # the last mask sets every bit
         if p.parts != (1,) * t.matrix_dimension:
             failures.append("%s full J gives %s" % (t, p))
-    return _result("full-subset-zero-orbit", checked, failures)
+    return CheckResult("full-subset-zero-orbit", checked, tuple(failures))
 
 
 def poincare_by_row_removal(
@@ -344,8 +340,8 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
     for m in range(1, max_total + 1):
         for p in partitions_of(m):
             checked += 1
-            cells, poincare = enumerate_cells(p)
-            by_dim = cells.by_dim
+            paving = enumerate_cells(p)
+            by_dim, poincare = paving.cells.by_dim, paving.poincare
             listed = sum(len(suffixes) for blocks in by_dim for _, suffixes in blocks)
             expected_count = math.factorial(m)
             for row_len in p.parts:
@@ -390,7 +386,7 @@ def check_paving_identities(max_total: int = 8) -> CheckResult:
                 )
             if d_x >= len(recursion) or recursion[d_x] != syt:
                 failures.append("%s: recursion's coefficient of q^%d is not %d" % (p, d_x, syt))
-    return _result("paving-identities", checked, failures)
+    return CheckResult("paving-identities", checked, tuple(failures))
 
 
 def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) -> CheckResult:
@@ -437,7 +433,7 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
                             "%s w=%s: enumerated dimension %d != definitional %d"
                             % (p, list(w), dim, defn)
                         )
-    return _result("paving-structure", checked, failures)
+    return CheckResult("paving-structure", checked, tuple(failures))
 
 
 def check_dimension_identity(max_total: int = 10) -> CheckResult:
@@ -465,7 +461,7 @@ def check_dimension_identity(max_total: int = 10) -> CheckResult:
                     "%s: closed form %d != orbit codimension / 2 = %d (remainder %d)"
                     % (p, d_x, via_orbit, rem)
                 )
-    return _result("dimension-identity", checked, failures)
+    return CheckResult("dimension-identity", checked, tuple(failures))
 
 
 def check_decomposition(max_rank: int = 8) -> CheckResult:
@@ -487,7 +483,7 @@ def check_decomposition(max_rank: int = 8) -> CheckResult:
         expected = len(report) * n * (n + 1)
         if total != expected:
             failures.append("rank %d: dimension sum %d != %d" % (n, total, expected))
-    return _result("decomposition-report", checked, failures)
+    return CheckResult("decomposition-report", checked, tuple(failures))
 
 
 def check_tables() -> CheckResult:
@@ -510,7 +506,7 @@ def check_tables() -> CheckResult:
                 failures.append(
                     "%s: unexpected prime decoration on %r" % (family, record.bala_carter)
                 )
-    return _result("table-validation", checked, failures)
+    return CheckResult("table-validation", checked, tuple(failures))
 
 
 def run_all(max_rank: int = 10) -> list[CheckResult]:

@@ -518,7 +518,7 @@ def _plain_args(argv):
     return args
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse parser of the CLI, with a subparser for each of the five commands.
 
     `main` parses with it every ``argv`` that `_plain_args` does not read:

@@ -9,9 +9,8 @@ touches floating point.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator
 
 
 class InputError(ValueError):
@@ -84,7 +83,7 @@ def require_instance(value, kind: type, what: str):
     return value
 
 
-def require_iterable(values, what: str) -> Iterator:
+def require_iterable(values, what: str):
     """An iterator over ``values``; a value that cannot be iterated raises InputError."""
     try:
         return iter(values)
@@ -261,13 +260,13 @@ class Partition(Value):
     def total(self) -> int:
         return sum(self.parts)
 
-    def multiplicities(self) -> Counter[int]:
+    def multiplicities(self) -> dict[int, int]:
         """Each distinct part mapped to how often it occurs, largest part first.
 
-        One pass over the parts; the parity rules behind rather odd, the
-        so/sp conditions and pi1(O), A(O) all read this count.
+        One pass over the sorted parts; the parity rules behind rather odd,
+        the so/sp conditions and pi1(O), A(O) all read this count.
         """
-        return Counter(self.parts)
+        return {part: len(list(run)) for part, run in groupby(self.parts)}
 
     @property
     def very_even(self) -> bool:
@@ -310,7 +309,7 @@ class SubsetJ(Value):
     def __contains__(self, value: int) -> bool:
         return value in self.elements
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self):
         return iter(self.elements)
 
     def __str__(self) -> str:
@@ -324,7 +323,7 @@ def subset_of_mask(mask: int) -> SubsetJ:
     return SubsetJ._trusted(tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1))
 
 
-def all_subsets(rank: int) -> Iterator[SubsetJ]:
+def all_subsets(rank: int):
     """Every subset of 1..rank, in bitmask order: the k-th is ``subset_of_mask(k)``.
 
     Built by doubling: the subsets of 1..r-1, then each of them with r
@@ -381,7 +380,7 @@ def syt_count(p: Partition) -> int:
     return math.factorial(p.total) // product
 
 
-def partitions_of(total: int) -> Iterator[Partition]:
+def partitions_of(total: int):
     """All partitions of ``total`` in descending lexicographic order.
 
     A non-int ``total`` (a bool too) or a negative one raises InputError
@@ -401,7 +400,7 @@ def partitions_of(total: int) -> Iterator[Partition]:
     return _descending_partitions(total)
 
 
-def _descending_partitions(total: int) -> Iterator[Partition]:
+def _descending_partitions(total: int):
     big, ones = ([total], 0) if total > 1 else ([], total)
     trusted = Partition._trusted
     while True:
@@ -506,10 +505,10 @@ class ComponentLabel(Value):
     def render(self) -> str:
         if not self.summands:
             return "Triv."
-        # Equal summands are adjacent in canonical order, so the counts keep it.
+        # Equal summands are adjacent in canonical order, so each run is one term.
+        runs = ((summand, len(list(run))) for summand, run in groupby(self.summands))
         return " + ".join(
-            "%s%s_%d" % (count if count > 1 else "", fam, rank)
-            for (fam, rank), count in Counter(self.summands).items()
+            "%s%s_%d" % (count if count > 1 else "", fam, rank) for (fam, rank), count in runs
         )
 
 
@@ -548,7 +547,7 @@ def _classify_component(comp: list[int], adj: dict[int, list[int]]) -> tuple[str
     )
 
 
-def classify_subdiagram(diagram: DynkinDiagram, kept_nodes: Iterable[int]) -> ComponentLabel:
+def classify_subdiagram(diagram: DynkinDiagram, kept_nodes) -> ComponentLabel:
     """Decompose the induced subgraph on ``kept_nodes`` into ADE summands.
 
     Each connected component of the induced forest is classified: a path

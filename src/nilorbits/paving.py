@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import mul, or_
-from typing import NamedTuple
 
 from .core import (
     InputError,
@@ -117,6 +116,11 @@ class TableauPermutation(Value):
         return len(self.one_line)
 
     def __call__(self, k: int) -> int:
+        """w(k); a k that is not an int in 1..size raises InputError."""
+        if not 1 <= require_int(k, "permutation index") <= len(self.one_line):
+            raise InputError(
+                "permutation index %s out of range [1, %d]" % (echo_value(k), len(self.one_line))
+            )
         return self.one_line[k - 1]
 
     def cycle_notation(self) -> str:
@@ -232,15 +236,14 @@ class CellBlocks:
         return tuple(map(tuple, by_dim))
 
 
-class CellPaving(NamedTuple):
+class CellPaving(Value):
     """The listed cells, as CellBlocks, and the Poincare vector: poincare[d] counts dimension d.
 
     The listing is read block by block, through ``cells.by_dim`` or
     ``cells.blocks``; the cells of dimension d are those of ``by_dim[d]``.
     """
 
-    cells: CellBlocks
-    poincare: tuple[int, ...]
+    __slots__ = ("cells", "poincare")
 
 
 def labeled_diagrams(
@@ -462,9 +465,9 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
         packed >>= width
     poincare = tuple(coefficients)
     if not cells:
-        return CellPaving(cells=CellBlocks(), poincare=poincare)
+        return CellPaving._trusted(CellBlocks(), poincare)
     listing.reverse()
-    return CellPaving(cells=CellBlocks(tuple(listing), total), poincare=poincare)
+    return CellPaving._trusted(CellBlocks(tuple(listing), total), poincare)
 
 
 def render_root_set(roots: frozenset[RootPair]) -> str:

@@ -265,9 +265,14 @@ def validate_records(t: LieType, record_list) -> tuple[CheckResult, ...]:
     """Run the four table checks against an explicit record list, each (record, J) pair once.
 
     A J outside 1..rank fails the power-set partition and skips the Z and
-    label checks, so their counts take only the J sets they checked.
+    label checks, so their counts take only the J sets they checked.  The
+    records are read once, and any that is not an OrbitRecord raises
+    InputError before any check.
     """
     _require_table_family(require_instance(t, LieType, "Lie type").family)
+    record_list = tuple(require_iterable(record_list, "records"))
+    for record in record_list:
+        require_instance(record, OrbitRecord, "table record")
     rank = t.rank
     diagram = dynkin_diagram(t)
     nodes = set(range(1, rank + 1))

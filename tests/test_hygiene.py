@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -165,6 +166,7 @@ def test_every_definition_is_read_by_the_package():
 
 # The immutable value types built on ``core.Value``.
 VALUE_TYPES = {
+    "CellPaving",
     "CheckResult",
     "ComponentLabel",
     "DynkinDiagram",
@@ -209,9 +211,9 @@ def test_every_slot_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     ]
     fields = [f for tree in package for f in slot_fields(tree)]
-    # The 13 value types have 29 fields between them; none may drop out of the sweep.
+    # The 14 value types have 31 fields between them; none may drop out of the sweep.
     assert {cls.name for cls, _ in fields} >= VALUE_TYPES
-    assert sum(cls.name in VALUE_TYPES for cls, _ in fields) >= 29
+    assert sum(cls.name in VALUE_TYPES for cls, _ in fields) >= 31
     unread = []
     for cls, field in fields:
         validation = {
@@ -263,6 +265,7 @@ def test_no_module_calls_object_setattr():
 
 # Records with nothing to check: their fields go straight to Value.__init__.
 PLAIN_RECORDS = {
+    "CellPaving": "paving",
     "CheckResult": "core",
     "KernelReport": "orbits",
     "SummandRecord": "decomposition",
@@ -336,6 +339,12 @@ def test_json_answers_are_written_by_the_cli_writer_only():
     assert cli.encode_basestring_ascii is encode_basestring_ascii
 
 
+# Stdlib modules that a plain CLI call must not load.  A site whose .pth
+# files import typing loads typing, re, enum, functools and contextlib
+# before any user code, so the checks that refuse them run under -S.
+HEAVY_STDLIB = ["typing", "collections", "re", "enum", "functools", "contextlib"]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
     # Deterministic stand-in for the cold-start time of one CLI call; only
     # build_parser, for help and malformed vectors, imports argparse, and
@@ -344,10 +353,10 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_checks():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     modules = [
         "dataclasses", "inspect", "nilorbits.checks", "nilorbits.jordan", "nilorbits.tables",
-        "argparse", "gettext", "json",
+        "argparse", "gettext", "json", *HEAVY_STDLIB,
     ]
     out = subprocess.run(
-        [sys.executable, "-c", code, *modules],
+        [sys.executable, "-S", "-c", code, *modules],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[]\n"
@@ -369,11 +378,49 @@ FOOTPRINTS = [
 def test_each_command_loads_only_the_modules_it_reads(argv, loaded):
     code = (
         "import sys; from nilorbits import cli; code = cli.main(sys.argv[1:]); "
-        "print(code, sorted(set(%r) & set(sys.modules)))" % (LAZY_MODULES,)
+        "print(code, sorted(set(%r) & set(sys.modules)))" % (LAZY_MODULES + tuple(HEAVY_STDLIB),)
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv.split()],
+        [sys.executable, "-S", "-c", code, *argv.split()],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.splitlines()[-1] == "0 %s" % loaded
+
+
+def package_functions():
+    """(qualified name, function) for each function, method and property accessor of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        dotted = "nilorbits" if path.stem == "__init__" else "nilorbits." + path.stem
+        module = importlib.import_module(dotted)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield "%s.%s" % (path.stem, name), obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    accessors = (
+                        [member.fget, member.fset, member.fdel]
+                        if isinstance(member, property) else [member]
+                    )
+                    for f in accessors:
+                        if inspect.isfunction(f):
+                            yield "%s.%s.%s" % (path.stem, name, attr), f
+
+
+def test_every_annotation_resolves():
+    # Annotations are strings under `from __future__ import annotations`, so a
+    # name that is never imported, or imported only inside the function, goes
+    # unnoticed until a caller evaluates it.
+    functions = list(package_functions())
+    assert len(functions) >= 150
+    unresolved = []
+    for name, f in functions:
+        try:
+            inspect.get_annotations(f, eval_str=True)
+        except Exception as error:
+            unresolved.append("%s: %s" % (name, error))
+    assert unresolved == []

@@ -306,15 +306,15 @@ class TestMaxCellDimension:
 
 class TestEnumerateCells:
     def test_staircase_counts(self):
-        cells, poincare = enumerate_cells(Partition((2, 2, 1)))
-        assert len(cells) == 30
-        assert poincare[4] == 5
-        assert sum(poincare) == 30
+        paving = enumerate_cells(Partition((2, 2, 1)))
+        assert len(paving.cells) == 30
+        assert paving.poincare[4] == 5
+        assert sum(paving.poincare) == 30
 
     def test_331_counts(self):
-        cells, poincare = enumerate_cells(Partition((3, 3, 1)))
-        assert len(cells) == 140
-        assert poincare[5] == 21
+        paving = enumerate_cells(Partition((3, 3, 1)))
+        assert len(paving.cells) == 140
+        assert paving.poincare[5] == 21
 
     def test_single_row(self):
         # (2500,) walks half its depth, 1250 levels, past the recursion limit.
@@ -326,8 +326,7 @@ class TestEnumerateCells:
 
     def test_full_flag_poincare_is_mahonian(self):
         for m in (2, 3, 4, 5):
-            _, poincare = enumerate_cells(Partition((1,) * m))
-            assert list(poincare) == mahonian(m)
+            assert list(enumerate_cells(Partition((1,) * m)).poincare) == mahonian(m)
         # [1^13] is the widest column under the state cap; its middle
         # coefficients fill the most bits of the packed count fields.
         for m in range(1, 14):
@@ -350,12 +349,11 @@ class TestEnumerateCells:
 
     def test_subregular_sl3(self):
         # two lines meeting in a point: Betti numbers 1, 2
-        _, poincare = enumerate_cells(Partition((2, 1)))
-        assert list(poincare) == [1, 2]
+        assert list(enumerate_cells(Partition((2, 1))).poincare) == [1, 2]
         # [12, 1]: a chain of 12 lines, each meeting the next in a point
-        cells, poincare = enumerate_cells(Partition((12, 1)))
-        assert len(cells) == 13
-        assert poincare == (1, 12)
+        paving = enumerate_cells(Partition((12, 1)))
+        assert len(paving.cells) == 13
+        assert paving.poincare == (1, 12)
 
     def test_size_alone_is_no_bound(self):
         # Past the CLI's default --bound of 9: [10] walks 11 row states and
@@ -404,7 +402,7 @@ class TestEnumerateCells:
     def test_cell_count_multinomial(self):
         for total in range(1, 8):
             for p in partitions_of(total):
-                cells, _ = enumerate_cells(p)
+                cells = enumerate_cells(p).cells
                 expected = math.factorial(total)
                 for row in p.parts:
                     expected //= math.factorial(row)
@@ -413,8 +411,7 @@ class TestEnumerateCells:
     def test_top_cells_are_syt_count(self):
         for total in range(1, 8):
             for p in partitions_of(total):
-                cells, poincare = enumerate_cells(p)
-                assert poincare[-1] == syt_count(p)
+                assert enumerate_cells(p).poincare[-1] == syt_count(p)
 
     def test_dimensions_match_definitional_form(self):
         for total in range(1, 8):
@@ -450,7 +447,7 @@ class TestEnumerateCells:
             counts = list(paving.poincare) + [0] * (2 - len(paving.poincare))
             counts[0] -= 1
             counts[1] += 1
-            return paving._replace(poincare=tuple(counts))
+            return CellPaving(paving.cells, tuple(counts))
 
         assert checks.check_paving_identities(max_total=5).ok
         monkeypatch.setattr(checks, "enumerate_cells", shift_first_cell)
@@ -477,8 +474,8 @@ class TestEnumerateCells:
                 return self.count
 
         def drop_one_suffix(p):
-            cells, poincare = enumerate_cells(p)
-            return CellPaving(DroppedSuffix(cells), poincare)
+            paving = enumerate_cells(p)
+            return CellPaving(DroppedSuffix(paving.cells), paving.poincare)
 
         monkeypatch.setattr(checks, "enumerate_cells", drop_one_suffix)
         result = checks.check_paving_identities(max_total=5)
@@ -616,3 +613,28 @@ ENTRY_POINTS = {
 def test_entry_points_refuse_a_value_of_the_wrong_type(name, junk):
     with pytest.raises(InputError, match="must be a "):
         ENTRY_POINTS[name](junk)
+
+
+def test_permutation_reads_each_index_in_range():
+    w = TableauPermutation((2, 3, 1))
+    assert [w(k) for k in (1, 2, 3)] == [2, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (0, "permutation index 0 out of range [1, 3]"),
+        (-1, "permutation index -1 out of range [1, 3]"),
+        (4, "permutation index 4 out of range [1, 3]"),
+        (10**80, "permutation index %s... (81 characters) out of range [1, 3]" % ("1" + "0" * 59)),
+        (1.0, "permutation index must be an int, got float 1.0"),
+        (True, "permutation index must be an int, got bool True"),
+        ("1", "permutation index must be an int, got str 1"),
+    ],
+    ids=["0", "-1", "4", "10**80", "float", "bool", "str"],
+)
+def test_permutation_refuses_an_index_outside_its_domain(k, message):
+    # Read unchecked, negative indexing would give w(0) as w(3) and w(-1) as w(2).
+    with pytest.raises(InputError) as raised:
+        TableauPermutation((2, 3, 1))(k)
+    assert str(raised.value) == message

@@ -273,3 +273,25 @@ def test_table_entry_points_refuse_a_lie_type_of_the_wrong_type(name, junk):
 def test_table_lookup_refuses_a_subset_of_the_wrong_type(junk):
     with pytest.raises(InputError, match="^subset must be a SubsetJ, got "):
         table_lookup(E6, junk)
+
+
+@pytest.mark.parametrize("t", [E6, E7], ids=str)
+def test_validate_records_reads_an_iterator_like_its_tuple(t):
+    from_tuple = validate_records(t, records(t))
+    assert all(c.ok for c in from_tuple)
+    assert validate_records(t, iter(records(t))) == from_tuple
+
+
+@pytest.mark.parametrize(
+    "junk, message",
+    [
+        (5, "^records must be iterable, got int 5$"),
+        ([1], "^table record must be an OrbitRecord, got int 1$"),
+        (records(E6) + (None,), "^table record must be an OrbitRecord, got NoneType None$"),
+        (["A_1"], "^table record must be an OrbitRecord, got str A_1$"),
+    ],
+    ids=["int", "int-record", "trailing-None", "str-record"],
+)
+def test_validate_records_refuses_a_record_of_the_wrong_type(junk, message):
+    with pytest.raises(InputError, match=message):
+        validate_records(E6, junk)
