@@ -398,7 +398,9 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
     every enumerated cell w, read off the blocks of ``enumerate_cells`` as
     prefix + suffix under the dimension they are listed at, relabelling the
     Tym matrix through w^-1 is strictly upper triangular, and that
-    dimension agrees with the definitional |phi_w| - |phi_w_x|.
+    dimension agrees with the definitional |phi_w| - |phi_w_x|; the
+    summary's Poincare vector, from the pooled walk, counts those cells
+    by dimension.
     """
     failures = []
     checked = 0
@@ -418,7 +420,9 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
             checked += 1
             tym, _, _ = labeled_diagrams(p)
             in_x = frozenset(tym.pairs())
+            listed = []
             for dim, blocks in enumerate(enumerate_cells(p).cells.by_dim):
+                listed.append(sum(len(suffixes) for _, suffixes in blocks))
                 for w in (prefix + s for prefix, suffixes in blocks for s in suffixes):
                     in_w = _inversions(w)
                     # A Tym pair (a|b), a < b, keeps its order under w^-1
@@ -433,6 +437,12 @@ def check_paving_structure(max_total_roots: int = 10, max_total_cells: int = 6) 
                             "%s w=%s: enumerated dimension %d != definitional %d"
                             % (p, list(w), dim, defn)
                         )
+            summary = enumerate_cells(p, cells=False).poincare
+            if summary != tuple(listed):
+                failures.append(
+                    "%s: summary poincare %s != listed cells by dimension %s"
+                    % (p, list(summary), listed)
+                )
     return CheckResult("paving-structure", checked, tuple(failures))
 
 

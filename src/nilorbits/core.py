@@ -358,11 +358,17 @@ def check_subset_range(t: LieType, j: SubsetJ) -> None:
 
 
 def conjugate_heights(p: Partition) -> list[int]:
-    """Column heights of the Young diagram: entry j counts parts >= j+1."""
+    """Column heights of the Young diagram: entry j counts parts >= j+1.
+
+    One pass up from the shortest row, in O(lambda_1 + #parts): the
+    columns that row r (from 0) reaches and no row below it does have
+    height r + 1.
+    """
     parts = require_instance(p, Partition, "partition").parts
-    if not parts:
-        return []
-    return [sum(1 for v in parts if v >= j) for j in range(1, parts[0] + 1)]
+    heights: list[int] = []
+    for r in range(len(parts) - 1, -1, -1):
+        heights.extend([r + 1] * (parts[r] - len(heights)))
+    return heights
 
 
 def syt_count(p: Partition) -> int:

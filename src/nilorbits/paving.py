@@ -10,7 +10,10 @@ that depends only on how many labels each row has given out.  Those row
 states are numbered in mixed radix, so taking a row's next label adds
 the row's stride.  One walk over the states counts the cells by
 dimension without building any, packing a state's counts into the bit
-fields of one int so that a move costs one shift and one add.  To list
+fields of one int so that a move costs one shift and one add.  That
+count pools the t single-box rows, which hold labels 1..t, into one row
+of radix t + 1 and multiplies by [t]_q!, so it walks (t + 1) times the
+product of (lambda_i + 1) over the longer rows, not 2^t times.  To list
 the cells, the same walk gathers each state's moves, in label order, and
 stops there: ``CellBlocks.blocks`` later meets in the middle after
 (m - 1) // 2 labels, joining the prefixes of that length, grown from the
@@ -48,9 +51,10 @@ from .core import (
 )
 
 # The only bounds on the work, checked before any.  A listing holds at most
-# 9! cells, those of [1^9]; a walk visits at most this many row states,
-# prod(row + 1), which admits the staircase [6,5,4,3,2,1] (5040 states) and
-# stops [1^14] (16384).
+# 9! cells, those of [1^9]; a listing's walk visits at most this many row
+# states, prod(row + 1), which admits the staircase [6,5,4,3,2,1] (5040
+# states) and stops [1^14] (16384).  A summary is held to the same count,
+# though its pooled walk visits fewer.
 MAX_LISTED_CELLS = math.factorial(9)
 MAX_WALKED_STATES = 10_000
 
@@ -347,11 +351,12 @@ def _later_masks(tym: LabeledDiagram) -> list[int]:
 def _check_work(parts: tuple[int, ...], cells: bool) -> int:
     """The cell count m!/prod(row!), after checking the work against the fixed caps.
 
-    Raise unless the walk stays within MAX_WALKED_STATES and, with
-    ``cells``, the listing within MAX_LISTED_CELLS.  The state count stops
-    at the first part that passes its cap, so a huge partition costs
-    nothing; within it the rows are few and short, and the exact cell
-    count, a product of binomials, is cheap.
+    Raise unless the unpooled state count prod(row + 1) stays within
+    MAX_WALKED_STATES and, with ``cells``, the listing within
+    MAX_LISTED_CELLS.  The state count stops at the first part that
+    passes its cap, so a huge partition costs nothing; within it the rows
+    are few and short, and the exact cell count, a product of binomials,
+    is cheap.
     """
     states = 1
     for part in parts:
@@ -389,15 +394,28 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
     of len(row) + 1 over the earlier rows; taking the next label of row r
     adds stride[r], so every move leads to a larger index.
 
-    One walk over the prod(row + 1) states, back from the full state with
-    two depths alive, counts per state the completing suffixes by added
-    dimension.  Those counts are packed into one int, a field of ``width``
-    bits per dimension, where 2^width exceeds the cell count m!/prod(row!),
-    which bounds every field of every state; so each move passes its next
-    state's int back to its state shifted by the added dimension's fields,
-    one shift and one add with no carry between fields.  The fields of the
-    empty state, decoded once, are the Poincare vector, and without
-    ``cells`` the call ends there.
+    One walk over the states, back from the full state with two depths
+    alive, counts per state the completing suffixes by added dimension.
+    Those counts are packed into one int, a field of ``width`` bits per
+    dimension, where 2^width exceeds the cell count m!/prod(row!), which
+    bounds every field of every state, pooled or not, and of every partial
+    product by [t]_q! below; so each move passes its next state's int back
+    to its state shifted by the added dimension's fields, one shift and
+    one add with no carry between fields.  The fields of the empty state,
+    decoded once, are the Poincare vector, and without ``cells`` the call
+    ends there.
+
+    Without ``cells`` the t single-box rows are pooled.  They are the
+    bottom rows, so they hold labels 1..t, and later[i] for i <= t is the
+    set of first-column labels i+1..l, l the row count: no larger label
+    counts any of 1..t.  A single-box label therefore adds its inversions
+    among 1..t plus the longer rows already started, which depends on its
+    slot and not on the label.  The walk takes the t slots as one row of
+    radix t + 1, each move adding the popcount of ``placed`` on the longer
+    rows' first labels, over (t + 1) * prod(longer row + 1) states, and
+    the orders of 1..t in their slots multiply the packed counts by
+    [t]_q! = prod over k <= t of 1 + q + ... + q^(k-1).  A listing needs
+    every label, so it pools nothing.
 
     To list cells, the walk also gathers each state's moves, (label, next
     state, added dimension), sorts them into label order once, and returns
@@ -407,8 +425,9 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
     (prefix, suffixes) blocks that meet after (m - 1) // 2 labels.  Nothing
     recurses, so long rows cannot exhaust the recursion limit.
 
-    Before any work, the states must be at most MAX_WALKED_STATES and,
-    with ``cells``, the cells at most MAX_LISTED_CELLS.
+    Before any work, prod(row + 1), the states of a listing, must be at
+    most MAX_WALKED_STATES, pooled or not, and with ``cells`` the cells at
+    most MAX_LISTED_CELLS.
     """
     m = require_instance(p, Partition, "partition").total
     if m == 0:
@@ -417,12 +436,21 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
     width = total.bit_length()
     tym, _, _ = labeled_diagrams(p)
     later = _later_masks(tym)
-    radices = [len(row) + 1 for row in tym.rows]
+    # A summary pools the single-box rows, the bottom ones, holding labels
+    # 1..pool, into one row of ``pool`` copies of label 0.  Its moves add
+    # the longer rows already started, whose first labels are later[0];
+    # the bit 0 they set in ``placed`` lies in no later mask.
+    pool = 0 if cells else p.parts.count(1)
+    rows = tym.rows[: len(tym.rows) - pool]
+    if pool:
+        later[0] = sum(1 << row[0] for row in rows)
+        rows += ((0,) * pool,)
+    radices = [len(row) + 1 for row in rows]
     strides = list(accumulate(radices, mul, initial=1))
     # Per row: its labels, its stride, its radix and the masks of its first k labels.
     row_data = [
         (row, stride, radix, list(accumulate((1 << label for label in row), or_, initial=0)))
-        for row, stride, radix in zip(tym.rows, strides, radices)
+        for row, stride, radix in zip(rows, strides, radices)
     ]
 
     # One depth: state -> the packed counts of the suffixes that complete it.
@@ -456,8 +484,12 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
             for out in moves.values():
                 out.sort()
             listing.append(moves)
-    # The empty state's fields, lowest first; the top one, the top cells, is nonzero.
     packed = counts[0]
+    # The pooled labels' orders among themselves: times [pool]_q!, one
+    # factor 1 + q + ... + q^(k-1) at a time, by shifts and adds.
+    for k in range(2, pool + 1):
+        packed = sum(packed << j * width for j in range(k))
+    # The empty state's fields, lowest first; the top one, the top cells, is nonzero.
     field = (1 << width) - 1
     coefficients = []
     while packed:

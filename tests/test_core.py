@@ -299,6 +299,13 @@ class TestConjugateHeights:
                 assert sum(conjugate_heights(p)) == p.total
                 assert p.conjugate().conjugate() == p
 
+    def test_matches_the_definition(self):
+        # Entry j counts the parts >= j + 1, read off every column.
+        shapes = [p for m in range(0, 13) for p in partitions_of(m)]
+        for p in shapes + [Partition((9999,)), Partition((4999, 1))]:
+            expected = [sum(1 for v in p.parts if v > j) for j in range(max(p.parts, default=0))]
+            assert conjugate_heights(p) == expected, p
+
 
 class TestSytCount:
     def test_frozen_values(self):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbits import checks
+from nilorbits import checks, paving
 from nilorbits.core import (
     InputError,
     Partition,
@@ -29,6 +30,53 @@ from nilorbits.paving import (
     phi_w,
     phi_w_x,
 )
+
+
+# A mutant pooled walk: its name, the source text replaced and its
+# replacement, which partitions it gets wrong, and one of its
+# paving-structure failures.
+POOL_MUTANTS = [
+    (
+        "no-q-factorial",
+        "sum(packed << j * width for j in range(k))",
+        "packed",
+        lambda parts: parts.count(1) >= 2,
+        "[1, 1, 1]: summary poincare [1] != listed cells by dimension [1, 2, 2, 1]",
+    ),
+    (
+        "pooled-moves-add-0",
+        "later[0] = sum(1 << row[0] for row in rows)",
+        "later[0] = 0",
+        lambda parts: 1 in parts and parts[0] > 1,
+        "[2, 1]: summary poincare [3] != listed cells by dimension [1, 2]",
+    ),
+]
+
+
+def mutant_enumerate_cells(old, new):
+    """enumerate_cells compiled from the paving source with ``old`` replaced by ``new``."""
+    source = inspect.getsource(paving)
+    assert source.count(old) == 1
+    namespace = {"__name__": "nilorbits.paving_mutant", "__package__": "nilorbits"}
+    exec(compile(source.replace(old, new), paving.__file__, "exec"), namespace)
+    return namespace["enumerate_cells"]
+
+
+def summary_shapes():
+    """The 271 partitions of m <= 12 and the staircase [6, 5, 4, 3, 2, 1]."""
+    return [p for m in range(1, 13) for p in partitions_of(m)] + [Partition((6, 5, 4, 3, 2, 1))]
+
+
+def row_removal_mismatches(walk):
+    """The summary shapes whose summary from ``walk`` differs from the row-removal recursion."""
+    memo = {}
+    mismatches = []
+    for p in summary_shapes():
+        summary = walk(p, cells=False)
+        assert summary.cells.by_dim == ()
+        if summary.poincare != checks.poincare_by_row_removal(p.parts, memo):
+            mismatches.append(p)
+    return mismatches
 
 
 def tym_pairs(p):
@@ -494,14 +542,33 @@ class TestEnumerateCells:
 
     def test_count_matches_row_removal(self):
         # Counting builds no cell, so it reaches sizes the listing cannot.
-        memo = {}
-        shapes = [p for m in range(1, 13) for p in partitions_of(m)]
-        assert len(shapes) == 271
-        for p in shapes + [Partition((6, 5, 4, 3, 2, 1))]:
-            expected = checks.poincare_by_row_removal(p.parts, memo)
-            paving = enumerate_cells(p, cells=False)
-            assert paving.poincare == expected
-            assert paving.cells.by_dim == ()
+        assert len(summary_shapes()) == 272
+        assert row_removal_mismatches(enumerate_cells) == []
+
+    def test_summary_counts_the_listing_by_dimension(self):
+        # The pooled walk of a summary against the unpooled walk's listing.
+        for m in range(1, 9):
+            for p in partitions_of(m):
+                listed = tuple(
+                    sum(len(suffixes) for _, suffixes in blocks)
+                    for blocks in enumerate_cells(p).cells.by_dim
+                )
+                assert enumerate_cells(p, cells=False).poincare == listed, p
+
+    @pytest.mark.parametrize("mutant", POOL_MUTANTS, ids=lambda mutant: mutant[0])
+    def test_a_mutant_pooled_walk_is_caught(self, monkeypatch, mutant):
+        # The listing pools nothing, so only the summary goes wrong, and
+        # both the row-removal recursion and verify's listing count see it.
+        _, old, new, caught, failure = mutant
+        wrong = mutant_enumerate_cells(old, new)
+        assert row_removal_mismatches(wrong) == [p for p in summary_shapes() if caught(p.parts)]
+        monkeypatch.setattr(checks, "enumerate_cells", wrong)
+        result = checks.check_paving_structure(10, 6)
+        assert result.checked == 167
+        assert failure in result.failures
+        assert len(result.failures) == sum(
+            1 for m in range(1, 7) for p in partitions_of(m) if caught(p.parts)
+        )
 
     def test_blocks_factor_the_listing(self):
         # Per dimension, one nonempty block per prefix of length (m - 1) // 2
