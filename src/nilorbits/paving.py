@@ -148,7 +148,7 @@ class TableauPermutation(Value):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
-class CellBlocks:
+class CellBlocks(Value):
     """The listing of a paving as its counting walk left it: each depth's moves.
 
     ``moves[depth]`` maps each row state reached after ``depth`` labels to
@@ -157,16 +157,12 @@ class CellBlocks:
     the listing as (prefix, suffixes) blocks per dimension from the pieces
     each label adds, and ``by_dim`` is that listing with 1-tuple pieces, so
     its prefixes and suffixes are tuples of labels; it is built on each
-    access.  A summary holds no moves and lists no cell.
+    access.  A summary holds no moves and lists no cell.  Listings compare
+    by their moves, which are dicts, so neither a listing nor its paving
+    can be hashed.
     """
 
     __slots__ = ("moves", "count")
-
-    def __init__(
-        self, moves: tuple[dict[int, list[tuple[int, int, int]]], ...] = (), count: int = 0
-    ) -> None:
-        self.moves = moves
-        self.count = count
 
     def __len__(self) -> int:
         return self.count
@@ -248,6 +244,9 @@ class CellPaving(Value):
     """
 
     __slots__ = ("cells", "poincare")
+
+
+_NO_CELLS = CellBlocks._trusted((), 0)  # the one listing that every summary shares
 
 
 def labeled_diagrams(
@@ -497,9 +496,9 @@ def enumerate_cells(p: Partition, *, cells: bool = True) -> CellPaving:
         packed >>= width
     poincare = tuple(coefficients)
     if not cells:
-        return CellPaving._trusted(CellBlocks(), poincare)
+        return CellPaving._trusted(_NO_CELLS, poincare)
     listing.reverse()
-    return CellPaving._trusted(CellBlocks(tuple(listing), total), poincare)
+    return CellPaving._trusted(CellBlocks._trusted(tuple(listing), total), poincare)
 
 
 def render_root_set(roots: frozenset[RootPair]) -> str:

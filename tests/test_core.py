@@ -36,6 +36,7 @@ from nilorbits.orbits import (
 )
 from nilorbits.paving import LabeledDiagram, TableauPermutation
 from nilorbits.tables import OrbitRecord
+from test_jordan import classical_types
 
 
 @st.composite
@@ -248,8 +249,7 @@ def determinant(rows):
 
 @pytest.mark.parametrize(
     "t",
-    [LieType(f, r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for r in range(lo, 13)]
-    + [LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")],
+    classical_types(12) + [LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")],
     ids=str,
 )
 def test_center_order_is_the_cartan_determinant(t):
@@ -710,7 +710,7 @@ def test_unknown_nodes_that_cannot_be_sorted_are_named():
 # The values passed to each required positional argument of each public callable.
 PROBES = [None, "x", 1.5, True, -1, 5, object(), (1,)]
 
-# Public functions that do not check their argument types yet (ROADMAP item 8).
+# Public functions that do not check their argument types yet (ROADMAP item 12).
 NOT_YET_GUARDED = {"kernel_check"}
 
 

@@ -166,6 +166,7 @@ def test_every_definition_is_read_by_the_package():
 
 # The immutable value types built on ``core.Value``.
 VALUE_TYPES = {
+    "CellBlocks",
     "CellPaving",
     "CheckResult",
     "ComponentLabel",
@@ -211,9 +212,9 @@ def test_every_slot_field_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     ]
     fields = [f for tree in package for f in slot_fields(tree)]
-    # The 14 value types have 31 fields between them; none may drop out of the sweep.
+    # The 15 value types have 33 fields between them; none may drop out of the sweep.
     assert {cls.name for cls, _ in fields} >= VALUE_TYPES
-    assert sum(cls.name in VALUE_TYPES for cls, _ in fields) >= 31
+    assert sum(cls.name in VALUE_TYPES for cls, _ in fields) >= 33
     unread = []
     for cls, field in fields:
         validation = {
@@ -265,6 +266,7 @@ def test_no_module_calls_object_setattr():
 
 # Records with nothing to check: their fields go straight to Value.__init__.
 PLAIN_RECORDS = {
+    "CellBlocks": "paving",
     "CellPaving": "paving",
     "CheckResult": "core",
     "KernelReport": "orbits",
@@ -416,7 +418,7 @@ def test_every_annotation_resolves():
     # name that is never imported, or imported only inside the function, goes
     # unnoticed until a caller evaluates it.
     functions = list(package_functions())
-    assert len(functions) >= 150
+    assert len(functions) >= 149
     unresolved = []
     for name, f in functions:
         try:

@@ -18,6 +18,7 @@ from nilorbits.core import (
     partitions_of,
     subset_of_mask,
 )
+from nilorbits.jordan import _rank_chain, _root_sum_rows, _root_vectors, partition_from_ranks
 from nilorbits.orbits import (
     FiniteGroupDescriptor,
     center_fiber,
@@ -26,51 +27,43 @@ from nilorbits.orbits import (
     orbit_dimension_type_a,
     orbit_partition,
 )
+from test_core import cartan_matrix
+from test_jordan import all_subsets, classical_types
 
 
-def all_subsets(rank):
-    for mask in range(1 << rank):
-        yield SubsetJ(tuple(i + 1 for i in range(rank) if mask >> i & 1))
+def invariant_factors(rows):
+    """The Smith invariant factors of the integer matrix ``rows``, zeros left out.
 
-
-def gaps(elements):
-    """Successive differences d_i - d_{i-1} with d_0 = 0, largest gap first."""
-    out = []
-    prev = 0
-    for v in elements:
-        out.append(v - prev)
-        prev = v
-    out.reverse()
-    return out
-
-
-def doubled(values):
-    out = []
-    for v in values:
-        out.extend((v, v))
-    return out
-
-
-def gap_rule_partition(t, j):
-    """The orbit partition by the case rules spelled out one list per case."""
-    fam, n = t.family, t.rank
-    elems = j.elements
-    last = elems[-1] if elems else 0
-    if fam == "A":
-        raw = [n + 1 - last] + gaps(elems)
-    elif fam == "B":
-        raw = [2 * (n - last) + 1] + doubled(gaps(elems))
-    elif fam == "C":
-        raw = [2 * (n - last)] + doubled(gaps(elems))
-    elif n not in j and n - 1 not in j:
-        raw = [2 * (n - last) - 1] + doubled(gaps(elems)) + [1]
-    elif n in j and n - 1 in j:
-        raw = doubled(gaps(elems))
-    else:
-        # exactly one of n-1, n present: it is the largest element and
-        # gets replaced by n itself in the gap sequence
-        raw = doubled(gaps(elems[:-1] + (n,)))
-    return Partition(v for v in raw if v)
+    Unimodular row and column steps bring an entry of least absolute value
+    to the corner and clear its row and column; an entry of the rest that
+    it does not divide is added into the corner's row first.
+    """
+    m = [list(row) for row in rows]
+    factors = []
+    while any(map(any, m)):
+        _, r, c = min((abs(x), r, c) for r, row in enumerate(m) for c, x in enumerate(row) if x)
+        m[0], m[r] = m[r], m[0]
+        for row in m:
+            row[0], row[c] = row[c], row[0]
+        p = m[0][0]
+        for row in m[1:]:
+            if row[0]:
+                q = row[0] // p
+                row[:] = [x - q * y for x, y in zip(row, m[0])]
+        for c in range(1, len(m[0])):
+            q = m[0][c] // p
+            if q:
+                for row in m:
+                    row[c] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(m[0][1:]):
+            continue  # a remainder smaller than p is the next corner
+        bad = abs(p) > 1 and next((row for row in m[1:] if any(x % p for x in row)), None)
+        if bad:
+            m[0] = [x + y for x, y in zip(m[0], bad)]
+            continue
+        factors.append(abs(p))
+        m = [row[1:] for row in m[1:]]
+    return factors
 
 
 def label_ambiguous(capsys, family, rank, j):
@@ -162,6 +155,23 @@ class TestCenterFiber:
             for j in all_subsets(t.rank):
                 assert t.center_order % center_fiber(t, j).order == 0
 
+    def test_equals_the_cartan_cokernel(self):
+        # Z(J) = (P^v/Q^v)/<w_j^v : j in J>, the torsion of Z^n modulo the
+        # columns of the Cartan matrix outside J (Bourbaki ch. VI, Plates
+        # I-IX).  Its invariant factors give the kind as well as the order,
+        # and the label names both.
+        checked, names = 0, {(): "trivial", (2, 2): "klein_four"}
+        for t in classical_types(10) + [LieType.of(f) for f in ("E6", "E7", "E8", "F4", "G2")]:
+            cartan = cartan_matrix(t)
+            for j in core_all_subsets(t.rank):
+                kept = [c for c in range(t.rank) if c + 1 not in j]
+                factors = invariant_factors([[row[c] for c in kept] for row in cartan])
+                torsion = tuple(f for f in factors if f > 1)
+                label = names.get(torsion, "cyclic(%s)" % ", ".join(map(str, torsion)))
+                assert center_fiber(t, j).label == label, (t, j, torsion)
+                checked += 1
+        assert checked == 8642
+
 
 class TestOrbitPartition:
     def test_type_a(self, capsys):
@@ -207,11 +217,16 @@ class TestOrbitPartition:
         with pytest.raises(UnsupportedFamilyError):
             orbit_partition(LieType.of("E6"), SubsetJ((2, 4)))
 
-    def test_equals_the_gap_rule_up_to_rank_11(self):
+    def test_equals_the_jordan_type_up_to_rank_11(self):
+        # The Jordan type of the representative, read off the ranks of its
+        # powers.  Type D with n-1 and n outside J runs the chain's echelon
+        # phase, every other J its unit rows.
         checked = 0
         for t in classical_types(11):
+            roots = _root_vectors(t)
             for j in core_all_subsets(t.rank):
-                assert orbit_partition(t, j) == gap_rule_partition(t, j), (t, j)
+                jordan_type = partition_from_ranks(_rank_chain(_root_sum_rows(t, j, roots)))
+                assert orbit_partition(t, j) == jordan_type, (t, j)
                 checked += 1
         assert checked == 2**12 - 2 + 2 * (2**12 - 4) + 2**12 - 8 == 16366
 
@@ -322,27 +337,35 @@ class TestFundamentalGroups:
             odd_ok = all(parts.count(v) % 2 == 0 for v in odd)
             return pi1, elementary(k if odd_ok else max(0, a - 2))
 
-        checked = set()
-        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        # A and C run to matrix dimension 12.  B and D run to rank 12: no
+        # independent route checks the kinds of their pi1, so this is the pin.
+        outcomes = Counter()
+        for t in classical_types(12):
+            family = t.family
+            if family in "AC" and t.matrix_dimension > 12:
+                continue
             forbidden = 1 if family == "C" else 0
-            for t in (LieType(family, n) for n in range(lo, 12)):
-                if t.matrix_dimension > 12:
-                    break
-                for p in partitions_of(t.matrix_dimension):
-                    bad = [
-                        v for v in set(p.parts)
-                        if family != "A" and v % 2 == forbidden and p.parts.count(v) % 2
-                    ]
-                    if bad:
-                        with pytest.raises(InputError) as info:
-                            fundamental_groups(t, p)
-                        v = int(str(info.value).split()[2])
-                        assert v in bad
-                        assert "multiplicity %d;" % p.parts.count(v) in str(info.value)
-                        continue
-                    assert fundamental_groups(t, p) == oracle(t, p.parts), (t, p)
-                    checked.add(family)
-        assert checked == {"A", "B", "C", "D"}
+            for p in partitions_of(t.matrix_dimension):
+                bad = [
+                    v for v in set(p.parts)
+                    if family != "A" and v % 2 == forbidden and p.parts.count(v) % 2
+                ]
+                if bad:
+                    with pytest.raises(InputError) as info:
+                        fundamental_groups(t, p)
+                    v = int(str(info.value).split()[2])
+                    assert v in bad
+                    assert "multiplicity %d;" % p.parts.count(v) in str(info.value)
+                    outcomes[family, "refused"] += 1
+                    continue
+                assert fundamental_groups(t, p) == oracle(t, p.parts), (t, p)
+                outcomes[family, "checked"] += 1
+        assert outcomes == {
+            ("A", "checked"): 270,
+            ("B", "checked"): 1254, ("B", "refused"): 3923,
+            ("C", "checked"): 90, ("C", "refused"): 67,
+            ("D", "checked"): 1024, ("D", "refused"): 3083,
+        }
 
     def test_many_parts_take_linear_time(self):
         # Each even value 2..20000 twice: 20,000 parts, 10,000 distinct.  A
@@ -374,14 +397,12 @@ class TestKernelCheck:
         assert report.holds
 
     def test_sweep_small_ranks(self):
-        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-            for rank in range(lo, 7):
-                t = LieType(family, rank)
-                for j in all_subsets(rank):
-                    report = kernel_check(t, j)
-                    assert report.holds, (t, j)
-                    if family == "A":
-                        assert report.a_order == 1
+        for t in classical_types(6):
+            for j in all_subsets(t.rank):
+                report = kernel_check(t, j)
+                assert report.holds, (t, j)
+                if t.family == "A":
+                    assert report.a_order == 1
 
     def test_type_a_exactness(self):
         for rank in range(1, 8):
@@ -406,14 +427,6 @@ SWEEP_SUITES = (
     checks.check_center_divisibility,
     checks.check_full_subset_zero_orbit,
 )
-
-
-def classical_types(max_rank):
-    return [
-        LieType(family, rank)
-        for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-        for rank in range(lo, max_rank + 1)
-    ]
 
 
 class TestSharedJTable:
@@ -518,88 +531,3 @@ class TestSharedJTable:
             assert per_pair == dict.fromkeys(pairs, 1), counted_names[tag]
         assert sum(n for (g, _, _), n in calls.items() if g == "M") == len(pairs)
         assert not any(g == "D" for g, _, _ in calls)
-
-
-# The B and D branches of fundamental_groups and the classical rules of
-# center_fiber as they read before the B/D rule was merged, before type A
-# took math.gcd and before type D dropped "n >= 4": references for the
-# shorter forms.  None stands for a refused partition.
-def separate_b_d_groups(t, p):
-    counts = Counter(p.parts)
-    if any(v % 2 == 0 and m % 2 for v, m in counts.items()):
-        return None
-    a = sum(v % 2 for v in counts)
-    elementary = FiniteGroupDescriptor.elementary_abelian_2
-    rather_odd = all(m == 1 for v, m in counts.items() if v % 2)
-    if t.family == "B":
-        if rather_odd:
-            pi1 = FiniteGroupDescriptor.central_extension_2(a - 1)
-        else:
-            pi1 = elementary(a - 1)
-        return pi1, elementary(a - 1)
-    k = max(0, a - 1)
-    if rather_odd:
-        pi1 = FiniteGroupDescriptor.central_extension_2(k)
-    else:
-        pi1 = elementary(k)
-    odd_ok = all(m % 2 == 0 for v, m in counts.items() if v % 2)
-    return pi1, elementary(k if odd_ok else max(0, a - 2))
-
-
-def separate_center_fiber(t, j):
-    fam, n = t.family, t.rank
-    elems = j.elements
-    trivial, z2 = FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor.cyclic(2)
-    if fam == "A":
-        c = n + 1
-        for v in elems:
-            c = math.gcd(c, v)
-        return FiniteGroupDescriptor.cyclic(c)
-    if fam == "B":
-        return z2 if all(v % 2 == 0 for v in elems) else trivial
-    if fam == "C":
-        return trivial if n in j else z2
-    top, second = n in j, (n - 1) in j
-    if not top and not second:
-        if all(v % 2 == 0 for v in elems):
-            if n % 2 == 0:
-                return FiniteGroupDescriptor("klein_four")
-            return FiniteGroupDescriptor.cyclic(4)
-        return z2
-    if (
-        top != second
-        and all(v % 2 == 0 for v in elems if v < n - 1)
-        and n % 2 == 0
-        and n >= 4
-    ):
-        return z2
-    return trivial
-
-
-def test_merged_b_d_rule_equals_the_separate_rules():
-    checked = refused = 0
-    for family, lo, size in (("B", 2, lambda n: 2 * n + 1), ("D", 3, lambda n: 2 * n)):
-        for n in range(lo, 13):
-            t = LieType(family, n)
-            for p in partitions_of(size(n)):
-                expected = separate_b_d_groups(t, p)
-                if expected is None:
-                    with pytest.raises(InputError, match="odd multiplicity"):
-                        fundamental_groups(t, p)
-                    refused += 1
-                    continue
-                got = fundamental_groups(t, p)
-                assert [(g.kind, g.parameter) for g in got] == [
-                    (g.kind, g.parameter) for g in expected
-                ], (t, p)
-                checked += 1
-    assert (checked, refused) == (2278, 7006)
-
-
-def test_center_fiber_equals_the_separate_rules():
-    checked = 0
-    for t in classical_types(10):
-        for j in core_all_subsets(t.rank):
-            assert center_fiber(t, j) == separate_center_fiber(t, j), (t, j)
-            checked += 1
-    assert checked == sum(2**t.rank for t in classical_types(10))

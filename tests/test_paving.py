@@ -395,6 +395,24 @@ class TestEnumerateCells:
             tracemalloc.stop()
         assert peak <= 585_232
 
+    def test_pavings_compare_by_value(self):
+        # Listings compare by their moves and summaries by their vectors, and
+        # no repr shows an object address.  A listing's moves are dicts, so
+        # only a summary hashes.
+        summary = enumerate_cells(Partition((2, 1)), cells=False)
+        assert summary == enumerate_cells(Partition((2, 1)), cells=False)
+        assert summary.cells is enumerate_cells(Partition((3,)), cells=False).cells
+        assert hash(summary) == hash(enumerate_cells(Partition((2, 1)), cells=False))
+        listing = enumerate_cells(Partition((2, 1)))
+        assert listing == enumerate_cells(Partition((2, 1))) and listing.cells != summary.cells
+        assert listing != enumerate_cells(Partition((3,)))
+        assert summary != enumerate_cells(Partition((3,)), cells=False)
+        with pytest.raises(TypeError):
+            hash(listing)
+        for value in (summary, listing):
+            assert " at 0x" not in repr(value)
+            assert repr(value).startswith("CellPaving(cells=CellBlocks(moves=")
+
     def test_subregular_sl3(self):
         # two lines meeting in a point: Betti numbers 1, 2
         assert list(enumerate_cells(Partition((2, 1))).poincare) == [1, 2]

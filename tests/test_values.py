@@ -41,9 +41,12 @@ from nilorbits.orbits import (
     fundamental_groups,
     orbit_partition,
 )
-from nilorbits.paving import LabeledDiagram, TableauPermutation, labeled_diagrams
+from nilorbits.paving import (
+    CellBlocks, CellPaving, LabeledDiagram, TableauPermutation, labeled_diagrams
+)
 from nilorbits.tables import OrbitRecord
-from test_jordan import matrix, strictly_upper
+from test_hygiene import VALUE_TYPES
+from test_jordan import classical_types, matrix, strictly_upper
 
 # Each builds a fresh instance per call, positionally as the library and tests do.
 MAKERS = {
@@ -63,6 +66,8 @@ MAKERS = {
         FiniteGroupDescriptor("trivial"), FiniteGroupDescriptor("trivial"),
     ),
     "IntMatrix": lambda: IntMatrix([[0, 1], [0, 0]]),
+    "CellPaving": lambda: CellPaving(CellBlocks((), 0), (1, 2)),
+    "CellBlocks": lambda: CellBlocks((), 0),
 }
 
 
@@ -197,6 +202,8 @@ CONSTRUCTORS = {
         [st.just(Partition((2, 2))), st.just(4), st.just(2), st.just(2), st.just((0, 1))],
     ),
     "TableauPermutation": (TableauPermutation, [st.just((2, 3, 1))]),
+    "CellPaving": (CellPaving, [st.just(CellBlocks((), 0)), st.just((1, 2))]),
+    "CellBlocks": (CellBlocks, [st.just(()), st.just(0)]),
     "FiniteGroupDescriptor.cyclic": (FiniteGroupDescriptor.cyclic, [st.integers(1, 4)]),
     "FiniteGroupDescriptor.elementary_abelian_2": (
         FiniteGroupDescriptor.elementary_abelian_2, [st.integers(0, 3)]
@@ -216,8 +223,7 @@ DERIVED = {
 
 
 def test_constructor_sweep_covers_every_value_type():
-    # MAKERS names the 14 value types of tests/test_hygiene.py::VALUE_TYPES.
-    assert {name for name in CONSTRUCTORS if "." not in name} == set(MAKERS)
+    assert {name for name in CONSTRUCTORS if "." not in name} == set(MAKERS) == VALUE_TYPES
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
@@ -268,14 +274,12 @@ def test_orbit_partition_equals_the_validated_build():
     # Partition(parts) sorts and checks the parts, so it equals the trusted
     # build only when that one already held positive ints sorted descending.
     checked = 0
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, 9):
-            t = LieType(family, rank)
-            for j in all_subsets(rank):
-                p = orbit_partition(t, j)
-                assert p == Partition(p.parts)
-                assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
-                checked += 1
+    for t in classical_types(8):
+        for j in all_subsets(t.rank):
+            p = orbit_partition(t, j)
+            assert p == Partition(p.parts)
+            assert type(p.parts) is tuple and all(type(v) is int for v in p.parts)
+            checked += 1
     assert checked == 2**9 - 2 + 2 * (2**9 - 4) + 2**9 - 8
 
 
@@ -333,23 +337,21 @@ def test_representative_matrix_equals_the_validated_build():
     # The validating route: the entry dictionaries merged in index order, built as
     # dense rows by the validating IntMatrix constructor.
     checked = 0
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, 7):
-            t = LieType(family, rank)
-            for j in all_subsets(rank):
-                entries = {}
-                for i in range(1, rank + 1):
-                    if i not in j:
-                        entries.update(_simple_root_entries(family, rank, i))
-                expected = matrix(t.matrix_dimension, entries)
-                m = representative_matrix(t, j)
-                assert m == expected and m.dim == expected.dim
-                assert all(type(row) is tuple for row in m.rows)
-                upper = all(m.rows[r][c] == 0 for r in range(m.dim) for c in range(r + 1))
-                assert strictly_upper(m.rows) is upper
-                sparse = [[(c, v) for c, v in enumerate(row) if v] for row in expected.rows]
-                assert _root_sum_rows(t, j, _root_vectors(t)) == sparse
-                checked += 1
+    for t in classical_types(6):
+        for j in all_subsets(t.rank):
+            entries = {}
+            for i in range(1, t.rank + 1):
+                if i not in j:
+                    entries.update(_simple_root_entries(t.family, t.rank, i))
+            expected = matrix(t.matrix_dimension, entries)
+            m = representative_matrix(t, j)
+            assert m == expected and m.dim == expected.dim
+            assert all(type(row) is tuple for row in m.rows)
+            upper = all(m.rows[r][c] == 0 for r in range(m.dim) for c in range(r + 1))
+            assert strictly_upper(m.rows) is upper
+            sparse = [[(c, v) for c, v in enumerate(row) if v] for row in expected.rows]
+            assert _root_sum_rows(t, j, _root_vectors(t)) == sparse
+            checked += 1
     assert checked == 2**7 - 2 + 2 * (2**7 - 4) + 2**7 - 8
 
 
@@ -404,15 +406,13 @@ def test_classified_labels_equal_the_validated_build():
 def test_type_a_fibers_and_fundamental_groups_equal_the_validated_build():
     # Each group is the one its validating constructor builds from the same fields.
     checked = 0
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, 9):
-            t = LieType(family, rank)
-            for j in all_subsets(rank):
-                groups = fundamental_groups(t, orbit_partition(t, j))
-                if family == "A":
-                    groups += (center_fiber(t, j),)
-                for g in groups:
-                    rebuilt = FiniteGroupDescriptor(g.kind, g.parameter)
-                    assert g == rebuilt and hash(g) == hash(rebuilt)
-                    checked += 1
+    for t in classical_types(8):
+        for j in all_subsets(t.rank):
+            groups = fundamental_groups(t, orbit_partition(t, j))
+            if t.family == "A":
+                groups += (center_fiber(t, j),)
+            for g in groups:
+                rebuilt = FiniteGroupDescriptor(g.kind, g.parameter)
+                assert g == rebuilt and hash(g) == hash(rebuilt)
+                checked += 1
     assert checked == 3 * (2**9 - 2) + 2 * (2 * (2**9 - 4) + 2**9 - 8)
