@@ -248,6 +248,45 @@ class TestOrbitDimension:
                 assert orbit_dimension_type_a(total - 1, p) == total * total - squares
 
 
+def count_oracle_outcomes(types):
+    """Outcome counts of fundamental_groups against its docstring's rules via parts.count."""
+    elementary = FiniteGroupDescriptor.elementary_abelian_2
+
+    def oracle(t, parts):
+        odd = {v for v in parts if v % 2}
+        a, b = len(odd), len(set(parts) - odd)
+        rather_odd = all(parts.count(v) == 1 for v in odd)
+        if t.family == "A":
+            return FiniteGroupDescriptor.cyclic(math.gcd(*parts)), elementary(0)
+        if t.family == "C":
+            even_ok = all(parts.count(v) % 2 == 0 for v in set(parts) - odd)
+            return elementary(b), elementary(b if even_ok else b - 1)
+        k = max(0, a - 1)
+        pi1 = FiniteGroupDescriptor.central_extension_2(k) if rather_odd else elementary(k)
+        if t.family == "B":
+            return pi1, elementary(k)
+        odd_ok = all(parts.count(v) % 2 == 0 for v in odd)
+        return pi1, elementary(k if odd_ok else max(0, a - 2))
+
+    outcomes = Counter()
+    for t in types:
+        family, forbidden = t.family, 1 if t.family == "C" else 0
+        for p in partitions_of(t.matrix_dimension):
+            bad = [v for v in set(p.parts)
+                   if family != "A" and v % 2 == forbidden and p.parts.count(v) % 2]
+            if bad:
+                with pytest.raises(InputError) as info:
+                    fundamental_groups(t, p)
+                v = int(str(info.value).split()[2])
+                assert v in bad
+                assert "multiplicity %d;" % p.parts.count(v) in str(info.value)
+                outcomes[family, "refused"] += 1
+                continue
+            assert fundamental_groups(t, p) == oracle(t, p.parts), (t, p)
+            outcomes[family, "checked"] += 1
+    return outcomes
+
+
 class TestFundamentalGroups:
     def test_one_count_of_multiplicities_per_call(self, monkeypatch):
         # One Counter feeds pi1, A, the parity checks and rather-odd.
@@ -316,56 +355,10 @@ class TestFundamentalGroups:
             fundamental_groups(LieType("C", 4), Partition((4, 1, 1)))
 
     def test_matches_count_oracle(self):
-        # The docstring's rules, read off per-value parts.count scans.
-        def elementary(k):
-            return FiniteGroupDescriptor.elementary_abelian_2(k)
-
-        def oracle(t, parts):
-            odd = {v for v in parts if v % 2}
-            even = set(parts) - odd
-            a, b = len(odd), len(even)
-            rather_odd = all(parts.count(v) == 1 for v in odd)
-            if t.family == "A":
-                return FiniteGroupDescriptor.cyclic(math.gcd(*parts)), elementary(0)
-            if t.family == "C":
-                even_ok = all(parts.count(v) % 2 == 0 for v in even)
-                return elementary(b), elementary(b if even_ok else b - 1)
-            k = max(0, a - 1)
-            pi1 = FiniteGroupDescriptor.central_extension_2(k) if rather_odd else elementary(k)
-            if t.family == "B":
-                return pi1, elementary(k)
-            odd_ok = all(parts.count(v) % 2 == 0 for v in odd)
-            return pi1, elementary(k if odd_ok else max(0, a - 2))
-
-        # A and C run to matrix dimension 12.  B and D run to rank 12: no
-        # independent route checks the kinds of their pi1, so this is the pin.
-        outcomes = Counter()
-        for t in classical_types(12):
-            family = t.family
-            if family in "AC" and t.matrix_dimension > 12:
-                continue
-            forbidden = 1 if family == "C" else 0
-            for p in partitions_of(t.matrix_dimension):
-                bad = [
-                    v for v in set(p.parts)
-                    if family != "A" and v % 2 == forbidden and p.parts.count(v) % 2
-                ]
-                if bad:
-                    with pytest.raises(InputError) as info:
-                        fundamental_groups(t, p)
-                    v = int(str(info.value).split()[2])
-                    assert v in bad
-                    assert "multiplicity %d;" % p.parts.count(v) in str(info.value)
-                    outcomes[family, "refused"] += 1
-                    continue
-                assert fundamental_groups(t, p) == oracle(t, p.parts), (t, p)
-                outcomes[family, "checked"] += 1
-        assert outcomes == {
-            ("A", "checked"): 270,
-            ("B", "checked"): 1254, ("B", "refused"): 3923,
-            ("C", "checked"): 90, ("C", "refused"): 67,
-            ("D", "checked"): 1024, ("D", "refused"): 3083,
-        }
+        # A and C to matrix dimension 12; B and D are pinned below.
+        types = [t for t in classical_types(12) if t.family in "AC" and t.matrix_dimension <= 12]
+        assert count_oracle_outcomes(types) == {
+            ("A", "checked"): 270, ("C", "checked"): 90, ("C", "refused"): 67}
 
     def test_many_parts_take_linear_time(self):
         # Each even value 2..20000 twice: 20,000 parts, 10,000 distinct.  A
@@ -378,6 +371,15 @@ class TestFundamentalGroups:
         assert time.perf_counter() - start < 0.5
         assert pi1 == a_group == FiniteGroupDescriptor.elementary_abelian_2(10000)
         assert very_even
+
+
+def test_merged_b_d_rule_equals_the_separate_rules():
+    # One merged B/D rule in fundamental_groups, each family's rule apart in the
+    # oracle.  No independent route checks these pi1 kinds: this is the pin.
+    assert count_oracle_outcomes(t for t in classical_types(12) if t.family in "BD") == {
+        ("B", "checked"): 1254, ("B", "refused"): 3923,
+        ("D", "checked"): 1024, ("D", "refused"): 3083,
+    }
 
 
 class TestKernelCheck:
